@@ -391,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        # only converge writes CSV; the others reject it rather than ignore it
+        p.add_argument("--format", default="json",
+                       choices=("json", "csv") if name == "converge" else ("json",))
         if name == "verify":
             p.add_argument("--perturb-gains", action="store_true",
                            help="negative control: offset the solved gains")

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, symmetrize
+from .model import PD_TOL, PSD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, symmetrize
 
-PSD_TOL = -1e-9
 ASYMMETRY_TOL = 1e-8
 
 

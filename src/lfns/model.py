@@ -170,6 +170,15 @@ def validate(model: LfnsModel, cost: CostSpec | None = None) -> list[str]:
     """
     v: list[str] = []
     n, m1, m2 = model.n, model.m1, model.m2
+    arrays = [(f, getattr(model, f)) for f in _MODEL_FIELDS]
+    if cost is not None:
+        arrays += [("q", cost.q), ("r", cost.r)]
+        if cost.p_terminal is not None:
+            arrays.append(("p_terminal", cost.p_terminal))
+    # a NaN or inf entry also makes every eigenvalue NaN, so the definiteness
+    # checks below skip these arrays rather than report a second, garbled fault
+    nonfinite = [name for name, arr in arrays if not np.isfinite(arr).all()]
+    v.extend(f"non-finite entry: {name} contains NaN or inf" for name in nonfinite)
     shape_req = [
         ("a10", model.a10, (n, n)), ("a11", model.a11, (n, n)),
         ("b00", model.b00, (n, m1)), ("b10", model.b10, (n, m1)),
@@ -185,24 +194,24 @@ def validate(model: LfnsModel, cost: CostSpec | None = None) -> list[str]:
         v.append("leader and follower must share the state dimension")
     for name, arr in [("sigma_w0", model.sigma_w0), ("sigma_w1", model.sigma_w1),
                       ("sigma_x0", model.sigma_x0), ("sigma_x1", model.sigma_x1)]:
-        if arr.shape == (n, n) and not is_psd(arr):
+        if arr.shape == (n, n) and name not in nonfinite and not is_psd(arr):
             kind = "noise covariance" if name.startswith("sigma_w") else "initial covariance"
             v.append(f"{kind} not PSD: {name} has min eigenvalue {eigmin(arr):.3e}")
     if cost is not None:
         if cost.q.shape != (2 * n, 2 * n):
             v.append(f"dimension mismatch: q has shape {cost.q.shape}, expected {(2 * n, 2 * n)}")
-        elif not is_psd(cost.q):
+        elif "q" not in nonfinite and not is_psd(cost.q):
             v.append(f"Q not positive semidefinite: min eigenvalue {eigmin(cost.q):.3e}")
         m = m1 + m2
         if cost.r.shape != (m, m):
             v.append(f"dimension mismatch: r has shape {cost.r.shape}, expected {(m, m)}")
-        elif not is_pd(cost.r):
+        elif "r" not in nonfinite and not is_pd(cost.r):
             v.append(f"R not positive definite: min eigenvalue {eigmin(cost.r):.3e}")
         if cost.p_terminal is not None:
             if cost.p_terminal.shape != (2 * n, 2 * n):
                 v.append(f"dimension mismatch: p_terminal has shape {cost.p_terminal.shape}, "
                          f"expected {(2 * n, 2 * n)}")
-            elif not is_psd(cost.p_terminal):
+            elif "p_terminal" not in nonfinite and not is_psd(cost.p_terminal):
                 v.append(f"terminal weight not positive semidefinite: "
                          f"min eigenvalue {eigmin(cost.p_terminal):.3e}")
         if cost.gamma is not None and not (0.0 < cost.gamma < 1.0):

@@ -9,6 +9,7 @@ formulas; neither side is derived from the other.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,17 @@ def _noise_cov(model: LfnsModel) -> np.ndarray:
     return gw
 
 
+def _per_step(policy: StructuredPolicy, horizon: int, build):
+    """build(gains) for each step 0..horizon-1.
+
+    A constant policy is built once and the result repeated at every step;
+    a per-step policy is built as each step is reached.
+    """
+    if policy.is_constant:
+        return itertools.repeat(build(policy.at(0)), horizon)
+    return (build(policy.at(k)) for k in range(horizon))
+
+
 def exact_cost(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                horizon: int, discounted: bool = False) -> float:
     """Exact expected closed-loop cost, no sampling.
@@ -137,15 +149,16 @@ def exact_cost(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     gw = _noise_cov(model)
     total = 0.0
     weight = 1.0
-    for k in range(horizon):
-        gains = policy.at(k)
-        m = _stage_matrix(model, gains, cost)
+
+    def stage_and_map(gains):
+        return _stage_matrix(model, gains, cost), closed_loop_matrices(model, gains)
+
+    for k, (m, f) in enumerate(_per_step(policy, horizon, stage_and_map)):
         stage = float(np.trace(m @ sigma) + mu @ m @ mu)
         total += weight * stage
-        f = closed_loop_matrices(model, gains)
         mu = f @ mu
         sigma = f @ sigma @ f.T + gw
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise OracleError(f"closed-loop moments non-finite at step {k + 1}")
         if discounted:
             weight *= gamma
@@ -164,8 +177,9 @@ def mean_trajectory(model: LfnsModel, policy: StructuredPolicy, horizon: int) ->
     mu = moments.mean
     out = np.zeros((horizon + 1, mu.size))
     out[0] = mu
-    for k in range(horizon):
-        mu = closed_loop_matrices(model, policy.at(k)) @ mu
+    loop = _per_step(policy, horizon, lambda gains: closed_loop_matrices(model, gains))
+    for k, f in enumerate(loop):
+        mu = f @ mu
         out[k + 1] = mu
     return out
 

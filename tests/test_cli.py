@@ -65,6 +65,25 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert "validation:" in capsys.readouterr().err
 
 
+def test_nonfinite_spec_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    write_spec(path, a00=[[float("nan")]])
+    assert run(["solve", "--model", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation: non-finite entry: a00" in err
+    assert "diverged" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+def test_csv_format_rejected_where_unsupported(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--model", "scalar-demo", "--format", "csv",
+             "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_divergent_model_exits_3(tmp_path):
     path = tmp_path / "runaway.json"
     write_spec(path, a00=[[2.0]], b00=[[0.0]], b10=[[0.0]])

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfns.model import (
     LfnsModel,
@@ -197,3 +199,47 @@ def test_eig_helpers_tolerance_band():
 def test_model_validation_error_carries_violations():
     err = ModelValidationError(["a", "b"])
     assert err.violations == ["a", "b"]
+
+
+def test_validate_reports_nonfinite_entries():
+    model = make_model(a00=[[np.nan]], a10=[[0.0]], a11=[[1.0]],
+                       b00=[[1.0]], b10=[[0.0]], b11=[[1.0]],
+                       sigma_w0=[[np.inf]])
+    cost = make_cost(q=np.eye(2), r=[[1.0, 0.0], [0.0, -np.inf]])
+    msgs = validate(model, cost)
+    assert msgs == ["non-finite entry: a00 contains NaN or inf",
+                    "non-finite entry: sigma_w0 contains NaN or inf",
+                    "non-finite entry: r contains NaN or inf"]
+
+
+def _random_spec_doc(rng, n, m1, m2, terminal):
+    def psd(k):
+        f = rng.standard_normal((k, k))
+        return f @ f.T
+
+    model = make_model(a00=rng.standard_normal((n, n)), a10=rng.standard_normal((n, n)),
+                       a11=rng.standard_normal((n, n)), b00=rng.standard_normal((n, m1)),
+                       b10=rng.standard_normal((n, m1)), b11=rng.standard_normal((n, m2)),
+                       sigma_w0=psd(n), sigma_w1=psd(n),
+                       xbar0=rng.standard_normal(n), xbar1=rng.standard_normal(n),
+                       sigma_x0=psd(n), sigma_x1=psd(n))
+    cost = make_cost(q=psd(2 * n), r=np.eye(m1 + m2) + psd(m1 + m2),
+                     p_terminal=psd(2 * n) if terminal else None,
+                     gamma=rng.uniform(0.05, 0.95))
+    return model_to_dict(model, cost)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), m1=st.integers(1, 2), m2=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), terminal=st.booleans(), data=st.data())
+def test_validate_rejects_any_injected_nonfinite_value(n, m1, m2, seed, terminal, data):
+    doc = _random_spec_doc(np.random.default_rng(seed), n, m1, m2, terminal)
+    assert validate(*model_from_dict(doc)) == []
+    targets = [("model", f) for f in sorted(doc["model"])]
+    targets += [("cost", c) for c in ("q", "r", "p_terminal") if doc["cost"][c] is not None]
+    section, name = data.draw(st.sampled_from(targets))
+    arr = np.array(doc[section][name], dtype=float)
+    arr.flat[data.draw(st.integers(0, arr.size - 1))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    doc[section][name] = arr.tolist()
+    assert validate(*model_from_dict(doc)) == [f"non-finite entry: {name} contains NaN or inf"]

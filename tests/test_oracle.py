@@ -1,10 +1,13 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from lfns.estimator import advance, init, linear_mean_control
 from lfns.finite_horizon import backward_riccati
 from lfns.infinite_horizon import solve_stationary_riccati
-from lfns.model import assemble_compact, make_cost, make_model
+from lfns.model import assemble_compact, make_cost, make_model, model_from_dict
 from lfns.oracle import (
     OracleError,
     StructuredPolicy,
@@ -199,5 +202,34 @@ def test_exact_cost_raises_on_divergence():
                        xbar0=[1e200], xbar1=[1e200])
     cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
     policy = StructuredPolicy.constant([[0.0]], [[0.0]], [[0.0]], [[0.0]])
-    with np.errstate(over="ignore"), pytest.raises(OracleError):
-        exact_cost(model, policy, cost, 2000, discounted=True)
+    per_step = StructuredPolicy.from_gain_list([policy.at(0)] * 2000)
+    messages = []
+    for pol in (policy, per_step):
+        with np.errstate(over="ignore"), pytest.raises(OracleError) as err:
+            exact_cost(model, pol, cost, 2000, discounted=True)
+        messages.append(str(err.value))
+    # both branches stop at the same step
+    assert messages[0] == messages[1]
+    assert "at step " in messages[0]
+
+
+@pytest.fixture(scope="module")
+def auv_stationary():
+    doc = json.loads(resources.files("lfns").joinpath("data/auv-paper.json").read_text())
+    model, cost = model_from_dict(doc)
+    sol = solve_stationary_riccati(assemble_compact(model), cost)
+    return model, cost, StructuredPolicy.from_stationary(sol)
+
+
+@pytest.mark.parametrize("horizon, discounted", [(300, True), (9, False)])
+def test_constant_policy_matches_per_step_bitwise(auv_stationary, horizon, discounted):
+    # a constant policy builds its matrices once, a per-step one at every
+    # step; the moment arithmetic is the same, so the results are equal
+    model, cost, policy = auv_stationary
+    if not discounted:
+        cost = make_cost(cost.q, cost.r, p_terminal=cost.q)
+    per_step = StructuredPolicy.from_gain_list([policy.at(0)] * horizon)
+    assert (exact_cost(model, policy, cost, horizon, discounted)
+            == exact_cost(model, per_step, cost, horizon, discounted))
+    assert np.array_equal(mean_trajectory(model, policy, horizon),
+                          mean_trajectory(model, per_step, horizon))
