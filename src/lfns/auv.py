@@ -11,11 +11,13 @@ follower vehicle through dense error-model matrices.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
-from .model import CostSpec, LfnsModel, eigmin, make_cost, make_model
+from .model import CostSpec, LfnsModel, eigmin, model_from_dict
 
 BASIS_TERMS = ("1", "u", "|u|", "v", "|v|", "r", "|r|")
 
@@ -225,58 +227,21 @@ def follower_reference() -> ReferenceTrajectory:
                           offset=[1.5, 1.4, 0.0])
 
 
-_A_Z00 = [
-    [-0.50, -1.13, 0.49, -1.22, -0.21, 0.42],
-    [-1.14, 0.20, 0.20, -0.58, -0.72, 0.05],
-    [-2.46, 1.47, -1.40, 4.17, -0.20, -2.24],
-    [-0.93, 0.43, -1.02, 3.07, 0.14, -1.30],
-    [0.17, -0.59, -0.19, 0.82, 0.13, -0.21],
-    [0.50, 0.53, -0.83, 2.16, 0.26, -0.50]]
-_A_Z11 = [
-    [-0.59, 0.27, -0.01, -0.32, -0.52, -0.94],
-    [-0.15, 0.39, 0.20, -0.05, -0.90, -1.72],
-    [-0.40, 0.09, -0.15, -0.32, -0.10, 0.10],
-    [0.03, 0.16, 0.27, 0.31, -0.11, -0.82],
-    [0.08, -0.20, 0.03, 0.16, 0.29, 0.53],
-    [-0.54, 0.25, 0.16, -0.19, -0.36, -0.86]]
-_A_Z10 = [
-    [0.79, -1.00, 0.89, 0.14, 0.50, 0.26],
-    [-0.64, 1.00, -0.52, 0.73, -0.15, 0.75],
-    [-0.28, 0.45, -0.01, 0.52, -0.03, 0.22],
-    [-0.68, 1.33, -0.15, 1.27, -0.67, 1.23],
-    [-1.66, 3.67, -3.14, 1.52, -1.15, 2.97],
-    [0.91, -0.94, 0.20, -0.45, 0.52, -0.12]]
-_B_Z00 = [
-    [0.92, 0.57, 0.09],
-    [0.40, 0.68, 0.36],
-    [0.68, 0.13, 0.57],
-    [0.49, 0.06, 0.72],
-    [0.29, 0.69, 0.01],
-    [0.25, 0.29, 0.06]]
-_B_Z11 = [
-    [0.99, 0.46, 0.86],
-    [0.24, 0.35, 0.72],
-    [0.50, 0.32, 0.82],
-    [0.53, 0.39, 0.44],
-    [0.60, 0.41, 0.98],
-    [0.13, 0.75, 0.12]]
-_B_Z10 = [
-    [0.86, 0.01, 0.91],
-    [0.96, 0.50, 0.99],
-    [0.80, 0.93, 0.63],
-    [0.87, 0.66, 0.99],
-    [0.26, 0.21, 0.76],
-    [0.03, 0.48, 0.65]]
+def paper_model() -> tuple[LfnsModel, CostSpec]:
+    """Twelve-state error model and cost of the bundled example, read from
+    the package's data/auv-paper.json (the one copy of these numbers)."""
+    doc = json.loads(resources.files("lfns").joinpath("data/auv-paper.json").read_text())
+    return model_from_dict(doc)
 
 
 def bundled_example() -> AuvExample:
     """The coupled leader-follower setup shipped with the package.
 
-    The twelve-state error model uses dense identified matrices rather than
-    the canonical build_error_dynamics structure; both remain available.
-    Initial mean error states derive from the listed initial positions and
-    velocities through error_state at k = 0; initial covariances are zero
-    and both process noises are unit white.
+    The twelve-state error model (paper_model) uses dense identified
+    matrices rather than the canonical build_error_dynamics structure; both
+    remain available.  Its initial mean error states are error_state at
+    k = 0 of the listed initial positions and velocities; initial
+    covariances are zero and both process noises are unit white.
     """
     t = 1.0
     leader_ref = leader_reference()
@@ -285,14 +250,7 @@ def bundled_example() -> AuvExample:
     leader_nu0 = np.array([1.0, 2.0, 0.5])
     follower_eta0 = np.array([6.0, 4.0, 1.0])
     follower_nu0 = np.array([2.1, 1.4, 0.3])
-    z0 = error_state(leader_eta0, leader_nu0, leader_ref, 0, t)
-    z1 = error_state(follower_eta0, follower_nu0, follower_ref, 0, t)
-    model = make_model(a00=_A_Z00, a10=_A_Z10, a11=_A_Z11,
-                       b00=_B_Z00, b10=_B_Z10, b11=_B_Z11,
-                       sigma_w0=np.eye(6), sigma_w1=np.eye(6),
-                       xbar0=z0, xbar1=z1,
-                       sigma_x0=np.zeros((6, 6)), sigma_x1=np.zeros((6, 6)))
-    cost = make_cost(q=np.eye(12), r=np.eye(6), p_terminal=None, gamma=0.9)
+    model, cost = paper_model()
     return AuvExample(model=model, cost=cost,
                       leader=leader_params(), follower=follower_params(),
                       leader_ref=leader_ref, follower_ref=follower_ref, t=t,

@@ -9,24 +9,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .auv import leader_reference, follower_reference, reference
+from .auv import follower_reference, leader_reference, paper_model, reference
 from .finite_horizon import (RiccatiError, backward_riccati,
                              discounted_backward_riccati, optimal_cost,
                              split_gain, stationarity_residuals)
-from .infinite_horizon import (RiccatiDivergence, check_stabilizability,
+from .infinite_horizon import (FIXED_POINT_TOL, RiccatiDivergence, check_stabilizability,
                                closed_loop_radii, solve_stationary_riccati,
                                stationary_cost)
 from .model import (ModelValidationError, SpecFormatError, assemble_compact,
-                    load_model_spec, make_cost, make_model, model_from_dict,
+                    load_model_spec, make_cost, make_model, stacked_moments,
                     validate)
 from .oracle import StructuredPolicy, gain_gradient, kalman_oracle
 from .simulation import monte_carlo, mss_diagnostics, simulate
@@ -47,8 +47,7 @@ def _scalar_demo():
 
 def _load(args):
     if args.model == "auv-paper":
-        doc = json.loads(resources.files("lfns").joinpath("data/auv-paper.json").read_text())
-        model, cost = model_from_dict(doc)
+        model, cost = paper_model()
         name = "auv-paper"
     elif args.model == "scalar-demo":
         model, cost = _scalar_demo()
@@ -94,6 +93,16 @@ def _lst(a):
     return np.asarray(a).tolist()
 
 
+def _stationary(compact, cost):
+    """Stationary solve that fails, rather than returning, at the iteration cap."""
+    sol = solve_stationary_riccati(compact, cost)
+    if not sol.converged:
+        raise RiccatiError(f"value iteration hit the iteration cap after {sol.iterations} "
+                           f"iterations (relative change {sol.residual:.3e}, "
+                           f"tolerance {FIXED_POINT_TOL:.0e})")
+    return sol
+
+
 def _policy_for(model, cost, args):
     """Solve per the requested mode and return (policy, solution, discounted)."""
     compact = assemble_compact(model)
@@ -106,7 +115,7 @@ def _policy_for(model, cost, args):
         return StructuredPolicy.from_finite_horizon(sol, model), sol, False
     if cost.gamma is None:
         raise ModelValidationError(["stationary mode needs a discount factor"])
-    sol = solve_stationary_riccati(compact, cost)
+    sol = _stationary(compact, cost)
     return StructuredPolicy.from_stationary(sol), sol, True
 
 
@@ -114,21 +123,17 @@ def cmd_solve(args) -> int:
     model, cost, name = _load(args)
     compact = assemble_compact(model)
     out = _out_dir(args)
+    _, sol, _ = _policy_for(model, cost, args)
     if args.mode == "finite":
-        policy, sol, _ = _policy_for(model, cost, args)
         doc = _doc(args, mode="finite", horizon=sol.horizon,
                    p0=_lst(sol.p_seq[0]), k0=_lst(sol.k_seq[0]),
                    gain_sequence=[_lst(k) for k in sol.k_seq],
                    analytic_cost=optimal_cost(sol, model))
         _write_json(out / f"solve-{name}-finite.json", doc)
         return 0
-    policy, sol, _ = _policy_for(model, cost, args)
     verdict = check_stabilizability(sol, cost, compact)
     blocks = split_gain(sol.h, model.n, model.m1)
-    mean0 = np.concatenate([model.xbar0, model.xbar1])
-    sigma0 = np.zeros((2 * model.n, 2 * model.n))
-    sigma0[:model.n, :model.n] = model.sigma_x0
-    sigma0[model.n:, model.n:] = model.sigma_x1
+    mean0, sigma0, _ = stacked_moments(model)
     trace_term = cost.gamma / (1.0 - cost.gamma) * float(np.trace(compact.sigma_w @ sol.p))
     mean_term = float(mean0 @ sol.p @ mean0 + np.trace(sigma0 @ sol.p))
     doc = _doc(args, mode="stationary", iterations=sol.iterations,
@@ -237,7 +242,7 @@ def cmd_converge(args) -> int:
     for n in sweep:
         sol = discounted_backward_riccati(compact, cost, n)
         rows.append([n, optimal_cost(sol, model)])
-    stat = solve_stationary_riccati(compact, cost)
+    stat = _stationary(compact, cost)
     stationary_value = stationary_cost(stat, model)
     out = _out_dir(args)
     if args.format == "csv":
@@ -270,46 +275,42 @@ def _verify_checks(model, cost, args):
         bump = np.zeros_like(sol.h if discounted else sol.k_seq[0])
         bump[-1, -1] = 0.05
         if discounted:
-            from .infinite_horizon import StationarySolution
-            sol = StationarySolution(p=sol.p, h=sol.h + bump, psi=sol.psi,
-                                     l=sol.l, gamma=sol.gamma,
-                                     iterations=sol.iterations,
-                                     residual=sol.residual, n=sol.n, m1=sol.m1)
+            sol = dataclasses.replace(sol, h=sol.h + bump)
             policy = StructuredPolicy.from_stationary(sol)
         else:
             gains = [split_gain(k + bump, model.n, model.m1) for k in sol.k_seq]
             policy = StructuredPolicy.from_gain_list(gains)
 
+    # the Riccati map is recomputed here rather than taken from the solver,
+    # so that this check is independent of the synthesis code
+    a, b = compact.a, compact.b
     if discounted:
-        l = compact.b.T @ sol.p @ compact.a
-        psi = cost.r + cost.gamma * (compact.b.T @ sol.p @ compact.b)
-        rhs = (cost.q + cost.gamma * (compact.a.T @ sol.p @ compact.a)
-               - cost.gamma ** 2 * l.T @ np.linalg.solve(psi, l))
-        res = np.linalg.norm(rhs - sol.p) / max(1.0, np.linalg.norm(sol.p))
-        add("riccati_fixed_point", res < 1e-10, res, 1e-10)
-        f = compact.a - compact.b @ sol.h
+        gamma, pairs = cost.gamma, [(sol.p, sol.p)]
+    else:
+        gamma, pairs = 1.0, [(sol.p_seq[k + 1], sol.p_seq[k]) for k in range(len(sol.k_seq))]
+    worst = 0.0
+    for p_next, p in pairs:
+        l = b.T @ p_next @ a
+        psi = cost.r + gamma * (b.T @ p_next @ b)
+        rhs = (cost.q + gamma * (a.T @ p_next @ a)
+               - gamma ** 2 * l.T @ np.linalg.solve(psi, l))
+        worst = max(worst, np.linalg.norm(rhs - p) / max(1.0, np.linalg.norm(p)))
+    add("riccati_fixed_point" if discounted else "riccati_recursion",
+        worst < 1e-10, worst, 1e-10)
+    if discounted:
+        f = a - b @ sol.h
         lyap = cost.gamma * f.T @ sol.p @ f + cost.q + sol.h.T @ cost.r @ sol.h
         res = np.linalg.norm(lyap - sol.p) / max(1.0, np.linalg.norm(sol.p))
         add("closed_loop_identity", res < 1e-10, res, 1e-10)
-        probe_horizon = 300
-    else:
-        worst = 0.0
-        for k in range(len(sol.k_seq)):
-            lam = cost.r + compact.b.T @ sol.p_seq[k + 1] @ compact.b
-            lm = compact.b.T @ sol.p_seq[k + 1] @ compact.a
-            rhs = (cost.q + compact.a.T @ sol.p_seq[k + 1] @ compact.a
-                   - lm.T @ np.linalg.solve(lam, lm))
-            worst = max(worst, np.linalg.norm(rhs - sol.p_seq[k])
-                        / max(1.0, np.linalg.norm(sol.p_seq[k])))
-        add("riccati_recursion", worst < 1e-10, worst, 1e-10)
-        probe_horizon = sol.horizon + 1
+    probe_horizon = 300 if discounted else sol.horizon + 1
 
     grad = gain_gradient(model, policy, cost, probe_horizon,
                          discounted=discounted)
     add("gradient_stationarity", grad.max_relative < 1e-6, grad.max_relative,
         1e-6, f"worst block {grad.argmax}")
 
-    steps = 50
+    # a finite-mode policy holds only horizon + 1 gains
+    steps = min(50, probe_horizon)
     traces = simulate(model, policy, cost, steps, seed=args.seed, trials=1)
     tr = traces[0]
     gains0 = policy.at(0)

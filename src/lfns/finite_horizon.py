@@ -1,10 +1,12 @@
 """Finite-horizon decentralized LQ synthesis.
 
-Backward Riccati recursion for the aggregated system, the block-partitioned
-decentralized gains, the analytic optimal cost, and the per-step stationarity
-identities used as verification checks.  Includes the discounted variant
-with zero terminal weight, whose iterates double as the value-iteration
-sequence of the stationary problem.
+The gamma-discounted Riccati step for the aggregated system and the backward
+recursion built on it, the block-partitioned decentralized gains, the
+analytic optimal cost, and the per-step stationarity identities used as
+verification checks.  The undiscounted recursion starts from the terminal
+weight with gamma = 1; the discounted one starts from zero, and its iterates
+are the value-iteration sequence of the stationary problem, which iterates
+the same step.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PD_TOL, PSD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, symmetrize
+from .model import (PD_TOL, PSD_TOL, CompactModel, CostSpec, LfnsModel, eigmin,
+                    stacked_moments, symmetrize)
 
 ASYMMETRY_TOL = 1e-8
 
@@ -42,6 +45,11 @@ class FiniteHorizonSolution:
     def horizon(self) -> int:
         return len(self.k_seq) - 1
 
+    def identity(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gain, Lambda or Psi, L or gamma L) of the stationarity identity at step k."""
+        l_mat = self.l_seq[k] if self.gamma is None else self.gamma * self.l_seq[k]
+        return self.k_seq[k], self.lambda_seq[k], l_mat
+
 
 @dataclass(frozen=True, eq=False)
 class DecentralizedGains:
@@ -51,9 +59,6 @@ class DecentralizedGains:
     k01: np.ndarray
     k10: np.ndarray
     k11: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.block([[self.k00, self.k01], [self.k10, self.k11]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,110 +96,69 @@ def _check_step(p: np.ndarray, k: int) -> np.ndarray:
     denom = max(1.0, float(np.linalg.norm(sym)))
     if np.linalg.norm(p - sym) / denom > ASYMMETRY_TOL:
         warnings.warn(f"Riccati iterate at step {k} asymmetric beyond tolerance",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
     if eigmin(sym) < PSD_TOL:
         raise RiccatiError(f"Riccati iterate at step {k} lost positive semidefiniteness")
     return sym
 
 
-def backward_riccati(compact: CompactModel, cost: CostSpec, n_horizon: int) -> FiniteHorizonSolution:
-    """Undiscounted backward recursion from the terminal weight.
+def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamma: float,
+                 k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One step of the gamma-discounted Riccati map from P(k+1).
 
-    For k = N..0:
-        Lambda(k) = R + B' P(k+1) B
-        L(k)      = B' P(k+1) A
-        K(k)      = Lambda(k)^{-1} L(k)
-        P(k)      = Q + A' P(k+1) A - L(k)' Lambda(k)^{-1} L(k)
-
-    Lambda is factorized, never inverted.
-    """
-    a, b = compact.a, compact.b
-    q, r = cost.q, cost.r
-    p_t = cost.p_terminal if cost.p_terminal is not None else np.zeros_like(q)
-    dim = q.shape[0]
-    p_seq: list[np.ndarray] = [np.zeros((dim, dim))] * (n_horizon + 2)
-    k_seq: list[np.ndarray] = [np.zeros((r.shape[0], dim))] * (n_horizon + 1)
-    lam_seq = list(k_seq)
-    l_seq = list(k_seq)
-    p_seq[n_horizon + 1] = _check_step(p_t, n_horizon + 1)
-    for k in range(n_horizon, -1, -1):
-        p_next = p_seq[k + 1]
-        lam = symmetrize(r + b.T @ p_next @ b)
-        if eigmin(lam) < PD_TOL:
-            raise RiccatiError(f"Lambda({k}) not positive definite")
-        l_mat = b.T @ p_next @ a
-        k_gain = np.linalg.solve(lam, l_mat)
-        p = q + a.T @ p_next @ a - l_mat.T @ k_gain
-        p_seq[k] = _check_step(p, k)
-        k_seq[k] = k_gain
-        lam_seq[k] = lam
-        l_seq[k] = l_mat
-    return FiniteHorizonSolution(p_seq=p_seq, k_seq=k_seq, lambda_seq=lam_seq,
-                                 l_seq=l_seq, discounted=False, gamma=None)
-
-
-def discounted_backward_riccati(compact: CompactModel, cost: CostSpec,
-                                n_horizon: int) -> FiniteHorizonSolution:
-    """Discounted recursion with terminal weight forced to zero.
-
-    For k = N..0:
         Psi(k) = R + gamma B' P(k+1) B
         L(k)   = B' P(k+1) A
         H(k)   = gamma Psi(k)^{-1} L(k)
         P(k)   = Q + gamma A' P(k+1) A - gamma^2 L(k)' Psi(k)^{-1} L(k)
+
+    Returns (P(k), Psi(k), L(k), H(k)) with P(k) not yet symmetrized.  With
+    gamma = 1.0 this is the undiscounted step (Psi is then Lambda and H is K):
+    multiplying by 1.0 is exact, so the bits are those of the plain formula.
+    Psi is factorized, never inverted, and is checked positive definite
+    before the solve; k only labels the error.
     """
-    if cost.gamma is None or not (0.0 < cost.gamma < 1.0):
-        raise RiccatiError(f"discounted recursion requires gamma in (0, 1), got {cost.gamma}")
-    gamma = cost.gamma
     a, b = compact.a, compact.b
-    q, r = cost.q, cost.r
-    dim = q.shape[0]
+    psi = symmetrize(cost.r + gamma * (b.T @ p_next @ b))
+    if eigmin(psi) < PD_TOL:
+        raise RiccatiError(f"Psi({k}) not positive definite")
+    l_mat = b.T @ p_next @ a
+    x = np.linalg.solve(psi, l_mat)
+    p = cost.q + gamma * (a.T @ p_next @ a) - gamma**2 * (l_mat.T @ x)
+    return p, psi, l_mat, gamma * x
+
+
+def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
+               p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
+    dim = cost.q.shape[0]
     p_seq: list[np.ndarray] = [np.zeros((dim, dim))] * (n_horizon + 2)
-    k_seq: list[np.ndarray] = [np.zeros((r.shape[0], dim))] * (n_horizon + 1)
+    k_seq: list[np.ndarray] = [np.zeros((cost.r.shape[0], dim))] * (n_horizon + 1)
     psi_seq = list(k_seq)
     l_seq = list(k_seq)
+    p_seq[n_horizon + 1] = _check_step(p_terminal, n_horizon + 1)
+    step_gamma = 1.0 if gamma is None else gamma
     for k in range(n_horizon, -1, -1):
-        p_next = p_seq[k + 1]
-        psi = symmetrize(r + gamma * (b.T @ p_next @ b))
-        if eigmin(psi) < PD_TOL:
-            raise RiccatiError(f"Psi({k}) not positive definite")
-        l_mat = b.T @ p_next @ a
-        x = np.linalg.solve(psi, l_mat)
-        h_gain = gamma * x
-        p = q + gamma * (a.T @ p_next @ a) - gamma**2 * (l_mat.T @ x)
+        p, psi_seq[k], l_seq[k], k_seq[k] = riccati_step(compact, cost, p_seq[k + 1],
+                                                         step_gamma, k)
         p_seq[k] = _check_step(p, k)
-        k_seq[k] = h_gain
-        psi_seq[k] = psi
-        l_seq[k] = l_mat
     return FiniteHorizonSolution(p_seq=p_seq, k_seq=k_seq, lambda_seq=psi_seq,
-                                 l_seq=l_seq, discounted=True, gamma=gamma)
+                                 l_seq=l_seq, discounted=gamma is not None, gamma=gamma)
 
 
-def gains_at(solution: FiniteHorizonSolution, k: int, n: int, m1: int) -> DecentralizedGains:
-    return split_gain(solution.k_seq[k], n, m1)
+def backward_riccati(compact: CompactModel, cost: CostSpec, n_horizon: int) -> FiniteHorizonSolution:
+    """Undiscounted backward recursion from the terminal weight: riccati_step
+    with gamma = 1 for k = N..0, so Lambda(k) = R + B' P(k+1) B takes Psi's
+    place and K(k) = Lambda(k)^{-1} L(k) takes H's."""
+    p_t = cost.p_terminal if cost.p_terminal is not None else np.zeros_like(cost.q)
+    return _recursion(compact, cost, n_horizon, p_t, None)
 
 
-def control(gains: DecentralizedGains, x0, x1, x1hat):
-    """Decentralized control pair.
-
-    u0 reads only the leader state and the leader-side estimate; u1 reads
-    only follower-visible quantities (x1 directly, never x1hat).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    x1hat = np.asarray(x1hat, dtype=float)
-    u0 = -gains.k00 @ x0 - gains.k01 @ x1hat
-    u1 = -gains.k10 @ x0 - gains.k11 @ x1
-    return u0, u1
-
-
-def _initial_second_moment(model: LfnsModel) -> tuple[np.ndarray, np.ndarray]:
-    xbar = np.concatenate([model.xbar0, model.xbar1])
-    n = model.n
-    sigma = np.zeros((2 * n, 2 * n))
-    sigma[:n, :n] = model.sigma_x0
-    sigma[n:, n:] = model.sigma_x1
-    return xbar, sigma
+def discounted_backward_riccati(compact: CompactModel, cost: CostSpec,
+                                n_horizon: int) -> FiniteHorizonSolution:
+    """Discounted recursion with terminal weight forced to zero: the Riccati
+    step with the cost's gamma for k = N..0 (see riccati_step)."""
+    if cost.gamma is None or not (0.0 < cost.gamma < 1.0):
+        raise RiccatiError(f"discounted recursion requires gamma in (0, 1), got {cost.gamma}")
+    return _recursion(compact, cost, n_horizon, np.zeros_like(cost.q), cost.gamma)
 
 
 def optimal_cost(solution: FiniteHorizonSolution, model: LfnsModel) -> float:
@@ -206,11 +170,7 @@ def optimal_cost(solution: FiniteHorizonSolution, model: LfnsModel) -> float:
     with E[X(0)' P(0) X(0)] = xbar' P(0) xbar + tr(blockdiag(Sigma_x0,
     Sigma_x1) P(0)), the Gaussian second-moment expansion.
     """
-    n = model.n
-    sigma_w = np.zeros((2 * n, 2 * n))
-    sigma_w[:n, :n] = model.sigma_w0
-    sigma_w[n:, n:] = model.sigma_w1
-    xbar, sigma_x = _initial_second_moment(model)
+    xbar, sigma_x, sigma_w = stacked_moments(model)
     p0 = solution.p_seq[0]
     total = float(xbar @ p0 @ xbar + np.trace(sigma_x @ p0))
     n_horizon = solution.horizon
@@ -232,8 +192,8 @@ def stationarity_residuals(solution, trace) -> CostateCheck:
     solution the identity matrices are Lambda(k), L(k); for a discounted or
     stationary solution they are Psi, gamma L.
 
-    solution may be a FiniteHorizonSolution or a stationary solution object
-    with fields psi, l, h, gamma.
+    solution is a FiniteHorizonSolution or a StationarySolution; its
+    identity(k) supplies the gain and the two identity matrices of step k.
     """
     x0 = np.asarray(trace.x0, dtype=float)
     x1 = np.asarray(trace.x1, dtype=float)
@@ -246,16 +206,8 @@ def stationarity_residuals(solution, trace) -> CostateCheck:
     hat = np.zeros(steps)
     tilde = np.zeros(steps)
     for k in range(steps):
-        if isinstance(solution, FiniteHorizonSolution):
-            gains = split_gain(solution.k_seq[k], n, m1)
-            lam = solution.lambda_seq[k]
-            l_mat = solution.l_seq[k]
-            if solution.discounted:
-                l_mat = solution.gamma * l_mat
-        else:
-            gains = split_gain(solution.h, n, m1)
-            lam = solution.psi
-            l_mat = solution.gamma * solution.l
+        gain, lam, l_mat = solution.identity(k)
+        gains = split_gain(gain, n, m1)
         u1hat = -gains.k10 @ x0[k] - gains.k11 @ x1hat[k]
         uhat = np.concatenate([u0[k], u1hat])
         utilde = np.concatenate([np.zeros(m1), u1[k] - u1hat])

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, symmetrize
+from .finite_horizon import riccati_step
+from .model import (PD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, stacked_moments,
+                    symmetrize)
 
 FIXED_POINT_TOL = 1e-12
 MAX_ITERATIONS = 100_000
@@ -63,6 +65,10 @@ class StationarySolution:
     def converged(self) -> bool:
         return self.residual < FIXED_POINT_TOL
 
+    def identity(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(H, Psi, gamma L) of the stationarity identity, the same at every step k."""
+        return self.h, self.psi, self.gamma * self.l
+
 
 @dataclass(frozen=True)
 class CertifiedFlag:
@@ -93,16 +99,11 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
     if cost.gamma is None or not (0.0 < cost.gamma < 1.0):
         raise ValueError(f"stationary solve requires gamma in (0, 1), got {cost.gamma}")
     gamma = cost.gamma
-    a, b = compact.a, compact.b
-    q, r = cost.q, cost.r
-    p = np.zeros_like(q)
+    p = np.zeros_like(cost.q)
     residual = np.inf
     iterations = 0
     for i in range(1, MAX_ITERATIONS + 1):
-        l_mat = b.T @ p @ a
-        psi = symmetrize(r + gamma * (b.T @ p @ b))
-        x = np.linalg.solve(psi, l_mat)
-        p_new = symmetrize(q + gamma * (a.T @ p @ a) - gamma**2 * (l_mat.T @ x))
+        p_new = symmetrize(riccati_step(compact, cost, p, gamma, i)[0])
         norm = float(np.linalg.norm(p_new))
         if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise RiccatiDivergence(i, norm)
@@ -111,9 +112,7 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
         iterations = i
         if residual < FIXED_POINT_TOL:
             break
-    l_mat = b.T @ p @ a
-    psi = symmetrize(r + gamma * (b.T @ p @ b))
-    h = gamma * np.linalg.solve(psi, l_mat)
+    _, psi, l_mat, h = riccati_step(compact, cost, p, gamma, iterations)
     return StationarySolution(p=p, h=h, psi=psi, l=l_mat, gamma=gamma,
                               iterations=iterations, residual=residual,
                               n=compact.n, m1=compact.m1)
@@ -186,21 +185,7 @@ def certify(compact: CompactModel, cost: CostSpec
 def stationary_cost(solution: StationarySolution, model: LfnsModel) -> float:
     """Analytic stationary cost
     E[X(0)' P X(0)] + gamma/(1-gamma) tr(Sigma_W P)."""
-    n = model.n
-    xbar = np.concatenate([model.xbar0, model.xbar1])
-    sigma_x = np.zeros((2 * n, 2 * n))
-    sigma_x[:n, :n] = model.sigma_x0
-    sigma_x[n:, n:] = model.sigma_x1
-    sigma_w = np.zeros((2 * n, 2 * n))
-    sigma_w[:n, :n] = model.sigma_w0
-    sigma_w[n:, n:] = model.sigma_w1
+    xbar, sigma_x, sigma_w = stacked_moments(model)
     p = solution.p
     quad = float(xbar @ p @ xbar + np.trace(sigma_x @ p))
     return quad + solution.gamma / (1.0 - solution.gamma) * float(np.trace(sigma_w @ p))
-
-
-def stationary_decentralized_control(solution: StationarySolution, x0, x1, x1hat):
-    """Constant-gain decentralized control with the stationary H blocks."""
-    from .finite_horizon import control, split_gain
-    gains = split_gain(solution.h, solution.n, solution.m1)
-    return control(gains, x0, x1, x1hat)

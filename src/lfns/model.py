@@ -233,10 +233,26 @@ def assemble_compact(model: LfnsModel) -> CompactModel:
     b[:n, :m1] = model.b00
     b[n:, :m1] = model.b10
     b[n:, m1:] = model.b11
-    sigma_w = np.zeros((2 * n, 2 * n))
-    sigma_w[:n, :n] = model.sigma_w0
-    sigma_w[n:, n:] = model.sigma_w1
+    _, _, sigma_w = stacked_moments(model)
     return CompactModel(a=a, b=b, sigma_w=sigma_w, n=n, m1=m1, m2=m2)
+
+
+def stacked_moments(model: LfnsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moments of the aggregated 2n state: the initial mean (xbar0, xbar1), the
+    initial covariance blockdiag(sigma_x0, sigma_x1) and the noise covariance
+    blockdiag(sigma_w0, sigma_w1).  The two agents' initial states and noises
+    are independent, so the off-diagonal blocks are exact zeros."""
+    n = model.n
+
+    def blockdiag(top, bottom):
+        out = np.zeros((2 * n, 2 * n))
+        out[:n, :n] = top
+        out[n:, n:] = bottom
+        return out
+
+    return (np.concatenate([model.xbar0, model.xbar1]),
+            blockdiag(model.sigma_x0, model.sigma_x1),
+            blockdiag(model.sigma_w0, model.sigma_w1))
 
 
 def step(model: LfnsModel, x0, x1, u0, u1, w0, w1):

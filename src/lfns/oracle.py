@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import linear_mean_control
 from .finite_horizon import DecentralizedGains, FiniteHorizonSolution, split_gain
-from .model import CostSpec, LfnsModel
+from .model import CostSpec, LfnsModel, stacked_moments
 
 
 class OracleError(RuntimeError):
@@ -76,12 +75,9 @@ class AugmentedMoments:
 
 def initial_moments(model: LfnsModel) -> AugmentedMoments:
     # x1hat(0) = xbar1 exactly, so its block of the covariance is zero
-    n = model.n
-    mean = np.concatenate([model.xbar0, model.xbar1, model.xbar1])
-    cov = np.zeros((3 * n, 3 * n))
-    cov[:n, :n] = model.sigma_x0
-    cov[n:2 * n, n:2 * n] = model.sigma_x1
-    return AugmentedMoments(mean=mean, cov=cov)
+    xbar, sigma_x, _ = stacked_moments(model)
+    return AugmentedMoments(mean=np.concatenate([xbar, model.xbar1]),
+                            cov=np.pad(sigma_x, (0, model.n)))
 
 
 def closed_loop_matrices(model: LfnsModel, gains: DecentralizedGains) -> np.ndarray:
@@ -102,9 +98,7 @@ def closed_loop_matrices(model: LfnsModel, gains: DecentralizedGains) -> np.ndar
 
 def _stage_matrix(model: LfnsModel, gains: DecentralizedGains, cost: CostSpec) -> np.ndarray:
     n, m1, m2 = model.n, model.m1, model.m2
-    cx = np.zeros((2 * n, 3 * n))
-    cx[:n, :n] = np.eye(n)
-    cx[n:, n:2 * n] = np.eye(n)
+    cx = np.eye(2 * n, 3 * n)  # picks (x0, x1) out of (x0, x1, x1hat)
     cu = np.zeros((m1 + m2, 3 * n))
     cu[:m1, :n] = -gains.k00
     cu[:m1, 2 * n:] = -gains.k01
@@ -114,11 +108,8 @@ def _stage_matrix(model: LfnsModel, gains: DecentralizedGains, cost: CostSpec) -
 
 
 def _noise_cov(model: LfnsModel) -> np.ndarray:
-    n = model.n
-    gw = np.zeros((3 * n, 3 * n))
-    gw[:n, :n] = model.sigma_w0
-    gw[n:2 * n, n:2 * n] = model.sigma_w1
-    return gw
+    # the estimator is driven by leader data only, so x1hat gets no noise
+    return np.pad(stacked_moments(model)[2], (0, model.n))
 
 
 def _per_step(policy: StructuredPolicy, horizon: int, build):
@@ -163,9 +154,7 @@ def exact_cost(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
         if discounted:
             weight *= gamma
     if not discounted and cost.p_terminal is not None:
-        cx = np.zeros((2 * n, 3 * n))
-        cx[:n, :n] = np.eye(n)
-        cx[n:, n:2 * n] = np.eye(n)
+        cx = np.eye(2 * n, 3 * n)
         m_t = cx.T @ cost.p_terminal @ cx
         total += float(np.trace(m_t @ sigma) + mu @ m_t @ mu)
     return total
@@ -196,6 +185,12 @@ def _policy_to_lists(policy: StructuredPolicy, steps: int) -> dict[str, list[np.
     return table
 
 
+def _policy_from_lists(table: dict[str, list[np.ndarray]], constant: bool) -> StructuredPolicy:
+    if constant:
+        return StructuredPolicy.constant(*(table[b][0] for b in _BLOCKS))
+    return StructuredPolicy(**{b: table[b] for b in _BLOCKS})
+
+
 @dataclass(frozen=True, eq=False)
 class GradientReport:
     """Central-difference gradient of exact_cost in every gain entry."""
@@ -219,12 +214,7 @@ def gain_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     j0 = exact_cost(model, policy, cost, horizon, discounted)
     constant = policy.is_constant
     steps = 1 if constant else horizon
-    table = _policy_to_lists(policy, 1 if constant else horizon)
-
-    def rebuild(tbl):
-        if constant:
-            return StructuredPolicy.constant(*(tbl[b][0] for b in _BLOCKS))
-        return StructuredPolicy(**{b: tbl[b] for b in _BLOCKS})
+    table = _policy_to_lists(policy, steps)
 
     blocks_grad: list[dict[str, np.ndarray]] = [
         {b: np.zeros_like(table[b][s]) for b in _BLOCKS} for s in range(steps)]
@@ -239,9 +229,11 @@ def gain_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                     theta = base[i, j]
                     h = 1e-5 * (1.0 + abs(theta))
                     base[i, j] = theta + h
-                    j_plus = exact_cost(model, rebuild(table), cost, horizon, discounted)
+                    j_plus = exact_cost(model, _policy_from_lists(table, constant), cost,
+                                        horizon, discounted)
                     base[i, j] = theta - h
-                    j_minus = exact_cost(model, rebuild(table), cost, horizon, discounted)
+                    j_minus = exact_cost(model, _policy_from_lists(table, constant), cost,
+                                         horizon, discounted)
                     base[i, j] = theta
                     g = (j_plus - j_minus) / (2.0 * h)
                     blocks_grad[s][b][i, j] = g
@@ -275,10 +267,7 @@ def perturbation_sweep(model: LfnsModel, policy: StructuredPolicy, cost: CostSpe
         for s in range(steps):
             for b in _BLOCKS:
                 table[b][s] = table[b][s] + scale * rng.standard_normal(table[b][s].shape)
-        if constant:
-            pert = StructuredPolicy.constant(*(table[b][0] for b in _BLOCKS))
-        else:
-            pert = StructuredPolicy(**{b: table[b] for b in _BLOCKS})
+        pert = _policy_from_lists(table, constant)
         delta = exact_cost(model, pert, cost, horizon, discounted) - j0
         if delta < 0.0:
             n_lower += 1
@@ -324,10 +313,7 @@ def kalman_oracle(model: LfnsModel, x0_seq, u0_seq, follower_gains=None) -> np.n
         cov_c[n:, n:] = 0.5 * (new_cov11 + new_cov11.T)
         return mean_c, cov_c
 
-    mean = np.concatenate([model.xbar0, model.xbar1])
-    cov = np.zeros((2 * n, 2 * n))
-    cov[:n, :n] = model.sigma_x0
-    cov[n:, n:] = model.sigma_x1
+    mean, cov, noise = stacked_moments(model)
     mean, cov = condition(mean, cov, x0_seq[0])
     estimates = [mean[n:].copy()]
     joint = np.zeros((2 * n, 2 * n))
@@ -335,9 +321,6 @@ def kalman_oracle(model: LfnsModel, x0_seq, u0_seq, follower_gains=None) -> np.n
     joint[n:, :n] = model.a10 - model.b11 @ k10
     joint[n:, n:] = model.a11 - model.b11 @ k11
     b_u0 = np.vstack([model.b00, model.b10])
-    noise = np.zeros((2 * n, 2 * n))
-    noise[:n, :n] = model.sigma_w0
-    noise[n:, n:] = model.sigma_w1
     for k in range(len(x0_seq) - 1):
         mean = joint @ mean + b_u0 @ u0_seq[k]
         cov = joint @ cov @ joint.T + noise

@@ -157,6 +157,9 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
         nxt0 = model.a00 @ cur0 + model.b00 @ uk0 + wk0
         nxt1 = (model.a10 @ cur0 + model.a11 @ cur1 + model.b11 @ uk1
                 + model.b10 @ uk0 + wk1)
+        # the leader-side estimator update, inlined for the whole chunk;
+        # estimator.advance is kept as the per-trial reference the tests
+        # compare this against
         nxthat = (model.a11 @ curhat + model.b11 @ u1hat
                   + model.a10 @ cur0 + model.b10 @ uk0)
         u0[k], u1[k], w0[k], w1[k] = uk0, uk1, wk0, wk1
@@ -213,83 +216,33 @@ def _pathwise_costs(stage: np.ndarray, x0_last: np.ndarray, x1_last: np.ndarray,
     return total
 
 
-def _summarize(batch: BatchResult, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
-    if discounted and (cost.gamma is None):
-        raise ValueError("discounted aggregation requires cost.gamma")
-    if batch.truncated_at is not None:
-        raise ValueError(f"batch truncated at step {batch.truncated_at}; "
-                         "cannot aggregate a destabilized run")
-    trials = batch.trials
-    costs = _pathwise_costs(batch.stage_cost, batch.x0[-1], batch.x1[-1],
-                            cost, discounted)
-    mean_cost = float(costs.mean())
-    se = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    states = np.concatenate([batch.x0, batch.x1], axis=1)
-    mean_state = states.mean(axis=2)
-    mean_norm = np.linalg.norm(mean_state, axis=1)
-    second_moment = np.einsum("kib,kib->k", states, states) / trials
-    truncation_bound = None
-    if discounted:
-        horizon = batch.stage_cost.shape[0]
-        window = max(1, horizon // 10)
-        stage_bound = float(batch.stage_cost[-window:].mean(axis=1).max())
-        truncation_bound = cost.gamma ** horizon / (1.0 - cost.gamma) * stage_bound
-    return MonteCarloSummary(trials=trials, horizon=batch.x0.shape[0] - 1,
-                             discounted=discounted, gamma=cost.gamma if discounted else None,
-                             mean_cost=mean_cost, standard_error=se,
-                             mean_state=mean_state, mean_norm=mean_norm,
-                             second_moment=second_moment,
-                             truncation_bound=truncation_bound)
+def _reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
+    """Reduce consecutive trial blocks, in trial order, to a summary.
 
-
-def empirical_cost(traces, cost: CostSpec, discounted: bool = False) -> MonteCarloSummary:
-    """Aggregate stored traces (a BatchResult or a list of SimulationTrace)."""
-    if isinstance(traces, BatchResult):
-        return _summarize(traces, cost, discounted)
-    x0 = np.stack([t.x0 for t in traces], axis=2)
-    x1 = np.stack([t.x1 for t in traces], axis=2)
-    x1hat = np.stack([t.x1hat for t in traces], axis=2)
-    u0 = np.stack([t.u0 for t in traces], axis=2)
-    u1 = np.stack([t.u1 for t in traces], axis=2)
-    w0 = np.stack([t.w0 for t in traces], axis=2)
-    w1 = np.stack([t.w1 for t in traces], axis=2)
-    stage = np.stack([t.stage_cost for t in traces], axis=1)
-    truncs = [t.truncated_at for t in traces if t.truncated_at is not None]
-    batch = BatchResult(x0=x0, x1=x1, x1hat=x1hat, u0=u0, u1=u1, w0=w0, w1=w1,
-                        stage_cost=stage, seed=traces[0].seed, trial_offset=0,
-                        truncated_at=min(truncs) if truncs else None)
-    return _summarize(batch, cost, discounted)
-
-
-def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
-                horizon: int, seed: int, trials: int,
-                discounted: bool = False) -> MonteCarloSummary:
-    """Streaming Monte Carlo: runs chunks, keeps accumulators, never the paths.
-
-    Aggregation is a deterministic reduction in trial order, so the result
-    for a given (seed, trials) pair is reproducible.
+    Only per-block accumulators are kept, never the paths, so a generator of
+    blocks streams.  Sums accumulate block by block and the stage-cost tail
+    behind the truncation bound is the largest per-block tail mean, so the
+    summary depends on the split; monte_carlo's blocks are CHUNK trials wide.
     """
     if discounted and cost.gamma is None:
         raise ValueError("discounted aggregation requires cost.gamma")
-    n = model.n
     cost_parts = []
-    sum_state = np.zeros((horizon + 1, 2 * n))
-    sum_sq = np.zeros(horizon + 1)
-    stage_tail = 0.0
-    window = max(1, horizon // 10)
-    for lo in range(0, trials, CHUNK):
-        hi = min(lo + CHUNK, trials)
-        batch = _simulate_chunk(model, policy, cost, horizon, seed, lo, hi)
+    sum_state = sum_sq = stage_tail = 0.0
+    for batch in blocks:
         if batch.truncated_at is not None:
-            raise ValueError(f"trial block {lo}..{hi - 1} truncated at step "
+            lo = batch.trial_offset
+            raise ValueError(f"trial block {lo}..{lo + batch.trials - 1} truncated at step "
                              f"{batch.truncated_at}; closed loop is destabilizing")
+        horizon = batch.stage_cost.shape[0]
         cost_parts.append(_pathwise_costs(batch.stage_cost, batch.x0[-1],
                                           batch.x1[-1], cost, discounted))
         states = np.concatenate([batch.x0, batch.x1], axis=1)
-        sum_state += states.sum(axis=2)
-        sum_sq += np.einsum("kib,kib->k", states, states)
+        sum_state = sum_state + states.sum(axis=2)
+        sum_sq = sum_sq + np.einsum("kib,kib->k", states, states)
+        window = max(1, horizon // 10)
         stage_tail = max(stage_tail, float(batch.stage_cost[-window:].mean(axis=1).max()))
     costs = np.concatenate(cost_parts)
+    trials = costs.size
     mean_cost = float(costs.mean())
     se = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     mean_state = sum_state / trials
@@ -304,6 +257,32 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                              mean_state=mean_state, mean_norm=mean_norm,
                              second_moment=second_moment,
                              truncation_bound=truncation_bound)
+
+
+def empirical_cost(traces, cost: CostSpec, discounted: bool = False) -> MonteCarloSummary:
+    """Aggregate stored traces (a BatchResult or a list of SimulationTrace) as
+    one block of the monte_carlo reduction."""
+    if not isinstance(traces, BatchResult):
+        stack = lambda name: np.stack([getattr(t, name) for t in traces], axis=-1)
+        truncs = [t.truncated_at for t in traces if t.truncated_at is not None]
+        traces = BatchResult(x0=stack("x0"), x1=stack("x1"), x1hat=stack("x1hat"),
+                             u0=stack("u0"), u1=stack("u1"), w0=stack("w0"), w1=stack("w1"),
+                             stage_cost=stack("stage_cost"), seed=traces[0].seed,
+                             trial_offset=0, truncated_at=min(truncs) if truncs else None)
+    return _reduce([traces], cost, discounted)
+
+
+def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
+                horizon: int, seed: int, trials: int,
+                discounted: bool = False) -> MonteCarloSummary:
+    """Streaming Monte Carlo: runs chunks, keeps accumulators, never the paths.
+
+    Aggregation is a deterministic reduction in trial order, so the result
+    for a given (seed, trials) pair is reproducible.
+    """
+    chunks = (_simulate_chunk(model, policy, cost, horizon, seed, lo, min(lo + CHUNK, trials))
+              for lo in range(0, trials, CHUNK))
+    return _reduce(chunks, cost, discounted)
 
 
 def mss_diagnostics(summary: MonteCarloSummary, spectral_radius: float | None = None,

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from lfns import infinite_horizon
 from lfns.cli import main
 from lfns.model import make_cost, make_model, save_model_spec
 
@@ -230,3 +231,22 @@ def test_verify_perturbed_gains_negative_control(tmp_path):
     doc = json.loads((tmp_path / "verify-scalar-demo.json").read_text())
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert "gradient_stationarity" in failed
+
+
+def test_verify_finite_horizon_shorter_than_probe(tmp_path):
+    # the trace check used to simulate 50 steps past a 6-gain policy
+    assert run(["verify", "--model", "scalar-demo", "--mode", "finite",
+                "--horizon", "5", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "verify-scalar-demo.json").read_text())
+    assert doc["all_passed"] is True
+    assert "riccati_recursion" in {c["name"] for c in doc["checks"]}
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "converge", "verify"])
+def test_iteration_cap_exits_3(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(infinite_horizon, "MAX_ITERATIONS", 2)
+    assert run([command, "--model", "scalar-demo", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed: ")
+    assert "hit the iteration cap after 2 iterations" in err
+    assert not list(tmp_path.iterdir())

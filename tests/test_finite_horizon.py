@@ -5,9 +5,7 @@ from scipy.optimize import minimize
 from lfns.finite_horizon import (
     RiccatiError,
     backward_riccati,
-    control,
     discounted_backward_riccati,
-    gains_at,
     optimal_cost,
     split_gain,
     stationarity_residuals,
@@ -176,18 +174,6 @@ def test_discount_limit_matches_undiscounted():
         comp, make_cost(q=np.eye(2), r=np.eye(2), gamma=1.0 - 1e-12), 6)
     assert np.max(np.abs(plain.k_seq[0] - near.k_seq[0])) < 1e-8
     assert np.max(np.abs(plain.p_seq[0] - near.p_seq[0])) < 1e-8
-
-
-def test_gains_at_and_control_blocks():
-    model = coupled_noisy_model()
-    cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2))
-    sol = backward_riccati(assemble_compact(model), cost, 4)
-    g = gains_at(sol, 2, model.n, model.m1)
-    assert np.array_equal(g.stacked(), sol.k_seq[2])
-    x0, x1, x1hat = np.array([1.0]), np.array([2.0]), np.array([1.5])
-    u0, u1 = control(g, x0, x1, x1hat)
-    assert np.allclose(u0, -g.k00 @ x0 - g.k01 @ x1hat, atol=1e-15)
-    assert np.allclose(u1, -g.k10 @ x0 - g.k11 @ x1, atol=1e-15)
 
 
 def test_stationarity_hat_residual_vanishes_on_trajectory():

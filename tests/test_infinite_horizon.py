@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
 from lfns.estimator import error_moments
@@ -11,7 +13,6 @@ from lfns.infinite_horizon import (
     check_stabilizability,
     solve_stationary_riccati,
     stationary_cost,
-    stationary_decentralized_control,
 )
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.oracle import StructuredPolicy, closed_loop_matrices, exact_cost
@@ -92,6 +93,18 @@ def test_matches_scipy_dare_on_random_systems():
         ref = solve_discrete_are(np.sqrt(gamma) * comp.a,
                                  np.sqrt(gamma) * comp.b, cost.q, cost.r)
         assert np.max(np.abs(sol.p - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), gamma=st.floats(0.5, 0.99), seed=st.integers(0, 2 ** 32 - 1))
+def test_value_iteration_matches_scipy_dare(n, gamma, seed):
+    comp = assemble_compact(random_model(np.random.default_rng(seed), n=n))
+    cost = make_cost(q=np.eye(2 * n), r=np.eye(2 * n), gamma=gamma)
+    sol = solve_stationary_riccati(comp, cost)
+    assert sol.converged
+    ref = solve_discrete_are(np.sqrt(gamma) * comp.a, np.sqrt(gamma) * comp.b,
+                             cost.q, cost.r)
+    assert np.max(np.abs(sol.p - ref)) / np.max(np.abs(ref)) < 1e-8
 
 
 def test_lyapunov_identity_at_fixed_point():
@@ -186,20 +199,3 @@ def test_verdict_counts_divergent_estimation_error():
     assert verdict.spectral_radius == pytest.approx(1.1998, abs=1e-4)
     assert error_moments(model, gains, 60)[-1][0, 0] > 1e8
     assert "estimation error" in verdict.detail
-
-
-def test_stationary_control_blocks():
-    model = make_model(
-        a00=[[0.9]], a10=[[0.3]], a11=[[0.8]],
-        b00=[[1.0]], b10=[[0.2]], b11=[[1.0]],
-        sigma_w0=[[0.04]], sigma_w1=[[0.09]],
-    )
-    cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
-    sol = solve_stationary_riccati(assemble_compact(model), cost)
-    x0, x1 = np.array([1.0]), np.array([2.0])
-    u0, u1 = stationary_decentralized_control(sol, x0, x1, x1)
-    stacked = -sol.h @ np.concatenate([x0, x1])
-    assert np.allclose(np.concatenate([u0, u1]), stacked, atol=1e-14)
-    u0b, _ = stationary_decentralized_control(sol, x0, x1, np.array([5.0]))
-    # leader side uses the estimate, not the true follower state
-    assert not np.allclose(u0b, u0)

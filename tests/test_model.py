@@ -212,7 +212,7 @@ def test_validate_reports_nonfinite_entries():
                     "non-finite entry: r contains NaN or inf"]
 
 
-def _random_spec_doc(rng, n, m1, m2, terminal):
+def _random_spec(rng, n, m1, m2, terminal):
     def psd(k):
         f = rng.standard_normal((k, k))
         return f @ f.T
@@ -226,7 +226,11 @@ def _random_spec_doc(rng, n, m1, m2, terminal):
     cost = make_cost(q=psd(2 * n), r=np.eye(m1 + m2) + psd(m1 + m2),
                      p_terminal=psd(2 * n) if terminal else None,
                      gamma=rng.uniform(0.05, 0.95))
-    return model_to_dict(model, cost)
+    return model, cost
+
+
+def _random_spec_doc(rng, n, m1, m2, terminal):
+    return model_to_dict(*_random_spec(rng, n, m1, m2, terminal))
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,3 +247,21 @@ def test_validate_rejects_any_injected_nonfinite_value(n, m1, m2, seed, terminal
         st.sampled_from([np.nan, np.inf, -np.inf]))
     doc[section][name] = arr.tolist()
     assert validate(*model_from_dict(doc)) == [f"non-finite entry: {name} contains NaN or inf"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), m1=st.integers(1, 2), m2=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), terminal=st.booleans())
+def test_dict_round_trip_is_exact(n, m1, m2, seed, terminal):
+    model, cost = _random_spec(np.random.default_rng(seed), n, m1, m2, terminal)
+    back, back_cost = model_from_dict(model_to_dict(model, cost))
+    for name in ("a00", "a10", "a11", "b00", "b10", "b11", "sigma_w0", "sigma_w1",
+                 "sigma_x0", "sigma_x1", "xbar0", "xbar1"):
+        assert np.array_equal(getattr(back, name), getattr(model, name))
+    assert (back.n, back.m1, back.m2) == (model.n, model.m1, model.m2)
+    assert np.array_equal(back_cost.q, cost.q) and np.array_equal(back_cost.r, cost.r)
+    if terminal:
+        assert np.array_equal(back_cost.p_terminal, cost.p_terminal)
+    else:
+        assert back_cost.p_terminal is None
+    assert back_cost.gamma == cost.gamma
