@@ -1,9 +1,9 @@
 """Command-line front end: solve, simulate, converge, verify.
 
 Exit codes: 0 success, 1 unreadable model spec, 2 validation or usage
-failure, 3 solver divergence, 4 verification checks failed.  Same flags
-plus same seed produce byte-identical output files; every file embeds the
-requested configuration and the package version.
+failure, 3 solver or simulation divergence, 4 verification checks failed.
+Same flags plus same seed produce byte-identical output files; every file
+embeds the requested configuration and the package version.
 """
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from .model import (ModelValidationError, SpecFormatError, assemble_compact,
                     load_model_spec, make_cost, make_model, stacked_moments,
                     validate)
 from .oracle import StructuredPolicy, gain_gradient, kalman_oracle
-from .simulation import monte_carlo, mss_diagnostics, simulate
+from .simulation import (SimulationDiverged, chunks, monte_carlo, mss_diagnostics, reduce,
+                         simulate)
 
 OUT_DIR_ENV = "LFNS_OUT_DIR"
 BUILTINS = ("auv-paper", "scalar-demo")
@@ -132,15 +133,14 @@ def cmd_solve(args) -> int:
         _write_json(out / f"solve-{name}-finite.json", doc)
         return 0
     verdict = check_stabilizability(sol, cost, compact)
-    blocks = split_gain(sol.h, model.n, model.m1)
     mean0, sigma0, _ = stacked_moments(model)
     trace_term = cost.gamma / (1.0 - cost.gamma) * float(np.trace(compact.sigma_w @ sol.p))
     mean_term = float(mean0 @ sol.p @ mean0 + np.trace(sigma0 @ sol.p))
     doc = _doc(args, mode="stationary", iterations=sol.iterations,
                residual=sol.residual, converged=sol.converged,
                p=_lst(sol.p), h=_lst(sol.h),
-               h_blocks={"h00": _lst(blocks.k00), "h01": _lst(blocks.k01),
-                         "h10": _lst(blocks.k10), "h11": _lst(blocks.k11)},
+               h_blocks=dict(zip(("h00", "h01", "h10", "h11"),
+                                 map(_lst, split_gain(sol.h, model.n, model.m1)))),
                verdict={
                    "positive_definite": verdict.positive_definite.value,
                    "positive_definite_margin": verdict.positive_definite.margin,
@@ -173,27 +173,27 @@ def cmd_simulate(args) -> int:
     else:
         horizon = args.horizon if args.horizon is not None else 60
     out = _out_dir(args)
-    traces = simulate(model, policy, cost, horizon, seed=args.seed,
-                      trials=args.trials)
-    trace_path = out / f"simulate-{name}-traces.jsonl"
-    with open(trace_path, "w") as fh:
+
+    def written(blocks, fh):
+        # each trial runs once: its block is written out, then reduced
+        for batch in blocks:
+            for col in range(batch.trials):
+                for k in range(horizon + 1):
+                    rec = {"trial": batch.trial_offset + col, "k": k,
+                           "x0": _lst(batch.x0[k, :, col]), "x1": _lst(batch.x1[k, :, col]),
+                           "x1hat": _lst(batch.x1hat[k, :, col]),
+                           "u0": _lst(batch.u0[k, :, col]) if k < horizon else None,
+                           "u1": _lst(batch.u1[k, :, col]) if k < horizon else None,
+                           "stage_cost": float(batch.stage_cost[k, col]) if k < horizon else None}
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            yield batch
+
+    with open(out / f"simulate-{name}-traces.jsonl", "w") as fh:
         meta = _doc(args, kind="meta", horizon=horizon)
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for tr in traces:
-            for k in range(horizon + 1):
-                rec = {"trial": tr.trial, "k": k,
-                       "x0": _lst(tr.x0[k]), "x1": _lst(tr.x1[k]),
-                       "x1hat": _lst(tr.x1hat[k]),
-                       "u0": _lst(tr.u0[k]) if k < horizon else None,
-                       "u1": _lst(tr.u1[k]) if k < horizon else None,
-                       "stage_cost": float(tr.stage_cost[k]) if k < horizon else None}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    summary = monte_carlo(model, policy, cost, horizon, seed=args.seed,
-                          trials=args.trials, discounted=discounted)
-    rho = None
-    if hasattr(sol, "h"):
-        rho = max(closed_loop_radii(sol, assemble_compact(model)))
+        blocks = chunks(model, policy, cost, horizon, seed=args.seed, trials=args.trials)
+        summary = reduce(written(blocks, fh), cost, discounted)
+    rho = max(closed_loop_radii(sol, assemble_compact(model))) if discounted else None
     report = mss_diagnostics(summary, spectral_radius=rho)
     _write_json(out / f"simulate-{name}-summary.json", _doc(
         args, horizon=horizon, trials=args.trials,
@@ -272,14 +272,11 @@ def _verify_checks(model, cost, args):
     compact = assemble_compact(model)
     policy, sol, discounted = _policy_for(model, cost, args)
     if args.perturb_gains:
-        bump = np.zeros_like(sol.h if discounted else sol.k_seq[0])
+        bump = np.zeros(policy.gains.shape[-2:])
         bump[-1, -1] = 0.05
+        policy = StructuredPolicy(policy.gains + bump, model.n, model.m1)
         if discounted:
             sol = dataclasses.replace(sol, h=sol.h + bump)
-            policy = StructuredPolicy.from_stationary(sol)
-        else:
-            gains = [split_gain(k + bump, model.n, model.m1) for k in sol.k_seq]
-            policy = StructuredPolicy.from_gain_list(gains)
 
     # the Riccati map is recomputed here rather than taken from the solver,
     # so that this check is independent of the synthesis code
@@ -313,10 +310,8 @@ def _verify_checks(model, cost, args):
     steps = min(50, probe_horizon)
     traces = simulate(model, policy, cost, steps, seed=args.seed, trials=1)
     tr = traces[0]
-    gains0 = policy.at(0)
-    follower = (np.asarray(gains0.k10), np.asarray(gains0.k11))
     if policy.is_constant:
-        kf = kalman_oracle(model, tr.x0, tr.u0, follower_gains=follower)
+        kf = kalman_oracle(model, tr.x0, tr.u0, follower_gains=policy.at(0)[2:])
         err = max(np.linalg.norm(tr.x1hat[k] - kf[k]) for k in range(steps + 1))
         add("estimator_vs_conditional_mean", err < 1e-9, err, 1e-9)
 
@@ -421,6 +416,9 @@ def main(argv=None) -> int:
         return 3
     except RiccatiError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
+        return 3
+    except SimulationDiverged as exc:
+        print(f"simulation diverged: {exc}", file=sys.stderr)
         return 3
 
 

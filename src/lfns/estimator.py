@@ -57,7 +57,7 @@ def linear_mean_control(k10: np.ndarray, k11: np.ndarray) -> MeanControlMap:
     return lambda x0, x1hat: -k10 @ x0 - k11 @ x1hat
 
 
-def error_moments(model: LfnsModel, gains, horizon: int) -> list[np.ndarray]:
+def error_moments(model: LfnsModel, k11, horizon: int) -> list[np.ndarray]:
     """Covariances of the estimation error x1 - x1hat at k = 0..horizon.
 
     The leader block of the stacked error is identically zero (the leader
@@ -69,11 +69,9 @@ def error_moments(model: LfnsModel, gains, horizon: int) -> list[np.ndarray]:
     residual control is exactly zero because u0 is measurable with respect
     to the leader information, so no other gain block of the stacked
     closed-loop gain enters.  Covariances are propagated exactly, no
-    sampling.  gains may be anything with a k11 block attribute, or the
-    k11 matrix itself.
+    sampling.
     """
-    k11 = np.asarray(getattr(gains, "k11", gains), dtype=float)
-    f = model.a11 - model.b11 @ k11
+    f = model.a11 - model.b11 @ np.asarray(k11, dtype=float)
     cov = model.sigma_x1.copy()
     out = [cov]
     for _ in range(horizon):

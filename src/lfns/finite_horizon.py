@@ -1,8 +1,8 @@
 """Finite-horizon decentralized LQ synthesis.
 
 The gamma-discounted Riccati step for the aggregated system and the backward
-recursion built on it, the block-partitioned decentralized gains, the
-analytic optimal cost, and the per-step stationarity identities used as
+recursion built on it, the decentralized policy (one stacked gain array,
+read in blocks by split_gain), the analytic optimal cost, and the per-step stationarity identities used as
 verification checks.  The undiscounted recursion starts from the terminal
 weight with gamma = 1; the discounted one starts from zero, and its iterates
 are the value-iteration sequence of the stationary problem, which iterates
@@ -52,16 +52,6 @@ class FiniteHorizonSolution:
 
 
 @dataclass(frozen=True, eq=False)
-class DecentralizedGains:
-    """Block partition of a stacked gain: u0 = -k00 x0 - k01 x1hat, u1 = -k10 x0 - k11 x1."""
-
-    k00: np.ndarray
-    k01: np.ndarray
-    k10: np.ndarray
-    k11: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class CostateCheck:
     """Per-step residual norms of the two stationarity identities.
 
@@ -83,10 +73,47 @@ class CostateCheck:
         return float(self.tilde_residuals.max()) if self.tilde_residuals.size else 0.0
 
 
-def split_gain(k: np.ndarray, n: int, m1: int) -> DecentralizedGains:
-    """Partition a stacked (m1+m2) x 2n gain into its four blocks."""
-    return DecentralizedGains(k00=k[:m1, :n], k01=k[:m1, n:],
-                              k10=k[m1:, :n], k11=k[m1:, n:])
+def split_gain(k: np.ndarray, n: int, m1: int) -> tuple[np.ndarray, ...]:
+    """Views (k00, k01, k10, k11) of the four blocks of a stacked (m1+m2) x 2n
+    gain: u0 = -k00 x0 - k01 x1hat and u1 = -k10 x0 - k11 x1."""
+    return k[:m1, :n], k[:m1, n:], k[m1:, :n], k[m1:, n:]
+
+
+@dataclass(frozen=True, eq=False)
+class StructuredPolicy:
+    """The decentralized feedback as one stacked gain array.
+
+    gains is (m1+m2, 2n) for a constant policy or (steps, m1+m2, 2n) for a
+    per-step one; split_gain reads its blocks.  The information pattern is
+    structural: there is no gain from x1 into u0, the leader only ever sees
+    its estimate.
+    """
+
+    gains: np.ndarray
+    n: int
+    m1: int
+
+    @property
+    def is_constant(self) -> bool:
+        return self.gains.ndim == 2
+
+    def at(self, k: int) -> tuple[np.ndarray, ...]:
+        """The blocks (k00, k01, k10, k11) applied at step k."""
+        return split_gain(self.gains if self.is_constant else self.gains[k], self.n, self.m1)
+
+    @staticmethod
+    def constant(k00, k01, k10, k11) -> "StructuredPolicy":
+        k00, k01, k10, k11 = (np.asarray(b, dtype=float) for b in (k00, k01, k10, k11))
+        m1, n = k00.shape
+        return StructuredPolicy(np.block([[k00, k01], [k10, k11]]), n, m1)
+
+    @staticmethod
+    def from_finite_horizon(solution: FiniteHorizonSolution, model: LfnsModel) -> "StructuredPolicy":
+        return StructuredPolicy(np.stack(solution.k_seq), model.n, model.m1)
+
+    @staticmethod
+    def from_stationary(solution) -> "StructuredPolicy":
+        return StructuredPolicy(np.array(solution.h, dtype=float), solution.n, solution.m1)
 
 
 def _check_step(p: np.ndarray, k: int) -> np.ndarray:
@@ -207,8 +234,8 @@ def stationarity_residuals(solution, trace) -> CostateCheck:
     tilde = np.zeros(steps)
     for k in range(steps):
         gain, lam, l_mat = solution.identity(k)
-        gains = split_gain(gain, n, m1)
-        u1hat = -gains.k10 @ x0[k] - gains.k11 @ x1hat[k]
+        _, _, k10, k11 = split_gain(gain, n, m1)
+        u1hat = -k10 @ x0[k] - k11 @ x1hat[k]
         uhat = np.concatenate([u0[k], u1hat])
         utilde = np.concatenate([np.zeros(m1), u1[k] - u1hat])
         xhat = np.concatenate([x0[k], x1hat[k]])

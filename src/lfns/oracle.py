@@ -14,55 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_horizon import DecentralizedGains, FiniteHorizonSolution, split_gain
+from .finite_horizon import StructuredPolicy, split_gain
 from .model import CostSpec, LfnsModel, stacked_moments
 
 
 class OracleError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class StructuredPolicy:
-    """Gain blocks for u0 = -k00 x0 - k01 x1hat and u1 = -k10 x0 - k11 x1.
-
-    Each block is either a single matrix (constant policy) or a list of
-    matrices indexed by step.  The information pattern is structural: there
-    is no gain from x1 into u0, the leader only ever sees its estimate.
-    """
-
-    k00: object
-    k01: object
-    k10: object
-    k11: object
-
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self.k00, np.ndarray)
-
-    def at(self, k: int) -> DecentralizedGains:
-        if self.is_constant:
-            return DecentralizedGains(self.k00, self.k01, self.k10, self.k11)
-        return DecentralizedGains(self.k00[k], self.k01[k], self.k10[k], self.k11[k])
-
-    @staticmethod
-    def constant(k00, k01, k10, k11) -> "StructuredPolicy":
-        return StructuredPolicy(*(np.asarray(b, dtype=float) for b in (k00, k01, k10, k11)))
-
-    @staticmethod
-    def from_gain_list(gains: list[DecentralizedGains]) -> "StructuredPolicy":
-        return StructuredPolicy(k00=[g.k00 for g in gains], k01=[g.k01 for g in gains],
-                                k10=[g.k10 for g in gains], k11=[g.k11 for g in gains])
-
-    @staticmethod
-    def from_finite_horizon(solution: FiniteHorizonSolution, model: LfnsModel) -> "StructuredPolicy":
-        gains = [split_gain(k, model.n, model.m1) for k in solution.k_seq]
-        return StructuredPolicy.from_gain_list(gains)
-
-    @staticmethod
-    def from_stationary(solution) -> "StructuredPolicy":
-        g = split_gain(solution.h, solution.n, solution.m1)
-        return StructuredPolicy.constant(g.k00, g.k01, g.k10, g.k11)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,30 +37,33 @@ def initial_moments(model: LfnsModel) -> AugmentedMoments:
                             cov=np.pad(sigma_x, (0, model.n)))
 
 
-def closed_loop_matrices(model: LfnsModel, gains: DecentralizedGains) -> np.ndarray:
+def closed_loop_matrices(model: LfnsModel, gains) -> np.ndarray:
     """Affine map of (x0, x1, x1hat) one step forward under the structured policy
-    with the leader-side estimator in the loop."""
+    with blocks gains = (k00, k01, k10, k11) and the leader-side estimator in
+    the loop."""
     n = model.n
+    k00, k01, k10, k11 = gains
     f = np.zeros((3 * n, 3 * n))
-    lead = model.a00 - model.b00 @ gains.k00
+    lead = model.a00 - model.b00 @ k00
     f[:n, :n] = lead
-    f[:n, 2 * n:] = -model.b00 @ gains.k01
-    f[n:2 * n, :n] = model.a10 - model.b10 @ gains.k00 - model.b11 @ gains.k10
-    f[n:2 * n, n:2 * n] = model.a11 - model.b11 @ gains.k11
-    f[n:2 * n, 2 * n:] = -model.b10 @ gains.k01
-    f[2 * n:, :n] = model.a10 - model.b10 @ gains.k00 - model.b11 @ gains.k10
-    f[2 * n:, 2 * n:] = model.a11 - model.b11 @ gains.k11 - model.b10 @ gains.k01
+    f[:n, 2 * n:] = -model.b00 @ k01
+    f[n:2 * n, :n] = model.a10 - model.b10 @ k00 - model.b11 @ k10
+    f[n:2 * n, n:2 * n] = model.a11 - model.b11 @ k11
+    f[n:2 * n, 2 * n:] = -model.b10 @ k01
+    f[2 * n:, :n] = model.a10 - model.b10 @ k00 - model.b11 @ k10
+    f[2 * n:, 2 * n:] = model.a11 - model.b11 @ k11 - model.b10 @ k01
     return f
 
 
-def _stage_matrix(model: LfnsModel, gains: DecentralizedGains, cost: CostSpec) -> np.ndarray:
+def _stage_matrix(model: LfnsModel, gains, cost: CostSpec) -> np.ndarray:
     n, m1, m2 = model.n, model.m1, model.m2
+    k00, k01, k10, k11 = gains
     cx = np.eye(2 * n, 3 * n)  # picks (x0, x1) out of (x0, x1, x1hat)
     cu = np.zeros((m1 + m2, 3 * n))
-    cu[:m1, :n] = -gains.k00
-    cu[:m1, 2 * n:] = -gains.k01
-    cu[m1:, :n] = -gains.k10
-    cu[m1:, n:2 * n] = -gains.k11
+    cu[:m1, :n] = -k00
+    cu[:m1, 2 * n:] = -k01
+    cu[m1:, :n] = -k10
+    cu[m1:, n:2 * n] = -k11
     return cx.T @ cost.q @ cx + cu.T @ cost.r @ cu
 
 
@@ -173,22 +133,16 @@ def mean_trajectory(model: LfnsModel, policy: StructuredPolicy, horizon: int) ->
     return out
 
 
-_BLOCKS = ("k00", "k01", "k10", "k11")
+def _perturbable(policy: StructuredPolicy, horizon: int) -> StructuredPolicy:
+    """A policy over a copy of the gains the probes perturb: the shared gain
+    of a constant policy, or the first horizon steps of a per-step one."""
+    gains = policy.gains if policy.is_constant else policy.gains[:horizon]
+    return StructuredPolicy(np.array(gains, dtype=float), policy.n, policy.m1)
 
 
-def _policy_to_lists(policy: StructuredPolicy, steps: int) -> dict[str, list[np.ndarray]]:
-    table: dict[str, list[np.ndarray]] = {b: [] for b in _BLOCKS}
-    for k in range(steps):
-        g = policy.at(k)
-        for b in _BLOCKS:
-            table[b].append(np.array(getattr(g, b), dtype=float))
-    return table
-
-
-def _policy_from_lists(table: dict[str, list[np.ndarray]], constant: bool) -> StructuredPolicy:
-    if constant:
-        return StructuredPolicy.constant(*(table[b][0] for b in _BLOCKS))
-    return StructuredPolicy(**{b: table[b] for b in _BLOCKS})
+def _steps(gains: np.ndarray) -> np.ndarray:
+    """A (steps, m1+m2, 2n) view of contiguous gains; a constant gain is one step."""
+    return gains.reshape(-1, *gains.shape[-2:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +150,7 @@ class GradientReport:
     """Central-difference gradient of exact_cost in every gain entry."""
 
     j_value: float
-    blocks: list[dict[str, np.ndarray]]
+    gradient: np.ndarray
     max_relative: float
     argmax: tuple[int, str, int, int]
     argmax_value: float
@@ -206,43 +160,38 @@ def gain_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                   horizon: int, discounted: bool = False) -> GradientReport:
     """Finite-difference gradient, step 1e-5 scaled by (1 + |entry|).
 
-    For a constant policy the single entry of `blocks` is the gradient with
-    the shared gain perturbed at every step simultaneously; for a per-step
-    policy each step's blocks are perturbed independently.  The relative
-    magnitude of an entry g at parameter value t is |g| (1 + |t|) / (1 + |J|).
+    gradient has the shape of the perturbed gains: for a constant policy it
+    is the gradient with the shared gain perturbed at every step
+    simultaneously; for a per-step policy each of the first horizon steps is
+    perturbed independently.  The relative magnitude of an entry g at
+    parameter value t is |g| (1 + |t|) / (1 + |J|).
     """
     j0 = exact_cost(model, policy, cost, horizon, discounted)
-    constant = policy.is_constant
-    steps = 1 if constant else horizon
-    table = _policy_to_lists(policy, steps)
-
-    blocks_grad: list[dict[str, np.ndarray]] = [
-        {b: np.zeros_like(table[b][s]) for b in _BLOCKS} for s in range(steps)]
+    probe = _perturbable(policy, horizon)
+    n, m1 = probe.n, probe.m1
+    grad = np.zeros_like(probe.gains)
     max_rel = 0.0
     argmax = (0, "k00", 0, 0)
     argmax_val = 0.0
-    for s in range(steps):
-        for b in _BLOCKS:
-            base = table[b][s]
-            for i in range(base.shape[0]):
-                for j in range(base.shape[1]):
-                    theta = base[i, j]
-                    h = 1e-5 * (1.0 + abs(theta))
-                    base[i, j] = theta + h
-                    j_plus = exact_cost(model, _policy_from_lists(table, constant), cost,
-                                        horizon, discounted)
-                    base[i, j] = theta - h
-                    j_minus = exact_cost(model, _policy_from_lists(table, constant), cost,
-                                         horizon, discounted)
-                    base[i, j] = theta
-                    g = (j_plus - j_minus) / (2.0 * h)
-                    blocks_grad[s][b][i, j] = g
-                    rel = abs(g) * (1.0 + abs(theta)) / (1.0 + abs(j0))
-                    if rel > max_rel:
-                        max_rel = rel
-                        argmax = (s, b, i, j)
-                        argmax_val = g
-    return GradientReport(j_value=j0, blocks=blocks_grad, max_relative=max_rel,
+    for s, (step, grad_step) in enumerate(zip(_steps(probe.gains), _steps(grad))):
+        for name, base, out in zip(("k00", "k01", "k10", "k11"), split_gain(step, n, m1),
+                                   split_gain(grad_step, n, m1)):
+            for i, j in np.ndindex(base.shape):
+                theta = base[i, j]
+                h = 1e-5 * (1.0 + abs(theta))
+                base[i, j] = theta + h
+                j_plus = exact_cost(model, probe, cost, horizon, discounted)
+                base[i, j] = theta - h
+                j_minus = exact_cost(model, probe, cost, horizon, discounted)
+                base[i, j] = theta
+                g = (j_plus - j_minus) / (2.0 * h)
+                out[i, j] = g
+                rel = abs(g) * (1.0 + abs(theta)) / (1.0 + abs(j0))
+                if rel > max_rel:
+                    max_rel = rel
+                    argmax = (s, name, i, j)
+                    argmax_val = g
+    return GradientReport(j_value=j0, gradient=grad, max_relative=max_rel,
                           argmax=argmax, argmax_value=argmax_val)
 
 
@@ -252,22 +201,20 @@ def perturbation_sweep(model: LfnsModel, policy: StructuredPolicy, cost: CostSpe
     """Evaluate exact_cost at randomly perturbed structured policies.
 
     Every gain entry receives an independent Gaussian perturbation of the
-    given scale (per-step policies perturb every step).  Returns the number
-    of perturbed policies achieving a cost strictly below the base policy
-    and the most negative cost difference found (0 when none are lower).
+    given scale (per-step policies perturb every step), drawn one block at a
+    time in step, then k00/k01/k10/k11 order.  Returns the number of
+    perturbed policies achieving a cost strictly below the base policy and
+    the most negative cost difference found (0 when none are lower).
     """
     j0 = exact_cost(model, policy, cost, horizon, discounted)
-    constant = policy.is_constant
-    steps = 1 if constant else horizon
     rng = np.random.default_rng(seed)
     n_lower = 0
     worst = 0.0
     for _ in range(n_directions):
-        table = _policy_to_lists(policy, steps)
-        for s in range(steps):
-            for b in _BLOCKS:
-                table[b][s] = table[b][s] + scale * rng.standard_normal(table[b][s].shape)
-        pert = _policy_from_lists(table, constant)
+        pert = _perturbable(policy, horizon)
+        for step in _steps(pert.gains):
+            for block in split_gain(step, pert.n, pert.m1):
+                block += scale * rng.standard_normal(block.shape)
         delta = exact_cost(model, pert, cost, horizon, discounted) - j0
         if delta < 0.0:
             n_lower += 1
@@ -287,19 +234,15 @@ def kalman_oracle(model: LfnsModel, x0_seq, u0_seq, follower_gains=None) -> np.n
 
     The realized follower control is not leader information, so it cannot
     be an input here; instead the follower's policy form enters the
-    prediction.  follower_gains is (k10, k11), an object with those
-    attributes, or None for an uncontrolled follower (u1 = 0).
+    prediction.  follower_gains is (k10, k11), or None for an uncontrolled
+    follower (u1 = 0).
     """
     x0_seq = np.asarray(x0_seq, dtype=float)
     u0_seq = np.asarray(u0_seq, dtype=float)
     n = model.n
     if follower_gains is None:
-        k10 = np.zeros((model.m2, model.n))
-        k11 = np.zeros((model.m2, model.n))
-    elif hasattr(follower_gains, "k10"):
-        k10, k11 = follower_gains.k10, follower_gains.k11
-    else:
-        k10, k11 = (np.asarray(g, dtype=float) for g in follower_gains)
+        follower_gains = np.zeros((2, model.m2, n))
+    k10, k11 = (np.asarray(g, dtype=float) for g in follower_gains)
 
     def condition(mean, cov, observed):
         # condition the joint (x0, x1) Gaussian on the x0 block exactly

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CostSpec, LfnsModel
-from .oracle import StructuredPolicy
+from .finite_horizon import StructuredPolicy
 
 CHUNK = 1024
+
+
+class SimulationDiverged(ValueError):
+    """A trial block's closed loop left the finite numbers before the horizon."""
 
 
 def psd_factor(sigma: np.ndarray) -> np.ndarray:
@@ -119,6 +123,9 @@ def _draw_chunk(model: LfnsModel, horizon: int, seed: int, lo: int, hi: int):
     return z0, z1, zw0, zw1
 
 
+# a diverging loop is cut at its first non-finite state and reported through
+# truncated_at, so numpy's overflow warnings on the way there are redundant
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                     horizon: int, seed: int, lo: int, hi: int) -> BatchResult:
     n, m1, m2 = model.n, model.m1, model.m2
@@ -143,11 +150,11 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     x1hat[0] = np.repeat(model.xbar1[:, None], b, axis=1)
     truncated_at = None
     for k in range(horizon):
-        g = policy.at(k)
+        k00, k01, k10, k11 = policy.at(k)
         cur0, cur1, curhat = x0[k], x1[k], x1hat[k]
-        uk0 = -(g.k00 @ cur0 + g.k01 @ curhat)
-        uk1 = -(g.k10 @ cur0 + g.k11 @ cur1)
-        u1hat = -(g.k10 @ cur0 + g.k11 @ curhat)
+        uk0 = -(k00 @ cur0 + k01 @ curhat)
+        uk1 = -(k10 @ cur0 + k11 @ cur1)
+        u1hat = -(k10 @ cur0 + k11 @ curhat)
         xs = np.vstack([cur0, cur1])
         us = np.vstack([uk0, uk1])
         stage[k] = (np.einsum("ib,ib->b", xs, cost.q @ xs)
@@ -172,18 +179,25 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                        truncated_at=truncated_at)
 
 
+def chunks(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
+           horizon: int, seed: int, trials: int):
+    """The trials 0..trials-1 as consecutive BatchResult blocks, CHUNK wide,
+    each simulated when it is reached."""
+    return (_simulate_chunk(model, policy, cost, horizon, seed, lo, min(lo + CHUNK, trials))
+            for lo in range(0, trials, CHUNK))
+
+
 def simulate_batch(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                    horizon: int, seed: int, trials: int) -> BatchResult:
     """Run all trials, chunked internally, and return stacked arrays."""
-    chunks = [_simulate_chunk(model, policy, cost, horizon, seed, lo, min(lo + CHUNK, trials))
-              for lo in range(0, trials, CHUNK)]
-    if len(chunks) == 1:
-        return chunks[0]
-    cat = lambda name: np.concatenate([getattr(c, name) for c in chunks], axis=-1)
-    truncations = [c.truncated_at for c in chunks if c.truncated_at is not None]
+    blocks = list(chunks(model, policy, cost, horizon, seed, trials))
+    if len(blocks) == 1:
+        return blocks[0]
+    cat = lambda name: np.concatenate([getattr(c, name) for c in blocks], axis=-1)
+    truncations = [c.truncated_at for c in blocks if c.truncated_at is not None]
     return BatchResult(x0=cat("x0"), x1=cat("x1"), x1hat=cat("x1hat"),
                        u0=cat("u0"), u1=cat("u1"), w0=cat("w0"), w1=cat("w1"),
-                       stage_cost=np.concatenate([c.stage_cost for c in chunks], axis=-1),
+                       stage_cost=np.concatenate([c.stage_cost for c in blocks], axis=-1),
                        seed=seed, trial_offset=0,
                        truncated_at=min(truncations) if truncations else None)
 
@@ -216,13 +230,14 @@ def _pathwise_costs(stage: np.ndarray, x0_last: np.ndarray, x1_last: np.ndarray,
     return total
 
 
-def _reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
+def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     """Reduce consecutive trial blocks, in trial order, to a summary.
 
     Only per-block accumulators are kept, never the paths, so a generator of
     blocks streams.  Sums accumulate block by block and the stage-cost tail
     behind the truncation bound is the largest per-block tail mean, so the
     summary depends on the split; monte_carlo's blocks are CHUNK trials wide.
+    A truncated block raises SimulationDiverged.
     """
     if discounted and cost.gamma is None:
         raise ValueError("discounted aggregation requires cost.gamma")
@@ -231,8 +246,8 @@ def _reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     for batch in blocks:
         if batch.truncated_at is not None:
             lo = batch.trial_offset
-            raise ValueError(f"trial block {lo}..{lo + batch.trials - 1} truncated at step "
-                             f"{batch.truncated_at}; closed loop is destabilizing")
+            raise SimulationDiverged(f"trial block {lo}..{lo + batch.trials - 1} truncated at "
+                                     f"step {batch.truncated_at}; closed loop is destabilizing")
         horizon = batch.stage_cost.shape[0]
         cost_parts.append(_pathwise_costs(batch.stage_cost, batch.x0[-1],
                                           batch.x1[-1], cost, discounted))
@@ -259,17 +274,10 @@ def _reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
                              truncation_bound=truncation_bound)
 
 
-def empirical_cost(traces, cost: CostSpec, discounted: bool = False) -> MonteCarloSummary:
-    """Aggregate stored traces (a BatchResult or a list of SimulationTrace) as
-    one block of the monte_carlo reduction."""
-    if not isinstance(traces, BatchResult):
-        stack = lambda name: np.stack([getattr(t, name) for t in traces], axis=-1)
-        truncs = [t.truncated_at for t in traces if t.truncated_at is not None]
-        traces = BatchResult(x0=stack("x0"), x1=stack("x1"), x1hat=stack("x1hat"),
-                             u0=stack("u0"), u1=stack("u1"), w0=stack("w0"), w1=stack("w1"),
-                             stage_cost=stack("stage_cost"), seed=traces[0].seed,
-                             trial_offset=0, truncated_at=min(truncs) if truncs else None)
-    return _reduce([traces], cost, discounted)
+def empirical_cost(batch: BatchResult, cost: CostSpec,
+                   discounted: bool = False) -> MonteCarloSummary:
+    """Aggregate a stored batch as one block of the monte_carlo reduction."""
+    return reduce([batch], cost, discounted)
 
 
 def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -280,9 +288,7 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     Aggregation is a deterministic reduction in trial order, so the result
     for a given (seed, trials) pair is reproducible.
     """
-    chunks = (_simulate_chunk(model, policy, cost, horizon, seed, lo, min(lo + CHUNK, trials))
-              for lo in range(0, trials, CHUNK))
-    return _reduce(chunks, cost, discounted)
+    return reduce(chunks(model, policy, cost, horizon, seed, trials), cost, discounted)
 
 
 def mss_diagnostics(summary: MonteCarloSummary, spectral_radius: float | None = None,

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lfns import infinite_horizon
+from lfns import infinite_horizon, simulation
 from lfns.cli import main
 from lfns.model import make_cost, make_model, save_model_spec
 
@@ -91,6 +91,19 @@ def test_divergent_model_exits_3(tmp_path):
     assert run(["solve", "--model", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_diverging_simulation_exits_3(tmp_path, capsys):
+    # A - BH is stable, but the follower's estimation error grows like 1.2^k,
+    # so the simulated states overflow long before the horizon
+    path = tmp_path / "error-diverges.json"
+    write_spec(path, a00=[[0.5]], a10=[[0.0]], a11=[[1.2]], b00=[[1.0]], b10=[[1.0]],
+               b11=[[0.01]], sigma_w0=[[0.1]], sigma_w1=[[0.1]], sigma_x1=[[0.25]])
+    assert run(["simulate", "--model", str(path), "--trials", "2", "--horizon", "4500",
+                "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("simulation diverged: trial block 0..1 truncated at step ")
+
+
 def test_bad_usage_exits_2(tmp_path):
     assert run(["simulate", "--model", "scalar-demo", "--trials", "0",
                 "--out", str(tmp_path)]) == 2
@@ -99,9 +112,15 @@ def test_bad_usage_exits_2(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
-def test_simulate_outputs_self_describing(tmp_path):
+def test_simulate_outputs_self_describing(tmp_path, monkeypatch):
+    blocks = []
+    simulate_chunk = simulation._simulate_chunk
+    monkeypatch.setattr(simulation, "_simulate_chunk",
+                        lambda *args: blocks.append(args[-2:]) or simulate_chunk(*args))
     assert run(["simulate", "--model", "scalar-demo", "--horizon", "20",
                 "--trials", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    # each trial runs once, for the traces and the summary alike
+    assert blocks == [(0, 8)]
     lines = (tmp_path / "simulate-scalar-demo-traces.jsonl").read_text().splitlines()
     meta = json.loads(lines[0])
     assert meta["kind"] == "meta"

@@ -131,7 +131,7 @@ def test_error_moments_match_sampled_errors():
     policy = StructuredPolicy.from_stationary(sol)
     horizon, trials = 20, 100000
     batch = simulate_batch(model, policy, cost, horizon, seed=5, trials=trials)
-    covs = error_moments(model, policy.at(0), horizon)
+    covs = error_moments(model, policy.at(0)[3], horizon)
     err = batch.x1 - batch.x1hat
     for k in (1, 5, 10, 20):
         sample = err[k, 0]

@@ -7,7 +7,6 @@ from lfns.finite_horizon import (
     backward_riccati,
     discounted_backward_riccati,
     optimal_cost,
-    split_gain,
     stationarity_residuals,
 )
 from lfns.model import assemble_compact, make_cost, make_model
@@ -108,20 +107,14 @@ def test_bfgs_oracle_recovers_gains():
     steps = 3
 
     def unpack(theta):
-        t = theta.reshape(steps, 4)
-        return StructuredPolicy(
-            k00=[np.array([[t[s, 0]]]) for s in range(steps)],
-            k01=[np.array([[t[s, 1]]]) for s in range(steps)],
-            k10=[np.array([[t[s, 2]]]) for s in range(steps)],
-            k11=[np.array([[t[s, 3]]]) for s in range(steps)])
+        # theta holds (k00, k01, k10, k11) per step: the stacked 2 x 2 gains
+        return StructuredPolicy(theta.reshape(steps, 2, 2), n=1, m1=1)
 
     res = minimize(lambda th: exact_cost(model, unpack(th), cost, steps),
                    np.zeros(4 * steps), method="BFGS",
                    options={"gtol": 1e-12, "maxiter": 2000})
-    ric = np.array([[g.k00[0, 0], g.k01[0, 0], g.k10[0, 0], g.k11[0, 0]]
-                    for g in (split_gain(k, 1, 1) for k in sol.k_seq)])
     assert abs(res.fun - optimal_cost(sol, model)) / res.fun < 1e-10
-    assert np.max(np.abs(res.x.reshape(steps, 4) - ric)) < 1e-3
+    assert np.max(np.abs(res.x - np.ravel(sol.k_seq))) < 1e-3
 
 
 def test_optimal_cost_equals_exact_cost_when_estimate_exact():

@@ -197,5 +197,5 @@ def test_verdict_counts_divergent_estimation_error():
     augmented = np.max(np.abs(np.linalg.eigvals(closed_loop_matrices(model, gains))))
     assert verdict.spectral_radius == pytest.approx(augmented, abs=1e-12)
     assert verdict.spectral_radius == pytest.approx(1.1998, abs=1e-4)
-    assert error_moments(model, gains, 60)[-1][0, 0] > 1e8
+    assert error_moments(model, gains[3], 60)[-1][0, 0] > 1e8
     assert "estimation error" in verdict.detail

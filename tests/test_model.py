@@ -249,6 +249,46 @@ def test_validate_rejects_any_injected_nonfinite_value(n, m1, m2, seed, terminal
     assert validate(*model_from_dict(doc)) == [f"non-finite entry: {name} contains NaN or inf"]
 
 
+_COVARIANCES = ("sigma_w0", "sigma_w1", "sigma_x0", "sigma_x1")
+_FAULTS = ([("indefinite", name) for name in _COVARIANCES + ("q", "p_terminal")]
+           + [("singular", "r"), ("range", "gamma")]
+           + [("shape", name) for name in ("a10", "a11", "b10", "b11") + _COVARIANCES
+              + ("xbar0", "xbar1", "q", "r", "p_terminal")])
+
+
+@pytest.mark.parametrize("fault, name", _FAULTS)
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 3), m1=st.integers(1, 2), m2=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), terminal=st.booleans(), data=st.data())
+def test_validate_names_exactly_the_injected_fault(fault, name, n, m1, m2, seed, terminal, data):
+    terminal = terminal or name == "p_terminal"
+    doc = _random_spec_doc(np.random.default_rng(seed), n, m1, m2, terminal)
+    assert validate(*model_from_dict(doc)) == []
+    section = doc["cost"] if name in ("q", "r", "p_terminal", "gamma") else doc["model"]
+    if fault == "range":
+        gamma = data.draw(st.floats(max_value=0.0) | st.floats(min_value=1.0))
+        section[name] = gamma
+        want = f"gamma out of range (0, 1): {gamma}"
+    elif fault == "shape":
+        arr = np.array(section[name])
+        # one more row and column, so covariances stay square and symmetric;
+        # b11 gets a row only, since its columns define m2
+        grow = [(0, 1), (0, 0)] if name == "b11" else [(0, 1)] * arr.ndim
+        section[name] = np.pad(arr, grow).tolist()
+        want = f"dimension mismatch: {name} has shape "
+    else:
+        arr = np.array(section[name])
+        # move the smallest eigenvalue to -shift: negative, or exactly zero for R
+        shift = 0.0 if fault == "singular" else data.draw(st.floats(1e-6, 10.0))
+        section[name] = (arr - (eigmin(arr) + shift) * np.eye(len(arr))).tolist()
+        want = {"q": "Q not positive semidefinite", "r": "R not positive definite",
+                "p_terminal": "terminal weight not positive semidefinite"}.get(
+                    name, f"covariance not PSD: {name} has")
+    violations = validate(*model_from_dict(doc))
+    assert len(violations) == 1
+    assert want in violations[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3), m1=st.integers(1, 2), m2=st.integers(1, 2),
        seed=st.integers(0, 2 ** 32 - 1), terminal=st.booleans())

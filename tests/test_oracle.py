@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lfns.estimator import advance, init, linear_mean_control
-from lfns.finite_horizon import backward_riccati
+from lfns.finite_horizon import backward_riccati, split_gain
 from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.model import assemble_compact, make_cost, make_model, model_from_dict
 from lfns.oracle import (
@@ -125,9 +125,17 @@ def test_gradient_nonzero_under_coupling_with_noise():
 
     cost_f = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2))
     fin = backward_riccati(assemble_compact(model), cost_f, 8)
-    rep = gain_gradient(model, StructuredPolicy.from_finite_horizon(fin, model),
-                        cost_f, 9)
+    policy = StructuredPolicy.from_finite_horizon(fin, model)
+    gains = policy.gains.copy()
+    rep = gain_gradient(model, policy, cost_f, 9)
     assert rep.max_relative > 1e-4
+    # one entry per perturbed gain entry, indexed as argmax reports it; the
+    # probes perturb a copy, so the policy's own gains are untouched
+    assert rep.gradient.shape == (9, 2, 2)
+    step, block, i, j = rep.argmax
+    blocks = dict(zip(("k00", "k01", "k10", "k11"), split_gain(rep.gradient[step], 1, 1)))
+    assert blocks[block][i, j] == rep.argmax_value
+    assert np.array_equal(policy.gains, gains)
 
 
 def test_perturbation_sweep_confirms_optimum_without_coupling():
@@ -202,7 +210,7 @@ def test_exact_cost_raises_on_divergence():
                        xbar0=[1e200], xbar1=[1e200])
     cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
     policy = StructuredPolicy.constant([[0.0]], [[0.0]], [[0.0]], [[0.0]])
-    per_step = StructuredPolicy.from_gain_list([policy.at(0)] * 2000)
+    per_step = StructuredPolicy(np.stack([policy.gains] * 2000), policy.n, policy.m1)
     messages = []
     for pol in (policy, per_step):
         with np.errstate(over="ignore"), pytest.raises(OracleError) as err:
@@ -228,7 +236,7 @@ def test_constant_policy_matches_per_step_bitwise(auv_stationary, horizon, disco
     model, cost, policy = auv_stationary
     if not discounted:
         cost = make_cost(cost.q, cost.r, p_terminal=cost.q)
-    per_step = StructuredPolicy.from_gain_list([policy.at(0)] * horizon)
+    per_step = StructuredPolicy(np.stack([policy.gains] * horizon), policy.n, policy.m1)
     assert (exact_cost(model, policy, cost, horizon, discounted)
             == exact_cost(model, per_step, cost, horizon, discounted))
     assert np.array_equal(mean_trajectory(model, policy, horizon),

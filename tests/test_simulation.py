@@ -98,16 +98,6 @@ def test_empirical_cost_equals_streaming_summary():
     assert np.allclose(summary.mean_state, stream.mean_state, atol=1e-12)
 
 
-def test_trace_list_aggregation_matches_batch():
-    model = coupled_noisy_model()
-    policy, cost = stationary_policy(model)
-    traces = simulate(model, policy, cost, 8, seed=13, trials=40)
-    batch = simulate_batch(model, policy, cost, 8, seed=13, trials=40)
-    a = empirical_cost(traces, cost, discounted=True)
-    b = empirical_cost(batch, cost, discounted=True)
-    assert a.mean_cost == pytest.approx(b.mean_cost, rel=1e-12)
-
-
 def test_monte_carlo_matches_exact_cost():
     model = coupled_noisy_model()
     cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2))
@@ -222,15 +212,15 @@ def test_information_pattern_recoverable_from_trace():
     model = coupled_noisy_model()
     policy, cost = stationary_policy(model)
     trace = simulate(model, policy, cost, 15, seed=14)[0]
-    g = policy.at(0)
+    k00, k01, k10, k11 = policy.at(0)
     for k in range(15):
-        u0 = -g.k00 @ trace.x0[k] - g.k01 @ trace.x1hat[k]
-        u1 = -g.k10 @ trace.x0[k] - g.k11 @ trace.x1[k]
+        u0 = -k00 @ trace.x0[k] - k01 @ trace.x1hat[k]
+        u1 = -k10 @ trace.x0[k] - k11 @ trace.x1[k]
         assert np.array_equal(u0, trace.u0[k])
         assert np.array_equal(u1, trace.u1[k])
     # estimator replayed offline from leader-visible data only
     state = init(model)
-    mean_u1 = linear_mean_control(g.k10, g.k11)
+    mean_u1 = linear_mean_control(k10, k11)
     for k in range(1, 16):
         state = advance(state, model, trace.x0[k - 1], trace.u0[k - 1], mean_u1)
         assert np.max(np.abs(state.x1hat - trace.x1hat[k])) < 1e-12
