@@ -10,6 +10,7 @@ the same step.
 """
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +45,14 @@ class FiniteHorizonSolution:
     @property
     def horizon(self) -> int:
         return len(self.k_seq) - 1
+
+    def tail(self, n: int) -> "FiniteHorizonSolution":
+        """The last n + 1 steps of the window: the same recursion solved over a
+        horizon of n, since the step map does not depend on k and the
+        recursion starts from the same terminal weight."""
+        cut = self.horizon - n
+        return dataclasses.replace(self, p_seq=self.p_seq[cut:], k_seq=self.k_seq[cut:],
+                                   lambda_seq=self.lambda_seq[cut:], l_seq=self.l_seq[cut:])
 
     def identity(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gain, Lambda or Psi, L or gamma L) of the stationarity identity at step k."""

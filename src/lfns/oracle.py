@@ -2,10 +2,11 @@
 
 Everything here evaluates the closed loop by a route different from the
 synthesis code: costs by exact moment propagation of the augmented state
-(x0, x1, x1hat), optimality by central finite differences, and the
-estimator by a general joint conditional-Gaussian filter that observes the
-leader state exactly.  The test suite plays these against the analytic
-formulas; neither side is derived from the other.
+(x0, x1, x1hat), optimality by the adjoint gradient of that cost and by its
+central finite differences, and the estimator by a general joint
+conditional-Gaussian filter that observes the leader state exactly.  The
+test suite plays these against the analytic formulas; neither side is
+derived from the other.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_horizon import StructuredPolicy, split_gain
-from .model import CostSpec, LfnsModel, stacked_moments
+from .model import CostSpec, LfnsModel, assemble_compact, stacked_moments
 
 
 class OracleError(RuntimeError):
@@ -55,15 +56,20 @@ def closed_loop_matrices(model: LfnsModel, gains) -> np.ndarray:
     return f
 
 
-def _stage_matrix(model: LfnsModel, gains, cost: CostSpec) -> np.ndarray:
+def _control_map(model: LfnsModel, gains) -> np.ndarray:
+    """u = cu z: u0 reads (x0, x1hat) and u1 reads (x0, x1) of z = (x0, x1, x1hat)."""
     n, m1, m2 = model.n, model.m1, model.m2
     k00, k01, k10, k11 = gains
-    cx = np.eye(2 * n, 3 * n)  # picks (x0, x1) out of (x0, x1, x1hat)
     cu = np.zeros((m1 + m2, 3 * n))
     cu[:m1, :n] = -k00
     cu[:m1, 2 * n:] = -k01
     cu[m1:, :n] = -k10
     cu[m1:, n:2 * n] = -k11
+    return cu
+
+
+def _stage_matrix(model: LfnsModel, cu: np.ndarray, cost: CostSpec) -> np.ndarray:
+    cx = np.eye(2 * model.n, 3 * model.n)  # picks (x0, x1) out of (x0, x1, x1hat)
     return cx.T @ cost.q @ cx + cu.T @ cost.r @ cu
 
 
@@ -83,6 +89,51 @@ def _per_step(policy: StructuredPolicy, horizon: int, build):
     return (build(policy.at(k)) for k in range(horizon))
 
 
+def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
+             discounted: bool):
+    """The moment recursion of the augmented state under the policy.
+
+    Yields (weight, cu, M, F, mu, Sigma) for each step k = 0..horizon-1: the
+    step's weight, control map, stage matrix and closed-loop map, and the
+    mean and covariance of the state entering it.  The last item is
+    (1.0, None, M_T, None, mu, Sigma) at step horizon, with M_T the terminal
+    stage matrix, or None when no terminal term applies.
+    """
+    n = model.n
+    gamma = cost.gamma if discounted else None
+    moments = initial_moments(model)
+    mu, sigma = moments.mean, moments.cov
+    gw = _noise_cov(model)
+    weight = 1.0
+
+    def build(gains):
+        cu = _control_map(model, gains)
+        return cu, _stage_matrix(model, cu, cost), closed_loop_matrices(model, gains)
+
+    for k, (cu, m, f) in enumerate(_per_step(policy, horizon, build)):
+        yield weight, cu, m, f, mu, sigma
+        mu = f @ mu
+        sigma = f @ sigma @ f.T + gw
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise OracleError(f"closed-loop moments non-finite at step {k + 1}")
+        if discounted:
+            weight *= gamma
+    m_t = None
+    if not discounted and cost.p_terminal is not None:
+        cx = np.eye(2 * n, 3 * n)
+        m_t = cx.T @ cost.p_terminal @ cx
+    yield 1.0, None, m_t, None, mu, sigma
+
+
+def _total(steps) -> float:
+    """Sum of weight * E[z' M z] = weight * (tr(M Sigma) + mu' M mu) over the steps."""
+    total = 0.0
+    for weight, _, m, _, mu, sigma in steps:
+        if m is not None:
+            total += weight * float(np.trace(m @ sigma) + mu @ m @ mu)
+    return total
+
+
 def exact_cost(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                horizon: int, discounted: bool = False) -> float:
     """Exact expected closed-loop cost, no sampling.
@@ -93,31 +144,7 @@ def exact_cost(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     calling with horizon = N + 1.  In the discounted case there is no
     terminal term; the caller picks the truncation horizon.
     """
-    n = model.n
-    gamma = cost.gamma if discounted else None
-    moments = initial_moments(model)
-    mu, sigma = moments.mean, moments.cov
-    gw = _noise_cov(model)
-    total = 0.0
-    weight = 1.0
-
-    def stage_and_map(gains):
-        return _stage_matrix(model, gains, cost), closed_loop_matrices(model, gains)
-
-    for k, (m, f) in enumerate(_per_step(policy, horizon, stage_and_map)):
-        stage = float(np.trace(m @ sigma) + mu @ m @ mu)
-        total += weight * stage
-        mu = f @ mu
-        sigma = f @ sigma @ f.T + gw
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-            raise OracleError(f"closed-loop moments non-finite at step {k + 1}")
-        if discounted:
-            weight *= gamma
-    if not discounted and cost.p_terminal is not None:
-        cx = np.eye(2 * n, 3 * n)
-        m_t = cx.T @ cost.p_terminal @ cx
-        total += float(np.trace(m_t @ sigma) + mu @ m_t @ mu)
-    return total
+    return _total(_forward(model, policy, cost, horizon, discounted))
 
 
 def mean_trajectory(model: LfnsModel, policy: StructuredPolicy, horizon: int) -> np.ndarray:
@@ -147,13 +174,35 @@ def _steps(gains: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GradientReport:
-    """Central-difference gradient of exact_cost in every gain entry."""
+    """Gradient of exact_cost in every gain entry, with its largest relative entry."""
 
     j_value: float
     gradient: np.ndarray
     max_relative: float
     argmax: tuple[int, str, int, int]
     argmax_value: float
+
+
+def _gradient_report(j0: float, gains: np.ndarray, gradient: np.ndarray, n: int,
+                     m1: int) -> GradientReport:
+    """Report gradient at gains, with the entry of largest relative magnitude
+    |g| (1 + |t|) / (1 + |J|) for an entry g at parameter value t.  Entries are
+    scanned step by step, then k00..k11, each row-major; the first of equal
+    entries wins."""
+    max_rel = 0.0
+    argmax = (0, "k00", 0, 0)
+    argmax_val = 0.0
+    for s, (step, grad_step) in enumerate(zip(_steps(gains), _steps(gradient))):
+        for name, base, g in zip(("k00", "k01", "k10", "k11"), split_gain(step, n, m1),
+                                 split_gain(grad_step, n, m1)):
+            for i, j in np.ndindex(base.shape):
+                rel = abs(g[i, j]) * (1.0 + abs(base[i, j])) / (1.0 + abs(j0))
+                if rel > max_rel:
+                    max_rel = rel
+                    argmax = (s, name, i, j)
+                    argmax_val = g[i, j]
+    return GradientReport(j_value=j0, gradient=gradient, max_relative=max_rel,
+                          argmax=argmax, argmax_value=argmax_val)
 
 
 def gain_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -163,19 +212,15 @@ def gain_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     gradient has the shape of the perturbed gains: for a constant policy it
     is the gradient with the shared gain perturbed at every step
     simultaneously; for a per-step policy each of the first horizon steps is
-    perturbed independently.  The relative magnitude of an entry g at
-    parameter value t is |g| (1 + |t|) / (1 + |J|).
+    perturbed independently.  This is the independent check of
+    policy_gradient: it only ever calls exact_cost.
     """
     j0 = exact_cost(model, policy, cost, horizon, discounted)
     probe = _perturbable(policy, horizon)
     n, m1 = probe.n, probe.m1
     grad = np.zeros_like(probe.gains)
-    max_rel = 0.0
-    argmax = (0, "k00", 0, 0)
-    argmax_val = 0.0
-    for s, (step, grad_step) in enumerate(zip(_steps(probe.gains), _steps(grad))):
-        for name, base, out in zip(("k00", "k01", "k10", "k11"), split_gain(step, n, m1),
-                                   split_gain(grad_step, n, m1)):
+    for step, grad_step in zip(_steps(probe.gains), _steps(grad)):
+        for base, out in zip(split_gain(step, n, m1), split_gain(grad_step, n, m1)):
             for i, j in np.ndindex(base.shape):
                 theta = base[i, j]
                 h = 1e-5 * (1.0 + abs(theta))
@@ -184,15 +229,55 @@ def gain_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                 base[i, j] = theta - h
                 j_minus = exact_cost(model, probe, cost, horizon, discounted)
                 base[i, j] = theta
-                g = (j_plus - j_minus) / (2.0 * h)
-                out[i, j] = g
-                rel = abs(g) * (1.0 + abs(theta)) / (1.0 + abs(j0))
-                if rel > max_rel:
-                    max_rel = rel
-                    argmax = (s, name, i, j)
-                    argmax_val = g
-    return GradientReport(j_value=j0, gradient=grad, max_relative=max_rel,
-                          argmax=argmax, argmax_value=argmax_val)
+                out[i, j] = (j_plus - j_minus) / (2.0 * h)
+    return _gradient_report(j0, probe.gains, grad, n, m1)
+
+
+def policy_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
+                    horizon: int, discounted: bool = False) -> GradientReport:
+    """Exact gradient of exact_cost in every gain entry, by one adjoint sweep.
+
+    The forward pass is exact_cost's moment recursion; it keeps the second
+    moments S_k = Sigma_k + mu_k mu_k' (S_{k+1} = F_k S_k F_k' + W).  The
+    backward pass builds the cost-to-go matrices V_h = M_T (zero without a
+    terminal term) and V_k = w_k M_k + F_k' V_{k+1} F_k, so that the part of
+    the cost that depends on step k's gain is w_k tr(M_k S_k) +
+    tr(V_{k+1} F_k S_k F_k').  Its derivative in the gain K goes through the
+    fixed selectors of the structured policy: u0 reads (x0, x1hat), u1 reads
+    (x0, x1) in the plant rows of F and M, and the estimator row applies the
+    conditional-mean controls, which read (x0, x1hat).  This is the policy
+    gradient of Fazel, Ge, Kakade & Mesbahi (ICML 2018) on the augmented loop.
+
+    gradient, max_relative and argmax mean what they mean in gain_gradient: a
+    constant policy's gradient is summed over the steps, a per-step policy's
+    is given for each of the first horizon steps.  j_value is exact_cost's
+    value bit for bit.
+    """
+    n, m1 = model.n, model.m1
+    m = m1 + model.m2
+    b = assemble_compact(model).b  # (x0, x1) rows; b[n:] also drives x1hat
+    x0_x1hat = np.r_[0:n, 2 * n:3 * n]
+    steps = list(_forward(model, policy, cost, horizon, discounted))
+    j0 = _total(steps)
+
+    # per_step[k] is half the derivative of the cost in step k's control map
+    # cu (rows :m) and in the estimator's conditional-mean control map (rows
+    # m:); the gain enters both with a minus sign through the selectors
+    m_t = steps[-1][2]
+    v = np.zeros((3 * n, 3 * n)) if m_t is None else m_t
+    per_step = np.zeros((horizon, 2 * m, 3 * n))
+    for k in range(horizon - 1, -1, -1):
+        weight, cu, m_k, f, mu, sigma = steps[k]
+        vf = v @ f
+        lhs = np.vstack([weight * (cost.r @ cu) + b.T @ vf[:2 * n], b[n:].T @ vf[2 * n:]])
+        per_step[k] = lhs @ (sigma + np.outer(mu, mu))
+        v = weight * m_k + f.T @ vf
+    y = per_step.sum(axis=0) if policy.is_constant else per_step
+    plant, estimator = y[..., :m, :], y[..., m:, :]
+    grad = -2.0 * (np.concatenate([plant[..., :m1, x0_x1hat], plant[..., m1:, :2 * n]], axis=-2)
+                   + estimator[..., x0_x1hat])
+    gains = policy.gains if policy.is_constant else policy.gains[:horizon]
+    return _gradient_report(j0, gains, grad, n, m1)
 
 
 def perturbation_sweep(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,

@@ -102,6 +102,8 @@ def test_diverging_simulation_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("simulation diverged: trial block 0..1 truncated at step ")
+    # the partial traces would hold NaN/Infinity tokens, which are not JSON
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error-diverges.json"]
 
 
 def test_bad_usage_exits_2(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from lfns.auv import paper_model
 from lfns.finite_horizon import (
     RiccatiError,
     backward_riccati,
@@ -156,6 +157,26 @@ def test_discounted_shift_identity():
     # window length is all that matters: P_8(3) = P_5(0)
     assert np.max(np.abs(long.p_seq[3] - short.p_seq[0])) < 1e-12
     assert np.max(np.abs(long.k_seq[3] - short.k_seq[0])) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["auv-paper", "scalar-demo"])
+def test_tail_is_the_shorter_solve_bitwise(name):
+    # lfns converge reads every horizon of its sweep off one N = 200 recursion
+    if name == "auv-paper":
+        model, cost = paper_model()
+    else:
+        model = decoupled_unit_model()
+        cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2), gamma=0.9)
+    comp = assemble_compact(model)
+    for solve in (discounted_backward_riccati, backward_riccati):
+        top = solve(comp, cost, 200)
+        for n in range(0, 201, 10):
+            tail, own = top.tail(n), solve(comp, cost, n)
+            assert optimal_cost(tail, model) == optimal_cost(own, model)
+            for got, want in ((tail.p_seq, own.p_seq), (tail.k_seq, own.k_seq),
+                              (tail.lambda_seq, own.lambda_seq), (tail.l_seq, own.l_seq)):
+                assert len(got) == len(want)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_discount_limit_matches_undiscounted():

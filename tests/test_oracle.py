@@ -3,6 +3,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lfns.estimator import advance, init, linear_mean_control
 from lfns.finite_horizon import backward_riccati, split_gain
@@ -18,8 +20,10 @@ from lfns.oracle import (
     kalman_oracle,
     mean_trajectory,
     perturbation_sweep,
+    policy_gradient,
 )
 from lfns.simulation import simulate
+from test_acceptance import random_pair
 
 
 def decoupled_unit_model():
@@ -241,3 +245,36 @@ def test_constant_policy_matches_per_step_bitwise(auv_stationary, horizon, disco
             == exact_cost(model, per_step, cost, horizon, discounted))
     assert np.array_equal(mean_trajectory(model, policy, horizon),
                           mean_trajectory(model, per_step, horizon))
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(1, 3), gamma=st.floats(0.5, 0.99), horizon=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_policy_gradient_matches_finite_differences(n, gamma, horizon, seed):
+    # the finite differences of a per-step policy cost about (n * horizon)^2
+    # moment steps; this bound keeps an example near a second
+    assume(n * horizon <= 45)
+    rng = np.random.default_rng(seed)
+    model, pair_cost = random_pair(rng, n=n)
+    cost = make_cost(pair_cost.q, pair_cost.r, pair_cost.p_terminal, gamma)
+    compact = assemble_compact(model)
+
+    def off_optimum(policy):
+        # at the solved gains the estimator row's part of the gradient
+        # vanishes, and settled per-step gains tie across steps
+        gains = policy.gains + 0.02 * rng.standard_normal(policy.gains.shape)
+        return StructuredPolicy(gains, policy.n, policy.m1)
+
+    stationary = StructuredPolicy.from_stationary(solve_stationary_riccati(compact, cost))
+    per_step = StructuredPolicy.from_finite_horizon(
+        backward_riccati(compact, cost, horizon - 1), model)
+    for policy, steps, discounted in ((off_optimum(stationary), 300, True),
+                                      (off_optimum(per_step), horizon, False)):
+        exact = policy_gradient(model, policy, cost, steps, discounted)
+        fd = gain_gradient(model, policy, cost, steps, discounted)
+        assert exact.j_value == fd.j_value == exact_cost(model, policy, cost, steps, discounted)
+        assert exact.gradient.shape == fd.gradient.shape
+        assert np.all(np.abs(exact.gradient - fd.gradient)
+                      <= 1e-5 * (1.0 + np.max(np.abs(fd.gradient))))
+        if fd.max_relative > 1e-6:
+            assert exact.argmax == fd.argmax
