@@ -408,6 +408,12 @@ def main(argv=None) -> int:
     if args.trials < 1 or (args.horizon is not None and args.horizon < 0):
         print("trials must be >= 1 and horizon >= 0", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("seed must be >= 0", file=sys.stderr)
+        return 2
+    if args.command == "simulate" and args.mode == "stationary" and args.horizon == 0:
+        print("simulate --mode stationary needs horizon >= 1", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except SpecFormatError as exc:

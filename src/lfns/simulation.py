@@ -8,6 +8,13 @@ follower z (n draws), leader noise path (horizon x n), follower noise path
 never on how many trials run alongside it or how they are chunked.  Trials
 are processed in column-stacked chunks of fixed width; aggregation reduces
 chunks in trial order.
+
+The streams are produced without building a SeedSequence and a Generator
+per trial: a chunk's spawn keys are hashed together in uint32 arithmetic,
+each trial's PCG64 state is set on one Generator, and one
+standard_normal(out=row) call fills that trial's row of one buffer.  The
+default_rng(SeedSequence(...)) stream above stays the reference that the
+tests compare against.  A spawn key is one 32-bit word, so trial < 2**32.
 """
 from __future__ import annotations
 
@@ -106,20 +113,66 @@ class MssReport:
     mss: bool
 
 
+# NEP 19's SeedSequence hash (pool of 4 words, 16-bit xorshift) and the
+# 128-bit multiplier of PCG64's LCG step
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _spawned_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(4, uint64)
+    for j = lo..hi-1, shape (hi-lo, 4), hashed for all j at once.
+
+    The seed's own words leave the mixer at SeedSequence(seed).pool; the one
+    spawn-key word is mixed into each pool word, then the pool is hashed out.
+    """
+    parent = np.random.SeedSequence(seed)
+    seed_words = max(1, -(-int(seed).bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _MASK32
+    key = np.arange(lo, hi, dtype=np.uint32)
+    pool = []
+    for word in parent.pool.tolist():
+        hashed = key ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        hashed *= np.uint32(hash_const)
+        hashed ^= hashed >> 16
+        mixed = np.uint32(_MIX_L * word & _MASK32) - np.uint32(_MIX_R) * hashed
+        pool.append(mixed ^ (mixed >> 16))
+    out = np.empty((hi - lo, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        out[:, i] = value ^ (value >> 16)
+    return out.view(np.uint64)
+
+
 def _draw_chunk(model: LfnsModel, horizon: int, seed: int, lo: int, hi: int):
+    """Each trial's normals in the documented order, as views of one buffer.
+
+    Row j - lo of the trial-major buffer holds trial j's z0, z1, zw0 and zw1
+    back to back, filled by one standard_normal call from the PCG64 state
+    that default_rng(SeedSequence(entropy=seed, spawn_key=(j,))) starts in.
+    """
     n = model.n
-    b = hi - lo
-    z0 = np.empty((n, b))
-    z1 = np.empty((n, b))
-    zw0 = np.empty((horizon, n, b))
-    zw1 = np.empty((horizon, n, b))
-    for j in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-        col = j - lo
-        z0[:, col] = rng.standard_normal(n)
-        z1[:, col] = rng.standard_normal(n)
-        zw0[:, :, col] = rng.standard_normal((horizon, n))
-        zw1[:, :, col] = rng.standard_normal((horizon, n))
+    buf = np.empty((hi - lo, 2 * horizon + 2, n))
+    gen = np.random.Generator(np.random.PCG64(0))
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for col, (s_hi, s_lo, q_hi, q_lo) in enumerate(_spawned_states(seed, lo, hi).tolist()):
+        # pcg64_set_seed: inc = seq << 1 | 1, step, add the seed, step
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state["state"] = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128,
+                          "inc": inc}
+        gen.bit_generator.state = state
+        gen.standard_normal(out=buf[col])
+    z0, z1 = buf[:, 0].T, buf[:, 1].T
+    zw0 = buf[:, 2:horizon + 2].transpose(1, 2, 0)
+    zw1 = buf[:, horizon + 2:].transpose(1, 2, 0)
     return z0, z1, zw0, zw1
 
 
@@ -183,6 +236,10 @@ def chunks(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
            horizon: int, seed: int, trials: int):
     """The trials 0..trials-1 as consecutive BatchResult blocks, CHUNK wide,
     each simulated when it is reached."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1 to simulate, got {horizon}")
+    if trials > 2 ** 32:
+        raise ValueError(f"trial indices are one 32-bit spawn-key word; {trials} trials exceed 2**32")
     return (_simulate_chunk(model, policy, cost, horizon, seed, lo, min(lo + CHUNK, trials))
             for lo in range(0, trials, CHUNK))
 

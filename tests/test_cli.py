@@ -114,6 +114,25 @@ def test_bad_usage_exits_2(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    assert run([command, "--model", "scalar-demo", "--seed", "-1",
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["seed must be >= 0"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stationary_simulate_needs_a_step(tmp_path, capsys):
+    assert run(["simulate", "--model", "scalar-demo", "--mode", "stationary",
+                "--horizon", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "simulate --mode stationary needs horizon >= 1"]
+    assert list(tmp_path.iterdir()) == []
+    # a finite-mode horizon counts Riccati steps, and N=0 still simulates one
+    assert run(["simulate", "--model", "scalar-demo", "--mode", "finite",
+                "--horizon", "0", "--out", str(tmp_path)]) == 0
+
+
 def test_simulate_outputs_self_describing(tmp_path, monkeypatch):
     blocks = []
     simulate_chunk = simulation._simulate_chunk

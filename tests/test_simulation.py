@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfns.estimator import advance, init, linear_mean_control
 from lfns.model import assemble_compact, make_cost, make_model
@@ -7,6 +9,10 @@ from lfns.finite_horizon import backward_riccati
 from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.oracle import StructuredPolicy, exact_cost, mean_trajectory
 from lfns.simulation import (
+    CHUNK,
+    _draw_chunk,
+    _simulate_chunk,
+    chunks,
     empirical_cost,
     monte_carlo,
     mss_diagnostics,
@@ -14,6 +20,7 @@ from lfns.simulation import (
     simulate,
     simulate_batch,
 )
+from test_acceptance import random_pair
 
 
 def coupled_noisy_model():
@@ -43,26 +50,63 @@ def test_psd_factor_cases():
     assert np.allclose(f @ f.T, rank1, atol=1e-12)
 
 
+def reference_draws(seed, trial, n, horizon):
+    """Trial's normals from its documented stream: z0, z1, zw0, zw1."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    return (rng.standard_normal(n), rng.standard_normal(n),
+            rng.standard_normal((horizon, n)), rng.standard_normal((horizon, n)))
+
+
 def test_trial_streams_are_documented_seed_sequences():
+    # the scalar model, and an n=2 pair read in the second chunk, where a
+    # transposed (n, horizon) row layout would show
+    scalar = coupled_noisy_model()
+    pair, _ = random_pair(np.random.default_rng(5), n=2)
+    horizon, seed = 5, 123
+    for model, trials, trial in ((scalar, 9, 7), (pair, CHUNK + 6, CHUNK + 3)):
+        n = model.n
+        zero = np.zeros((n, n))
+        policy = StructuredPolicy.constant(zero, zero, zero, zero)
+        cost = make_cost(q=np.eye(2 * n), r=np.eye(2 * n))
+        batch = simulate_batch(model, policy, cost, horizon, seed=seed, trials=trials)
+        z0, z1, zw0, zw1 = reference_draws(seed, trial, n, horizon)
+        f_x0 = psd_factor(model.sigma_x0)
+        f_x1 = psd_factor(model.sigma_x1)
+        f_w0 = psd_factor(model.sigma_w0)
+        f_w1 = psd_factor(model.sigma_w1)
+        assert np.array_equal(batch.x0[0, :, trial], model.xbar0 + f_x0 @ z0)
+        assert np.array_equal(batch.x1[0, :, trial], model.xbar1 + f_x1 @ z1)
+        assert np.array_equal(batch.w0[:, :, trial], (f_w0 @ zw0.T).T)
+        assert np.array_equal(batch.w1[:, :, trial], (f_w1 @ zw1.T).T)
+        assert np.array_equal(batch.x1hat[0, :, trial], model.xbar1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2 ** 64), st.integers(2 ** 128, 2 ** 200)),
+       n=st.sampled_from((1, 2, 6)), horizon=st.integers(0, 4),
+       lo=st.integers(0, 2 ** 32 // CHUNK - 1).flatmap(
+           lambda q: st.integers(q * CHUNK + 1, (q + 1) * CHUNK - 8)),
+       width=st.integers(1, 8))
+def test_draw_chunk_equals_per_trial_generators(seed, n, horizon, lo, width):
+    a = np.eye(n)
+    model = make_model(a00=a, a10=a, a11=a, b00=a, b10=a, b11=a)
+    z0, z1, zw0, zw1 = _draw_chunk(model, horizon, seed, lo, lo + width)
+    for col in range(width):
+        want = reference_draws(seed, lo + col, n, horizon)
+        got = (z0[:, col], z1[:, col], zw0[:, :, col], zw1[:, :, col])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_chunks_rejects_runs_it_cannot_simulate():
     model = coupled_noisy_model()
     policy, cost = stationary_policy(model)
-    horizon, seed, trial = 5, 123, 7
-    batch = simulate_batch(model, policy, cost, horizon, seed=seed, trials=9)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(trial,)))
-    z0 = rng.standard_normal(1)
-    z1 = rng.standard_normal(1)
-    zw0 = rng.standard_normal((horizon, 1))
-    zw1 = rng.standard_normal((horizon, 1))
-    f_x0 = psd_factor(model.sigma_x0)
-    f_x1 = psd_factor(model.sigma_x1)
-    f_w0 = psd_factor(model.sigma_w0)
-    f_w1 = psd_factor(model.sigma_w1)
-    assert np.array_equal(batch.x0[0, :, trial], model.xbar0 + f_x0 @ z0)
-    assert np.array_equal(batch.x1[0, :, trial], model.xbar1 + f_x1 @ z1)
-    assert np.array_equal(batch.w0[:, 0, trial], (f_w0 @ zw0.T).ravel())
-    assert np.array_equal(batch.w1[:, 0, trial], (f_w1 @ zw1.T).ravel())
-    assert np.array_equal(batch.x1hat[0, :, trial], model.xbar1)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        chunks(model, policy, cost, 0, seed=0, trials=4)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        monte_carlo(model, policy, cost, 0, seed=0, trials=4)
+    # trial 2**32 would need a two-word spawn key
+    with pytest.raises(ValueError, match="exceed 2"):
+        chunks(model, policy, cost, 5, seed=0, trials=2 ** 32 + 1)
 
 
 def test_repeat_runs_are_bit_identical():
@@ -83,7 +127,10 @@ def test_trials_invariant_to_batch_size():
     small = simulate_batch(model, policy, cost, 6, seed=11, trials=100)
     assert np.array_equal(big.x0[:, :, :100], small.x0)
     assert np.array_equal(big.u1[:, :, :100], small.u1)
-    assert np.array_equal(big.x0[:, :, 1024:1030].shape, (7, 1, 6))
+    straddle = _simulate_chunk(model, policy, cost, 6, 11, CHUNK - 4, CHUNK + 6)
+    for name in ("x0", "x1", "x1hat", "u0", "u1", "w0", "w1", "stage_cost"):
+        assert np.array_equal(getattr(big, name)[..., CHUNK - 4:CHUNK + 6],
+                              getattr(straddle, name))
 
 
 def test_empirical_cost_equals_streaming_summary():
