@@ -187,6 +187,27 @@ def nonlinear_step(params: AuvParams, eta, nu, tau, t: float):
     return eta_next, nu_next
 
 
+def force_round_trip_error(seed: int, samples: int = 100) -> float:
+    """Largest entry of |error_model_control(force_reconstruction(u_z)) - u_z|
+    on the leader vehicle, over samples random velocities, headings, steps
+    and commands u_z drawn from seed."""
+    lp = leader_params()
+    traj = leader_reference()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        nu = rng.normal(size=3)
+        rot = rotation(rng.normal())
+        rot_prev = rotation(rng.normal())
+        k = int(rng.integers(0, 60))
+        u_z = rng.normal(size=3)
+        h = h_term(lp, rot, rot_prev, nu, 1.0)
+        tau = force_reconstruction(lp, u_z, traj, k, rot, h, 1.0)
+        back = error_model_control(lp, tau, traj, k, rot, h, 1.0)
+        worst = max(worst, float(np.max(np.abs(back - u_z))))
+    return worst
+
+
 def leader_params() -> AuvParams:
     m = np.array([[37.93, 0.0, 0.0],
                   [0.0, 72.5, -1.93],

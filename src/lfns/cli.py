@@ -18,16 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .auv import follower_reference, leader_reference, paper_model, reference
+from .auv import (follower_reference, force_round_trip_error, leader_reference, paper_model,
+                  reference)
 from .finite_horizon import (RiccatiError, backward_riccati,
                              discounted_backward_riccati, optimal_cost,
                              split_gain, stationarity_residuals)
 from .infinite_horizon import (FIXED_POINT_TOL, RiccatiDivergence, check_stabilizability,
                                closed_loop_radii, solve_stationary_riccati,
-                               stationary_cost)
+                               stationary_cost, stationary_cost_terms)
 from .model import (ModelValidationError, SpecFormatError, assemble_compact,
-                    load_model_spec, make_cost, make_model, stacked_moments,
-                    validate)
+                    load_model_spec, make_cost, make_model, validate)
 # gain_gradient is not called here; the benchmark's harness tests wrap it through this module
 from .oracle import StructuredPolicy, gain_gradient, kalman_oracle, policy_gradient
 from .simulation import (SimulationDiverged, chunks, monte_carlo, mss_diagnostics, reduce,
@@ -65,9 +65,12 @@ def _load(args):
     return model, cost, name
 
 
+def _out_path(args) -> Path:
+    return Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+
+
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(out)
+    path = _out_path(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -134,9 +137,7 @@ def cmd_solve(args) -> int:
         _write_json(out / f"solve-{name}-finite.json", doc)
         return 0
     verdict = check_stabilizability(sol, cost, compact)
-    mean0, sigma0, _ = stacked_moments(model)
-    trace_term = cost.gamma / (1.0 - cost.gamma) * float(np.trace(compact.sigma_w @ sol.p))
-    mean_term = float(mean0 @ sol.p @ mean0 + np.trace(sigma0 @ sol.p))
+    mean_term, trace_term = stationary_cost_terms(sol, model)
     doc = _doc(args, mode="stationary", iterations=sol.iterations,
                residual=sol.residual, converged=sol.converged,
                p=_lst(sol.p), h=_lst(sol.h),
@@ -150,7 +151,7 @@ def cmd_solve(args) -> int:
                    "spectral_radius": verdict.spectral_radius,
                    "stabilizable": verdict.stabilizable,
                    "detail": verdict.detail},
-               analytic_cost=stationary_cost(sol, model),
+               analytic_cost=mean_term + trace_term,
                mean_term=mean_term, trace_term=trace_term)
     _write_json(out / f"solve-{name}-stationary.json", doc)
     return 0
@@ -337,22 +338,7 @@ def _verify_checks(model, cost, args):
         f"analytic {analytic!r} empirical {mc.mean_cost!r}")
 
     if args.model == "auv-paper":
-        from .auv import (error_model_control, force_reconstruction, h_term,
-                          leader_params, rotation)
-        lp = leader_params()
-        traj = leader_reference()
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(100):
-            nu = rng.normal(size=3)
-            rot = rotation(rng.normal())
-            rot_prev = rotation(rng.normal())
-            k = int(rng.integers(0, 60))
-            u_z = rng.normal(size=3)
-            h = h_term(lp, rot, rot_prev, nu, 1.0)
-            tau = force_reconstruction(lp, u_z, traj, k, rot, h, 1.0)
-            back = error_model_control(lp, tau, traj, k, rot, h, 1.0)
-            worst = max(worst, float(np.max(np.abs(back - u_z))))
+        worst = force_round_trip_error(args.seed)
         add("force_round_trip", worst < 1e-10, worst, 1e-10)
     return checks
 
@@ -403,16 +389,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(args) -> str | None:
+    """The complaint about flags that cannot run or would be ignored, if any."""
+    stationary = args.mode == "stationary"
+    if args.trials < 1 or (args.horizon is not None and args.horizon < 0):
+        return "trials must be >= 1 and horizon >= 0"
+    if args.seed < 0:
+        return "seed must be >= 0"
+    if args.command == "simulate" and stationary and args.horizon == 0:
+        return "simulate --mode stationary needs horizon >= 1"
+    if args.command == "converge" and not stationary:
+        return "converge sweeps the discounted recursion; it has no --mode finite"
+    if args.command in ("solve", "verify") and stationary and args.horizon is not None:
+        return f"{args.command} --mode stationary takes no --horizon"
+    out = _out_path(args)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            return f"output directory {out}: {path} is not a directory"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.trials < 1 or (args.horizon is not None and args.horizon < 0):
-        print("trials must be >= 1 and horizon >= 0", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("seed must be >= 0", file=sys.stderr)
-        return 2
-    if args.command == "simulate" and args.mode == "stationary" and args.horizon == 0:
-        print("simulate --mode stationary needs horizon >= 1", file=sys.stderr)
+    problem = _usage_error(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
         return 2
     try:
         return args.fn(args)

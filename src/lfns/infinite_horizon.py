@@ -167,25 +167,16 @@ def check_stabilizability(solution: StationarySolution, cost: CostSpec,
                                   detail=detail)
 
 
-def certify(compact: CompactModel, cost: CostSpec
-            ) -> tuple[StationarySolution | None, StabilizabilityVerdict]:
-    """Solve and certify in one call, mapping solver divergence to a negative verdict."""
-    try:
-        solution = solve_stationary_riccati(compact, cost)
-    except RiccatiDivergence as exc:
-        verdict = StabilizabilityVerdict(
-            positive_definite=CertifiedFlag(value=None, margin=float("nan")),
-            inequality_holds=CertifiedFlag(value=None, margin=float("nan")),
-            spectral_radius=float("nan"), stabilizable=False,
-            detail=str(exc))
-        return None, verdict
-    return solution, check_stabilizability(solution, cost, compact)
-
-
-def stationary_cost(solution: StationarySolution, model: LfnsModel) -> float:
-    """Analytic stationary cost
-    E[X(0)' P X(0)] + gamma/(1-gamma) tr(Sigma_W P)."""
+def stationary_cost_terms(solution: StationarySolution, model: LfnsModel) -> tuple[float, float]:
+    """The two terms of the analytic stationary cost: the initial term
+    E[X(0)' P X(0)] and the noise term gamma/(1-gamma) tr(Sigma_W P)."""
     xbar, sigma_x, sigma_w = stacked_moments(model)
     p = solution.p
     quad = float(xbar @ p @ xbar + np.trace(sigma_x @ p))
-    return quad + solution.gamma / (1.0 - solution.gamma) * float(np.trace(sigma_w @ p))
+    return quad, solution.gamma / (1.0 - solution.gamma) * float(np.trace(sigma_w @ p))
+
+
+def stationary_cost(solution: StationarySolution, model: LfnsModel) -> float:
+    """Analytic stationary cost, the sum of the two stationary_cost_terms."""
+    quad, noise = stationary_cost_terms(solution, model)
+    return quad + noise

@@ -256,15 +256,10 @@ def stacked_moments(model: LfnsModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def step(model: LfnsModel, x0, x1, u0, u1, w0, w1):
-    """One dynamics step; the leader update never reads x1 or u1."""
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
-    w1 = np.asarray(w1, dtype=float)
+    """One dynamics step of one trial's vectors or of column-stacked trials;
+    the leader update never reads x1 or u1."""
     x0_next = model.a00 @ x0 + model.b00 @ u0 + w0
-    x1_next = model.a11 @ x1 + model.b11 @ u1 + model.a10 @ x0 + model.b10 @ u0 + w1
+    x1_next = model.a10 @ x0 + model.a11 @ x1 + model.b11 @ u1 + model.b10 @ u0 + w1
     return x0_next, x1_next
 
 
@@ -282,10 +277,18 @@ def model_to_dict(model: LfnsModel, cost: CostSpec) -> dict:
 
 def model_from_dict(doc: dict) -> tuple[LfnsModel, CostSpec]:
     try:
-        mdoc = doc["model"]
+        entries = {f: doc["model"][f] for f in _MODEL_FIELDS}
         cdoc = doc["cost"]
-        model = make_model(**{f: mdoc[f] for f in _MODEL_FIELDS})
-        cost = make_cost(cdoc["q"], cdoc["r"], cdoc.get("p_terminal"), cdoc.get("gamma"))
+        entries.update(q=cdoc["q"], r=cdoc["r"], p_terminal=cdoc.get("p_terminal"),
+                       gamma=cdoc.get("gamma"))
+        for name, value in entries.items():
+            try:
+                np.array(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise SpecFormatError(f"{name} is not numeric: {exc}") from exc
+        cost_args = [entries.pop(f) for f in ("q", "r", "p_terminal", "gamma")]
+        model = make_model(**entries)
+        cost = make_cost(*cost_args)
     except (KeyError, TypeError) as exc:
         raise SpecFormatError(f"malformed model spec: {exc}") from exc
     return model, cost

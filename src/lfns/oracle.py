@@ -23,19 +23,11 @@ class OracleError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedMoments:
-    """Mean and covariance of the stacked analysis state (x0, x1, x1hat)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-def initial_moments(model: LfnsModel) -> AugmentedMoments:
+def initial_moments(model: LfnsModel) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the stacked analysis state (x0, x1, x1hat) at k = 0."""
     # x1hat(0) = xbar1 exactly, so its block of the covariance is zero
     xbar, sigma_x, _ = stacked_moments(model)
-    return AugmentedMoments(mean=np.concatenate([xbar, model.xbar1]),
-                            cov=np.pad(sigma_x, (0, model.n)))
+    return np.concatenate([xbar, model.xbar1]), np.pad(sigma_x, (0, model.n))
 
 
 def closed_loop_matrices(model: LfnsModel, gains) -> np.ndarray:
@@ -101,8 +93,7 @@ def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon
     """
     n = model.n
     gamma = cost.gamma if discounted else None
-    moments = initial_moments(model)
-    mu, sigma = moments.mean, moments.cov
+    mu, sigma = initial_moments(model)
     gw = _noise_cov(model)
     weight = 1.0
 
@@ -149,8 +140,7 @@ def exact_cost(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
 
 def mean_trajectory(model: LfnsModel, policy: StructuredPolicy, horizon: int) -> np.ndarray:
     """Deterministic mean recursion of the augmented state, steps 0..horizon."""
-    moments = initial_moments(model)
-    mu = moments.mean
+    mu, _ = initial_moments(model)
     out = np.zeros((horizon + 1, mu.size))
     out[0] = mu
     loop = _per_step(policy, horizon, lambda gains: closed_loop_matrices(model, gains))
@@ -307,7 +297,7 @@ def perturbation_sweep(model: LfnsModel, policy: StructuredPolicy, cost: CostSpe
     return n_lower, worst
 
 
-def kalman_oracle(model: LfnsModel, x0_seq, u0_seq, follower_gains=None) -> np.ndarray:
+def kalman_oracle(model: LfnsModel, x0_seq, u0_seq, follower_gains) -> np.ndarray:
     """Conditional-mean estimate of x1 from exact observations of x0.
 
     Runs a general joint Gaussian filter on the stacked state: predict the
@@ -319,14 +309,11 @@ def kalman_oracle(model: LfnsModel, x0_seq, u0_seq, follower_gains=None) -> np.n
 
     The realized follower control is not leader information, so it cannot
     be an input here; instead the follower's policy form enters the
-    prediction.  follower_gains is (k10, k11), or None for an uncontrolled
-    follower (u1 = 0).
+    prediction.  follower_gains is (k10, k11).
     """
     x0_seq = np.asarray(x0_seq, dtype=float)
     u0_seq = np.asarray(u0_seq, dtype=float)
     n = model.n
-    if follower_gains is None:
-        follower_gains = np.zeros((2, model.m2, n))
     k10, k11 = (np.asarray(g, dtype=float) for g in follower_gains)
 
     def condition(mean, cov, observed):

@@ -7,7 +7,9 @@ follower z (n draws), leader noise path (horizon x n), follower noise path
 (horizon x n).  A trial's random inputs therefore depend only on (s, j),
 never on how many trials run alongside it or how they are chunked.  Trials
 are processed in column-stacked chunks of fixed width; aggregation reduces
-chunks in trial order.
+chunks in trial order.  Each step applies the structured policy, then
+model.step for the plant and estimator.advance for the leader's estimate,
+the same functions a single trial's vectors go through.
 
 The streams are produced without building a SeedSequence and a Generator
 per trial: a chunk's spawn keys are hashed together in uint32 arithmetic,
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostSpec, LfnsModel
+from .estimator import advance
 from .finite_horizon import StructuredPolicy
+from .model import CostSpec, LfnsModel, step
 
 CHUNK = 1024
 
@@ -200,31 +203,23 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
 
     x0[0] = model.xbar0[:, None] + lx0 @ z0
     x1[0] = model.xbar1[:, None] + lx1 @ z1
-    x1hat[0] = np.repeat(model.xbar1[:, None], b, axis=1)
+    x1hat[0] = model.xbar1[:, None]
     truncated_at = None
     for k in range(horizon):
         k00, k01, k10, k11 = policy.at(k)
         cur0, cur1, curhat = x0[k], x1[k], x1hat[k]
         uk0 = -(k00 @ cur0 + k01 @ curhat)
         uk1 = -(k10 @ cur0 + k11 @ cur1)
-        u1hat = -(k10 @ cur0 + k11 @ curhat)
         xs = np.vstack([cur0, cur1])
         us = np.vstack([uk0, uk1])
         stage[k] = (np.einsum("ib,ib->b", xs, cost.q @ xs)
                     + np.einsum("ib,ib->b", us, cost.r @ us))
         wk0 = lw0 @ zw0[k]
         wk1 = lw1 @ zw1[k]
-        nxt0 = model.a00 @ cur0 + model.b00 @ uk0 + wk0
-        nxt1 = (model.a10 @ cur0 + model.a11 @ cur1 + model.b11 @ uk1
-                + model.b10 @ uk0 + wk1)
-        # the leader-side estimator update, inlined for the whole chunk;
-        # estimator.advance is kept as the per-trial reference the tests
-        # compare this against
-        nxthat = (model.a11 @ curhat + model.b11 @ u1hat
-                  + model.a10 @ cur0 + model.b10 @ uk0)
         u0[k], u1[k], w0[k], w1[k] = uk0, uk1, wk0, wk1
-        x0[k + 1], x1[k + 1], x1hat[k + 1] = nxt0, nxt1, nxthat
-        if not (np.all(np.isfinite(nxt0)) and np.all(np.isfinite(nxt1))):
+        x0[k + 1], x1[k + 1] = step(model, cur0, cur1, uk0, uk1, wk0, wk1)
+        x1hat[k + 1] = advance(model, curhat, cur0, uk0, k10, k11)
+        if not (np.all(np.isfinite(x0[k + 1])) and np.all(np.isfinite(x1[k + 1]))):
             truncated_at = k + 1
             break
     return BatchResult(x0=x0, x1=x1, x1hat=x1hat, u0=u0, u1=u1, w0=w0, w1=w1,
@@ -329,12 +324,6 @@ def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
                              mean_state=mean_state, mean_norm=mean_norm,
                              second_moment=second_moment,
                              truncation_bound=truncation_bound)
-
-
-def empirical_cost(batch: BatchResult, cost: CostSpec,
-                   discounted: bool = False) -> MonteCarloSummary:
-    """Aggregate a stored batch as one block of the monte_carlo reduction."""
-    return reduce([batch], cost, discounted)
 
 
 def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from lfns import auv
-from lfns.estimator import advance, init, linear_mean_control
+from lfns.estimator import advance
 from lfns.finite_horizon import backward_riccati, discounted_backward_riccati, \
     optimal_cost, stationarity_residuals
 from lfns.infinite_horizon import check_stabilizability, \
@@ -218,11 +218,10 @@ def test_criterion_05_estimator_against_kalman(capsys):
         x0_seq = rng.standard_normal((51, n))
         u0_seq = rng.standard_normal((50, n))
         ref = kalman_oracle(model, x0_seq, u0_seq, follower_gains=(k10, k11))
-        state = init(model)
-        mean_u1 = linear_mean_control(k10, k11)
+        x1hat = model.xbar1
         for k in range(50):
-            state = advance(state, model, x0_seq[k], u0_seq[k], mean_u1)
-            worst = max(worst, float(np.max(np.abs(state.x1hat - ref[k + 1]))))
+            x1hat = advance(model, x1hat, x0_seq[k], u0_seq[k], k10, k11)
+            worst = max(worst, float(np.max(np.abs(x1hat - ref[k + 1]))))
     ok = worst < 1e-9
     line = report(capsys, 5, ok,
                   f"closed-form estimate vs joint Kalman filter, 10 random "

@@ -139,6 +139,14 @@ def test_force_round_trip_identity():
         assert np.max(np.abs(tau2 - tau)) < 1e-10
 
 
+def test_force_round_trip_error_is_rounding_only():
+    # the leader-vehicle round trip verify reports: seeded, and only rounding
+    worst = auv.force_round_trip_error(seed=0)
+    assert 0.0 < worst < 1e-10
+    assert auv.force_round_trip_error(seed=0) == worst
+    assert auv.force_round_trip_error(seed=0, samples=1) <= worst
+
+
 def test_surge_drag_force_frozen_values():
     # at rest frame, constant reference and zero commanded input the thrust
     # balances drag alone; drag magnitudes come straight from the table

@@ -75,6 +75,24 @@ def test_nonfinite_spec_exits_2(tmp_path, capsys):
     assert "diverged" not in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "a00", "abc"),
+    ("model", "sigma_w0", [[0.1], [0.2, 0.3]]),
+    ("cost", "gamma", "x"),
+], ids=["string-matrix", "ragged-covariance", "string-gamma"])
+def test_malformed_spec_entry_exits_1(tmp_path, capsys, section, key, value):
+    path = write_spec(tmp_path / "spec.json")
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["solve", "--model", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"spec error: {key} is not numeric: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
 def test_csv_format_rejected_where_unsupported(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -112,6 +130,30 @@ def test_bad_usage_exits_2(tmp_path):
     # the bundled marine model carries no terminal weight
     assert run(["solve", "--model", "auv-paper", "--mode", "finite",
                 "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("keep")
+    assert run(["solve", "--model", "scalar-demo", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"output directory {tmp_path / out}: {tmp_path / 'taken'} "
+                   f"is not a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--mode", "finite"],
+     "converge sweeps the discounted recursion; it has no --mode finite"),
+    (["solve", "--horizon", "30"], "solve --mode stationary takes no --horizon"),
+    (["verify", "--mode", "stationary", "--horizon", "30"],
+     "verify --mode stationary takes no --horizon"),
+], ids=["converge-finite", "solve-stationary-horizon", "verify-stationary-horizon"])
+def test_ignored_flag_exits_2(tmp_path, capsys, argv, message):
+    assert run(argv + ["--model", "scalar-demo", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -1,12 +1,8 @@
+import dataclasses
+
 import numpy as np
 
-from lfns.estimator import (
-    EstimatorState,
-    advance,
-    error_moments,
-    init,
-    linear_mean_control,
-)
+from lfns.estimator import advance, error_moments
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.oracle import StructuredPolicy, kalman_oracle
@@ -25,41 +21,52 @@ def coupled_scalar_model():
 
 def test_init_is_prior_mean():
     model = coupled_scalar_model()
-    state = init(model)
-    assert state.k == 0
-    assert np.array_equal(state.x1hat, [0.5])
+    policy = StructuredPolicy.constant([[0.3]], [[0.1]], [[0.2]], [[0.4]])
+    batch = simulate_batch(model, policy, make_cost(q=np.eye(2), r=np.eye(2)), 3,
+                           seed=1, trials=5)
+    assert np.array_equal(batch.x1hat[0], np.full((1, 5), 0.5))
 
 
 def test_advance_hand_recursion():
     model = coupled_scalar_model()
-    state = init(model)
-    mean_u1 = linear_mean_control(k10=[[0.1]], k11=[[0.2]])
-    x0_prev = np.array([2.0])
-    u0_prev = np.array([-1.0])
-    nxt = advance(state, model, x0_prev, u0_prev, mean_u1)
+    nxt = advance(model, np.array([0.5]), np.array([2.0]), np.array([-1.0]),
+                  np.array([[0.1]]), np.array([[0.2]]))
     # u1hat = -0.1*2 - 0.2*0.5 = -0.3
     # x1hat = 0.8*0.5 + 1.0*(-0.3) + 0.3*2.0 + 0.2*(-1.0) = 0.5
-    assert nxt.k == 1
-    assert np.allclose(nxt.x1hat, [0.5], atol=1e-15)
+    assert np.allclose(nxt, [0.5], atol=1e-15)
+
+
+def test_advance_applies_conditional_mean_control():
+    # with a11 = a10 = b10 = 0 and b11 = 1 the update is u1hat itself
+    model = make_model(a00=[[1.0]], a10=[[0.0]], a11=[[0.0]],
+                       b00=[[1.0]], b10=[[0.0]], b11=[[1.0]])
+    out = advance(model, np.array([-1.0]), np.array([1.0]), np.array([7.0]),
+                  np.array([[2.0]]), np.array([[3.0]]))
+    assert np.allclose(out, [1.0], atol=1e-15)
 
 
 def test_advance_ignores_follower_private_data():
-    # the update reads only x0, u0 and the estimate itself
-    model = coupled_scalar_model()
-    state = init(model)
-    mean_u1 = linear_mean_control(k10=[[0.0]], k11=[[0.4]])
-    a = advance(state, model, [1.0], [0.3], mean_u1)
-    b = advance(state, model, [1.0], [0.3], mean_u1)
-    assert np.array_equal(a.x1hat, b.x1hat)
+    # the estimate is driven by leader data only: a wider follower prior and
+    # noisier follower moves x1 but not one bit of x0, u0 or x1hat
+    quiet = coupled_scalar_model()
+    loud = dataclasses.replace(quiet, sigma_x1=np.array([[4.0]]),
+                               sigma_w1=np.array([[2.0]]))
+    policy = StructuredPolicy.constant([[0.3]], [[0.1]], [[0.2]], [[0.4]])
+    cost = make_cost(q=np.eye(2), r=np.eye(2))
+    a = simulate_batch(quiet, policy, cost, 20, seed=4, trials=50)
+    b = simulate_batch(loud, policy, cost, 20, seed=4, trials=50)
+    assert not np.array_equal(a.x1, b.x1)
+    for name in ("x0", "u0", "x1hat"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_advance_affine_in_inputs():
     model = coupled_scalar_model()
-    mean_u1 = linear_mean_control(k10=[[0.5]], k11=[[0.3]])
+    k10, k11 = np.array([[0.5]]), np.array([[0.3]])
 
     def push(x1hat, x0_prev, u0_prev):
-        state = EstimatorState(x1hat=np.asarray(x1hat, dtype=float), k=0)
-        return advance(state, model, x0_prev, u0_prev, mean_u1).x1hat
+        return advance(model, np.array(x1hat), np.array(x0_prev), np.array(u0_prev),
+                       k10, k11)
 
     base = push([0.0], [0.0], [0.0])
     da = push([1.0], [0.0], [0.0]) - base
@@ -90,12 +97,9 @@ def test_estimate_matches_kalman_oracle_random_systems():
         x0_seq = rng.standard_normal((steps + 1, n))
         u0_seq = rng.standard_normal((steps, n))
         ref = kalman_oracle(model, x0_seq, u0_seq, follower_gains=(k10, k11))
-        state = init(model)
-        mean_u1 = linear_mean_control(k10, k11)
-        got = [state.x1hat]
+        got = [model.xbar1]
         for k in range(steps):
-            state = advance(state, model, x0_seq[k], u0_seq[k], mean_u1)
-            got.append(state.x1hat)
+            got.append(advance(model, got[-1], x0_seq[k], u0_seq[k], k10, k11))
         assert np.max(np.abs(np.asarray(got) - ref)) < 1e-9
 
 
@@ -139,9 +143,3 @@ def test_error_moments_match_sampled_errors():
         # sample variance of a Gaussian has std approx s2 * sqrt(2/(T-1))
         se = s2 * np.sqrt(2.0 / (trials - 1))
         assert abs(s2 - covs[k][0, 0]) < 3.0 * se
-
-
-def test_linear_mean_control_formula():
-    mean_u1 = linear_mean_control(k10=[[2.0]], k11=[[3.0]])
-    out = mean_u1(np.array([1.0]), np.array([-1.0]))
-    assert np.allclose(out, [1.0], atol=1e-15)

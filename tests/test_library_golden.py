@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from lfns.auv import paper_model
-from lfns.estimator import advance, init, linear_mean_control
+from lfns.estimator import advance
 from lfns.finite_horizon import backward_riccati, discounted_backward_riccati, optimal_cost
 from lfns.infinite_horizon import solve_stationary_riccati, stationary_cost
 from lfns.model import assemble_compact, make_cost
@@ -54,12 +54,9 @@ def _policy(model, cost, mode, horizon):
 
 def _estimates(model, x0_seq, u0_seq, k10, k11):
     """The leader-side estimate x1hat(0..len(u0_seq)) along the given leader data."""
-    state = init(model)
-    mean_u1 = linear_mean_control(k10, k11)
-    out = [state.x1hat]
+    out = [model.xbar1]
     for x0, u0 in zip(x0_seq, u0_seq):
-        state = advance(state, model, x0, u0, mean_u1)
-        out.append(state.x1hat)
+        out.append(advance(model, out[-1], x0, u0, k10, k11))
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lfns.estimator import advance, init, linear_mean_control
+from lfns.estimator import advance
 from lfns.finite_horizon import backward_riccati, split_gain
 from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.model import assemble_compact, make_cost, make_model, model_from_dict
@@ -48,12 +48,12 @@ def coupled_noisy_model():
 
 def test_initial_moments_layout():
     model = coupled_noisy_model()
-    mom = initial_moments(model)
-    assert np.array_equal(mom.mean, [1.0, 0.5, 0.5])
+    mean, cov = initial_moments(model)
+    assert np.array_equal(mean, [1.0, 0.5, 0.5])
     # the estimate starts at the prior mean with zero spread
-    assert mom.cov[0, 0] == 0.25
-    assert mom.cov[1, 1] == 0.16
-    assert mom.cov[2, 2] == 0.0
+    assert cov[0, 0] == 0.25
+    assert cov[1, 1] == 0.16
+    assert cov[2, 2] == 0.0
 
 
 def test_closed_loop_matrices_zero_gain_is_plant():
@@ -185,11 +185,10 @@ def test_kalman_oracle_agrees_with_recursion():
         x0_seq = rng.standard_normal((steps + 1, n))
         u0_seq = rng.standard_normal((steps, n))
         ref = kalman_oracle(model, x0_seq, u0_seq, follower_gains=(k10, k11))
-        state = init(model)
-        mean_u1 = linear_mean_control(k10, k11)
+        x1hat = model.xbar1
         for k in range(steps):
-            state = advance(state, model, x0_seq[k], u0_seq[k], mean_u1)
-            assert np.max(np.abs(state.x1hat - ref[k + 1])) < 1e-9
+            x1hat = advance(model, x1hat, x0_seq[k], u0_seq[k], k10, k11)
+            assert np.max(np.abs(x1hat - ref[k + 1])) < 1e-9
 
 
 def test_kalman_oracle_exact_when_follower_deterministic():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfns.estimator import advance, init, linear_mean_control
+from lfns.estimator import advance
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.finite_horizon import backward_riccati
 from lfns.infinite_horizon import solve_stationary_riccati
@@ -13,10 +13,10 @@ from lfns.simulation import (
     _draw_chunk,
     _simulate_chunk,
     chunks,
-    empirical_cost,
     monte_carlo,
     mss_diagnostics,
     psd_factor,
+    reduce,
     simulate,
     simulate_batch,
 )
@@ -133,11 +133,11 @@ def test_trials_invariant_to_batch_size():
                               getattr(straddle, name))
 
 
-def test_empirical_cost_equals_streaming_summary():
+def test_stored_batch_reduces_to_streaming_summary():
     model = coupled_noisy_model()
     policy, cost = stationary_policy(model)
     batch = simulate_batch(model, policy, cost, 20, seed=6, trials=3000)
-    summary = empirical_cost(batch, cost, discounted=True)
+    summary = reduce([batch], cost, discounted=True)
     stream = monte_carlo(model, policy, cost, 20, seed=6, trials=3000,
                          discounted=True)
     assert summary.mean_cost == pytest.approx(stream.mean_cost, rel=1e-12)
@@ -160,7 +160,7 @@ def test_discounted_aggregation_hand_weights():
     model = coupled_noisy_model()
     policy, cost = stationary_policy(model, gamma=0.5)
     batch = simulate_batch(model, policy, cost, 3, seed=21, trials=16)
-    summary = empirical_cost(batch, cost, discounted=True)
+    summary = reduce([batch], cost, discounted=True)
     weights = np.array([1.0, 0.5, 0.25])
     manual = (weights[:, None] * batch.stage_cost).sum(axis=0).mean()
     assert summary.mean_cost == pytest.approx(manual, rel=1e-12)
@@ -172,7 +172,7 @@ def test_undiscounted_aggregation_applies_terminal():
     sol = backward_riccati(assemble_compact(model), cost, 3)
     policy = StructuredPolicy.from_finite_horizon(sol, model)
     batch = simulate_batch(model, policy, cost, 4, seed=22, trials=16)
-    summary = empirical_cost(batch, cost, discounted=False)
+    summary = reduce([batch], cost, discounted=False)
     terminal = (2.0 * batch.x0[4, 0] ** 2 + 3.0 * batch.x1[4, 0] ** 2)
     manual = (batch.stage_cost.sum(axis=0) + terminal).mean()
     assert summary.mean_cost == pytest.approx(manual, rel=1e-12)
@@ -188,7 +188,7 @@ def test_truncation_flag_and_rejection():
         batch = simulate_batch(model, policy, cost, 30, seed=0, trials=4)
         assert batch.truncated_at is not None
         with pytest.raises(ValueError):
-            empirical_cost(batch, cost)
+            reduce([batch], cost, discounted=False)
         with pytest.raises(ValueError):
             monte_carlo(model, policy, cost, 30, seed=0, trials=4)
 
@@ -266,8 +266,8 @@ def test_information_pattern_recoverable_from_trace():
         assert np.array_equal(u0, trace.u0[k])
         assert np.array_equal(u1, trace.u1[k])
     # estimator replayed offline from leader-visible data only
-    state = init(model)
-    mean_u1 = linear_mean_control(k10, k11)
+    x1hat = trace.x1hat[0]
+    assert np.array_equal(x1hat, model.xbar1)
     for k in range(1, 16):
-        state = advance(state, model, trace.x0[k - 1], trace.u0[k - 1], mean_u1)
-        assert np.max(np.abs(state.x1hat - trace.x1hat[k])) < 1e-12
+        x1hat = advance(model, x1hat, trace.x0[k - 1], trace.u0[k - 1], k10, k11)
+        assert np.max(np.abs(x1hat - trace.x1hat[k])) < 1e-12
