@@ -187,15 +187,15 @@ def nonlinear_step(params: AuvParams, eta, nu, tau, t: float):
     return eta_next, nu_next
 
 
-def force_round_trip_error(seed: int, samples: int = 100) -> float:
+def force_round_trip_error(seed: int) -> float:
     """Largest entry of |error_model_control(force_reconstruction(u_z)) - u_z|
-    on the leader vehicle, over samples random velocities, headings, steps
-    and commands u_z drawn from seed."""
+    on the leader vehicle, over 100 random velocities, headings, steps and
+    commands u_z drawn from seed."""
     lp = leader_params()
     traj = leader_reference()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         nu = rng.normal(size=3)
         rot = rotation(rng.normal())
         rot_prev = rotation(rng.normal())

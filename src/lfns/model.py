@@ -44,15 +44,22 @@ def is_pd(m: np.ndarray) -> bool:
     return eigmin(m) >= PD_TOL
 
 
+def _numeric(value, name: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(f"{name} is not numeric: {exc}") from exc
+
+
 def _matrix(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+    arr = _numeric(value, name)
     if arr.ndim != 2:
         raise SpecFormatError(f"{name} must be a matrix, got shape {arr.shape}")
     return arr
 
 
 def _vector(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+    arr = _numeric(value, name)
     if arr.ndim != 1:
         raise SpecFormatError(f"{name} must be a vector, got shape {arr.shape}")
     return arr
@@ -158,7 +165,10 @@ def make_cost(q, r, p_terminal=None, gamma=None) -> CostSpec:
     if p_terminal is not None:
         p_terminal = symmetrize(_matrix(p_terminal, "p_terminal"))
     if gamma is not None:
-        gamma = float(gamma)
+        try:
+            gamma = float(gamma)
+        except (TypeError, ValueError) as exc:
+            raise SpecFormatError(f"gamma is not numeric: {exc}") from exc
     return CostSpec(q=q, r=r, p_terminal=p_terminal, gamma=gamma)
 
 
@@ -277,18 +287,10 @@ def model_to_dict(model: LfnsModel, cost: CostSpec) -> dict:
 
 def model_from_dict(doc: dict) -> tuple[LfnsModel, CostSpec]:
     try:
-        entries = {f: doc["model"][f] for f in _MODEL_FIELDS}
+        mdoc = doc["model"]
         cdoc = doc["cost"]
-        entries.update(q=cdoc["q"], r=cdoc["r"], p_terminal=cdoc.get("p_terminal"),
-                       gamma=cdoc.get("gamma"))
-        for name, value in entries.items():
-            try:
-                np.array(value, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise SpecFormatError(f"{name} is not numeric: {exc}") from exc
-        cost_args = [entries.pop(f) for f in ("q", "r", "p_terminal", "gamma")]
-        model = make_model(**entries)
-        cost = make_cost(*cost_args)
+        model = make_model(**{f: mdoc[f] for f in _MODEL_FIELDS})
+        cost = make_cost(cdoc["q"], cdoc["r"], cdoc.get("p_terminal"), cdoc.get("gamma"))
     except (KeyError, TypeError) as exc:
         raise SpecFormatError(f"malformed model spec: {exc}") from exc
     return model, cost

@@ -144,7 +144,6 @@ def test_force_round_trip_error_is_rounding_only():
     worst = auv.force_round_trip_error(seed=0)
     assert 0.0 < worst < 1e-10
     assert auv.force_round_trip_error(seed=0) == worst
-    assert auv.force_round_trip_error(seed=0, samples=1) <= worst
 
 
 def test_surge_drag_force_frozen_values():
