@@ -2,8 +2,9 @@
 
 One sha256 per library output: the Monte Carlo engine's arrays and
 summaries, the leader-side estimator along criterion 5's inputs, the exact
-cost and both of its gradients, the two Riccati recursions and the
-stationary solve.  A digest covers the dtype, shape and bytes of every
+cost and both of its gradients, every step of the exact moment recursion,
+the two Riccati recursions, the stationary solve and its stabilizability
+verdict.  A digest covers the dtype, shape and bytes of every
 array and scalar the output holds, so any change of a single bit shows.
 The digests were recorded with the numpy version stored in the fixture, and
 floating-point results may legitimately differ under another one.
@@ -22,7 +23,9 @@ import pytest
 from lfns.auv import paper_model
 from lfns.estimator import advance
 from lfns.finite_horizon import backward_riccati, discounted_backward_riccati, optimal_cost
-from lfns.infinite_horizon import solve_stationary_riccati, stationary_cost
+from lfns import oracle
+from lfns.infinite_horizon import (check_stabilizability, solve_stationary_riccati,
+                                   stationary_cost)
 from lfns.model import assemble_compact, make_cost
 from lfns.oracle import (StructuredPolicy, exact_cost, gain_gradient, kalman_oracle,
                          policy_gradient)
@@ -124,6 +127,22 @@ def _stationary(name):
             stationary_cost(sol, model)]
 
 
+def _verdict(name):
+    model, cost = _model(name)
+    compact = assemble_compact(model)
+    verdict = check_stabilizability(solve_stationary_riccati(compact, cost), cost, compact)
+    return [verdict.spectral_radius, verdict.positive_definite.margin,
+            verdict.inequality_holds.margin, verdict.stabilizable, verdict.detail]
+
+
+def _moments(name, mode, horizon):
+    """Every item of the exact moment recursion: (weight, cu, M, F, mu, Sigma) per step."""
+    model, cost = _model(name)
+    steps = oracle._forward(model, _policy(model, cost, mode, horizon), cost, horizon,
+                            discounted=mode == "stationary")
+    return [item for step in steps for item in step]
+
+
 CASES = {
     **{f"simulate_batch {name} {mode}": (lambda name=name, mode=mode: _batch(name, mode))
        for name in MODELS for mode in ("stationary", "finite")},
@@ -142,6 +161,11 @@ CASES = {
     "riccati recursions auv-paper": lambda: _recursions("auv-paper"),
     "stationary solve random-n3": lambda: _stationary("random-n3"),
     "stationary solve auv-paper": lambda: _stationary("auv-paper"),
+    "stabilizability verdict auv-paper": lambda: _verdict("auv-paper"),
+    "stabilizability verdict random-n3": lambda: _verdict("random-n3"),
+    **{f"moment recursion {name} {mode}":
+       (lambda name=name, mode=mode, h=h: _moments(name, mode, h))
+       for name in ("auv-paper", "random-n2") for mode, h in (("stationary", 40), ("finite", 15))},
 }
 
 
