@@ -394,6 +394,8 @@ def _usage_error(args) -> str | None:
     stationary = args.mode == "stationary"
     if args.trials < 1 or (args.horizon is not None and args.horizon < 0):
         return "trials must be >= 1 and horizon >= 0"
+    if args.trials > 2 ** 32:
+        return "trials must be <= 2**32, one 32-bit spawn-key word per trial"
     if args.seed < 0:
         return "seed must be >= 0"
     if args.command == "simulate" and stationary and args.horizon == 0:
@@ -402,6 +404,8 @@ def _usage_error(args) -> str | None:
         return "converge sweeps the discounted recursion; it has no --mode finite"
     if args.command in ("solve", "verify") and stationary and args.horizon is not None:
         return f"{args.command} --mode stationary takes no --horizon"
+    if not stationary and args.gamma is not None:
+        return f"{args.command} --mode finite takes no --gamma"
     out = _out_path(args)
     for path in (out, *out.parents):
         if path.exists() and not path.is_dir():

@@ -1,8 +1,9 @@
 """Finite-horizon decentralized LQ synthesis.
 
 The gamma-discounted Riccati step for the aggregated system and the backward
-recursion built on it, the decentralized policy (one stacked gain array,
-read in blocks by split_gain), the analytic optimal cost, and the per-step stationarity identities used as
+recursion built on it, the decentralized policy (one stacked gain array, read
+in blocks by split_gain) and its closed loop with the leader's estimator, the
+analytic optimal cost, and the per-step stationarity identities used as
 verification checks.  The undiscounted recursion starts from the terminal
 weight with gamma = 1; the discounted one starts from zero, and its iterates
 are the value-iteration sequence of the stationary problem, which iterates
@@ -82,10 +83,58 @@ class CostateCheck:
         return float(self.tilde_residuals.max()) if self.tilde_residuals.size else 0.0
 
 
+GAIN_BLOCKS = ("k00", "k01", "k10", "k11")
+
+# The structured policy's information pattern, written only here: for each
+# gain block, its control and the block of z = (x0, x1, x1hat) it reads in
+# the applied controls and in the conditional-mean controls (u0, u1hat) that
+# advance the leader's estimator.  Listed by the block read, the order in
+# which closed_loop subtracts their terms.
+READS = {"k00": ("u0", "x0", "x0"), "k10": ("u1", "x0", "x0"),
+         "k11": ("u1", "x1", "x1hat"), "k01": ("u0", "x1hat", "x1hat")}
+
+
 def split_gain(k: np.ndarray, n: int, m1: int) -> tuple[np.ndarray, ...]:
     """Views (k00, k01, k10, k11) of the four blocks of a stacked (m1+m2) x 2n
-    gain: u0 = -k00 x0 - k01 x1hat and u1 = -k10 x0 - k11 x1."""
-    return k[:m1, :n], k[:m1, n:], k[m1:, :n], k[m1:, n:]
+    gain, or of each gain in a stack of them: u0 = -k00 x0 - k01 x1hat and
+    u1 = -k10 x0 - k11 x1."""
+    return k[..., :m1, :n], k[..., :m1, n:], k[..., m1:, :n], k[..., m1:, n:]
+
+
+def block_slices(n: int, m1: int) -> dict[str, slice]:
+    """Where the blocks x0, x1, x1hat sit in z and u0, u1 sit in u."""
+    return {"x0": slice(0, n), "x1": slice(n, 2 * n), "x1hat": slice(2 * n, 3 * n),
+            "u0": slice(0, m1), "u1": slice(m1, None)}
+
+
+def closed_loop(compact: CompactModel, gains) -> tuple[np.ndarray, np.ndarray]:
+    """(cu, F) of the loop on z = (x0, x1, x1hat) under gains (k00, k01, k10, k11):
+    u = cu z, and z moves to F z plus the plant noise.  Rows x0 and x1 of F
+    are the plant under the applied controls; the estimator's row x1hat moves
+    by the follower's rows of (a, b) under the conditional-mean controls, with
+    x1hat in place of x1.  A block of F is its block of a less its b k terms.
+    """
+    n = compact.n
+    at = block_slices(n, compact.m1)
+    a, b = compact.a, compact.b
+    x0, x1 = at["x0"], at["x1"]
+    moved_by = {"x0": x0, "x1": x1, "x1hat": x1}
+    f = {("x0", "x0"): a[x0, x0], ("x1", "x0"): a[x1, x0], ("x1", "x1"): a[x1, x1],
+         ("x1hat", "x0"): a[x1, x0], ("x1hat", "x1hat"): a[x1, x1]}
+    gain = dict(zip(GAIN_BLOCKS, gains))
+    cu = np.zeros((b.shape[1], 3 * n))
+    for name, (control, applied, mean) in READS.items():
+        k = gain[name]
+        cu[at[control], at[applied]] = -k
+        for row, col in (("x0", applied), ("x1", applied), ("x1hat", mean)):
+            if row == "x0" and control == "u1":
+                continue  # u1 never drives the leader: a structural zero of b
+            term = b[moved_by[row], at[control]]
+            f[row, col] = f[row, col] - term @ k if (row, col) in f else -term @ k
+    out = np.zeros((3 * n, 3 * n))
+    for (row, col), block in f.items():
+        out[at[row], at[col]] = block
+    return cu, out
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_horizon import riccati_step
+from .finite_horizon import closed_loop, riccati_step, split_gain
 from .model import (PD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, stacked_moments,
                     symmetrize)
 
@@ -130,12 +130,13 @@ def closed_loop_radii(solution: StationarySolution,
                       compact: CompactModel) -> tuple[float, float]:
     """Spectral radii (rho(A - BH), rho(A11 - B11 H11)) of the two diagonal
     blocks of the decentralized closed loop: the conditional-mean part and
-    the follower's estimation error.  Their maximum is the radius of the
-    whole loop on (x0, x1, x1hat)."""
-    n, m1, h = compact.n, compact.m1, solution.h
+    the follower's estimation error, which moves by the (x1, x1) block of
+    closed_loop's map.  Their maximum is the radius of the whole loop on
+    (x0, x1, x1hat)."""
+    n, h = compact.n, solution.h
     rho_mean = float(np.max(np.abs(np.linalg.eigvals(compact.a - compact.b @ h))))
-    err = compact.a[n:, n:] - compact.b[n:, m1:] @ h[m1:, n:]
-    rho_err = float(np.max(np.abs(np.linalg.eigvals(err))))
+    _, f = closed_loop(compact, split_gain(h, n, compact.m1))
+    rho_err = float(np.max(np.abs(np.linalg.eigvals(f[n:2 * n, n:2 * n]))))
     return rho_mean, rho_err
 
 

@@ -15,70 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_horizon import StructuredPolicy, split_gain
+from .finite_horizon import (GAIN_BLOCKS, READS, StructuredPolicy, block_slices, closed_loop,
+                             split_gain)
 from .model import CostSpec, LfnsModel, assemble_compact, stacked_moments
 
 
 class OracleError(RuntimeError):
     pass
-
-
-def initial_moments(model: LfnsModel) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the stacked analysis state (x0, x1, x1hat) at k = 0."""
-    # x1hat(0) = xbar1 exactly, so its block of the covariance is zero
-    xbar, sigma_x, _ = stacked_moments(model)
-    return np.concatenate([xbar, model.xbar1]), np.pad(sigma_x, (0, model.n))
-
-
-def closed_loop_matrices(model: LfnsModel, gains) -> np.ndarray:
-    """Affine map of (x0, x1, x1hat) one step forward under the structured policy
-    with blocks gains = (k00, k01, k10, k11) and the leader-side estimator in
-    the loop."""
-    n = model.n
-    k00, k01, k10, k11 = gains
-    f = np.zeros((3 * n, 3 * n))
-    lead = model.a00 - model.b00 @ k00
-    f[:n, :n] = lead
-    f[:n, 2 * n:] = -model.b00 @ k01
-    f[n:2 * n, :n] = model.a10 - model.b10 @ k00 - model.b11 @ k10
-    f[n:2 * n, n:2 * n] = model.a11 - model.b11 @ k11
-    f[n:2 * n, 2 * n:] = -model.b10 @ k01
-    f[2 * n:, :n] = model.a10 - model.b10 @ k00 - model.b11 @ k10
-    f[2 * n:, 2 * n:] = model.a11 - model.b11 @ k11 - model.b10 @ k01
-    return f
-
-
-def _control_map(model: LfnsModel, gains) -> np.ndarray:
-    """u = cu z: u0 reads (x0, x1hat) and u1 reads (x0, x1) of z = (x0, x1, x1hat)."""
-    n, m1, m2 = model.n, model.m1, model.m2
-    k00, k01, k10, k11 = gains
-    cu = np.zeros((m1 + m2, 3 * n))
-    cu[:m1, :n] = -k00
-    cu[:m1, 2 * n:] = -k01
-    cu[m1:, :n] = -k10
-    cu[m1:, n:2 * n] = -k11
-    return cu
-
-
-def _stage_matrix(model: LfnsModel, cu: np.ndarray, cost: CostSpec) -> np.ndarray:
-    cx = np.eye(2 * model.n, 3 * model.n)  # picks (x0, x1) out of (x0, x1, x1hat)
-    return cx.T @ cost.q @ cx + cu.T @ cost.r @ cu
-
-
-def _noise_cov(model: LfnsModel) -> np.ndarray:
-    # the estimator is driven by leader data only, so x1hat gets no noise
-    return np.pad(stacked_moments(model)[2], (0, model.n))
-
-
-def _per_step(policy: StructuredPolicy, horizon: int, build):
-    """build(gains) for each step 0..horizon-1.
-
-    A constant policy is built once and the result repeated at every step;
-    a per-step policy is built as each step is reached.
-    """
-    if policy.is_constant:
-        return itertools.repeat(build(policy.at(0)), horizon)
-    return (build(policy.at(k)) for k in range(horizon))
 
 
 def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
@@ -91,27 +34,34 @@ def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon
     (1.0, None, M_T, None, mu, Sigma) at step horizon, with M_T the terminal
     stage matrix, or None when no terminal term applies.
     """
-    n = model.n
-    gamma = cost.gamma if discounted else None
-    mu, sigma = initial_moments(model)
-    gw = _noise_cov(model)
+    xbar, sigma_x, _ = stacked_moments(model)
+    # x1hat(0) = xbar1 exactly, so its block of the covariance is zero
+    mu, sigma = np.concatenate([xbar, model.xbar1]), np.pad(sigma_x, (0, model.n))
+    compact = assemble_compact(model)
+    cx = np.eye(2 * model.n, 3 * model.n)  # picks (x0, x1) out of (x0, x1, x1hat)
+    # the estimator is driven by leader data only, so x1hat gets no noise
+    gw = np.pad(compact.sigma_w, (0, model.n))
     weight = 1.0
 
     def build(gains):
-        cu = _control_map(model, gains)
-        return cu, _stage_matrix(model, cu, cost), closed_loop_matrices(model, gains)
+        cu, f = closed_loop(compact, gains)
+        return cu, cx.T @ cost.q @ cx + cu.T @ cost.r @ cu, f
 
-    for k, (cu, m, f) in enumerate(_per_step(policy, horizon, build)):
+    # a constant policy is built once, a per-step one as each step is reached
+    if policy.is_constant:
+        built = itertools.repeat(build(policy.at(0)), horizon)
+    else:
+        built = (build(policy.at(k)) for k in range(horizon))
+    for k, (cu, m, f) in enumerate(built):
         yield weight, cu, m, f, mu, sigma
         mu = f @ mu
         sigma = f @ sigma @ f.T + gw
         if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise OracleError(f"closed-loop moments non-finite at step {k + 1}")
         if discounted:
-            weight *= gamma
+            weight *= cost.gamma
     m_t = None
     if not discounted and cost.p_terminal is not None:
-        cx = np.eye(2 * n, 3 * n)
         m_t = cx.T @ cost.p_terminal @ cx
     yield 1.0, None, m_t, None, mu, sigma
 
@@ -136,18 +86,6 @@ def exact_cost(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     terminal term; the caller picks the truncation horizon.
     """
     return _total(_forward(model, policy, cost, horizon, discounted))
-
-
-def mean_trajectory(model: LfnsModel, policy: StructuredPolicy, horizon: int) -> np.ndarray:
-    """Deterministic mean recursion of the augmented state, steps 0..horizon."""
-    mu, _ = initial_moments(model)
-    out = np.zeros((horizon + 1, mu.size))
-    out[0] = mu
-    loop = _per_step(policy, horizon, lambda gains: closed_loop_matrices(model, gains))
-    for k, f in enumerate(loop):
-        mu = f @ mu
-        out[k + 1] = mu
-    return out
 
 
 def _perturbable(policy: StructuredPolicy, horizon: int) -> StructuredPolicy:
@@ -183,7 +121,7 @@ def _gradient_report(j0: float, gains: np.ndarray, gradient: np.ndarray, n: int,
     argmax = (0, "k00", 0, 0)
     argmax_val = 0.0
     for s, (step, grad_step) in enumerate(zip(_steps(gains), _steps(gradient))):
-        for name, base, g in zip(("k00", "k01", "k10", "k11"), split_gain(step, n, m1),
+        for name, base, g in zip(GAIN_BLOCKS, split_gain(step, n, m1),
                                  split_gain(grad_step, n, m1)):
             for i, j in np.ndindex(base.shape):
                 rel = abs(g[i, j]) * (1.0 + abs(base[i, j])) / (1.0 + abs(j0))
@@ -232,11 +170,11 @@ def policy_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     backward pass builds the cost-to-go matrices V_h = M_T (zero without a
     terminal term) and V_k = w_k M_k + F_k' V_{k+1} F_k, so that the part of
     the cost that depends on step k's gain is w_k tr(M_k S_k) +
-    tr(V_{k+1} F_k S_k F_k').  Its derivative in the gain K goes through the
-    fixed selectors of the structured policy: u0 reads (x0, x1hat), u1 reads
-    (x0, x1) in the plant rows of F and M, and the estimator row applies the
-    conditional-mean controls, which read (x0, x1hat).  This is the policy
-    gradient of Fazel, Ge, Kakade & Mesbahi (ICML 2018) on the augmented loop.
+    tr(V_{k+1} F_k S_k F_k').  Its derivative in a gain block goes through
+    the columns of z that READS says the block reads: in the applied controls
+    of the plant rows of F and of M, and in the conditional-mean controls of
+    the estimator row.  This is the policy gradient of Fazel, Ge, Kakade &
+    Mesbahi (ICML 2018) on the augmented loop.
 
     gradient, max_relative and argmax mean what they mean in gain_gradient: a
     constant policy's gradient is summed over the steps, a per-step policy's
@@ -246,13 +184,12 @@ def policy_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     n, m1 = model.n, model.m1
     m = m1 + model.m2
     b = assemble_compact(model).b  # (x0, x1) rows; b[n:] also drives x1hat
-    x0_x1hat = np.r_[0:n, 2 * n:3 * n]
     steps = list(_forward(model, policy, cost, horizon, discounted))
     j0 = _total(steps)
 
     # per_step[k] is half the derivative of the cost in step k's control map
     # cu (rows :m) and in the estimator's conditional-mean control map (rows
-    # m:); the gain enters both with a minus sign through the selectors
+    # m:); each gain block enters both with a minus sign, at its READS columns
     m_t = steps[-1][2]
     v = np.zeros((3 * n, 3 * n)) if m_t is None else m_t
     per_step = np.zeros((horizon, 2 * m, 3 * n))
@@ -264,9 +201,13 @@ def policy_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
         v = weight * m_k + f.T @ vf
     y = per_step.sum(axis=0) if policy.is_constant else per_step
     plant, estimator = y[..., :m, :], y[..., m:, :]
-    grad = -2.0 * (np.concatenate([plant[..., :m1, x0_x1hat], plant[..., m1:, :2 * n]], axis=-2)
-                   + estimator[..., x0_x1hat])
     gains = policy.gains if policy.is_constant else policy.gains[:horizon]
+    grad = np.empty_like(gains)
+    at = block_slices(n, m1)
+    for name, out in zip(GAIN_BLOCKS, split_gain(grad, n, m1)):
+        control, applied, mean = READS[name]
+        out[...] = -2.0 * (plant[..., at[control], at[applied]]
+                           + estimator[..., at[control], at[mean]])
     return _gradient_report(j0, gains, grad, n, m1)
 
 

@@ -233,6 +233,8 @@ def chunks(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     each simulated when it is reached."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 to simulate, got {horizon}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1 to simulate, got {trials}")
     if trials > 2 ** 32:
         raise ValueError(f"trial indices are one 32-bit spawn-key word; {trials} trials exceed 2**32")
     return (_simulate_chunk(model, policy, cost, horizon, seed, lo, min(lo + CHUNK, trials))

@@ -149,10 +149,24 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, out):
     (["solve", "--horizon", "30"], "solve --mode stationary takes no --horizon"),
     (["verify", "--mode", "stationary", "--horizon", "30"],
      "verify --mode stationary takes no --horizon"),
-], ids=["converge-finite", "solve-stationary-horizon", "verify-stationary-horizon"])
+    (["solve", "--mode", "finite", "--horizon", "9", "--gamma", "0.5"],
+     "solve --mode finite takes no --gamma"),
+    (["simulate", "--mode", "finite", "--gamma", "0.5"], "simulate --mode finite takes no --gamma"),
+    (["verify", "--mode", "finite", "--gamma", "0.5"], "verify --mode finite takes no --gamma"),
+], ids=["converge-finite", "solve-stationary-horizon", "verify-stationary-horizon",
+        "solve-finite-gamma", "simulate-finite-gamma", "verify-finite-gamma"])
 def test_ignored_flag_exits_2(tmp_path, capsys, argv, message):
     assert run(argv + ["--model", "scalar-demo", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_trials_beyond_spawn_keys_exit_2(tmp_path, capsys, command):
+    assert run([command, "--model", "scalar-demo", "--mode", "finite", "--horizon", "3",
+                "--trials", str(2 ** 32 + 1), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "trials must be <= 2**32, one 32-bit spawn-key word per trial"]
     assert list(tmp_path.iterdir()) == []
 
 

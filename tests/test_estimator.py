@@ -2,11 +2,20 @@ import dataclasses
 
 import numpy as np
 
-from lfns.estimator import advance, error_moments
+from lfns.estimator import advance
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.infinite_horizon import solve_stationary_riccati
-from lfns.oracle import StructuredPolicy, kalman_oracle
+from lfns.oracle import StructuredPolicy, _forward, kalman_oracle
 from lfns.simulation import simulate_batch
+
+
+def error_covariances(model, policy, horizon):
+    """Covariances of the estimation error x1 - x1hat at k = 0..horizon, read
+    off the exact moment recursion as E Sigma E' with E = [0, I, -I]."""
+    n = model.n
+    e = np.hstack([np.zeros((n, n)), np.eye(n), -np.eye(n)])
+    cost = make_cost(q=np.eye(2 * n), r=np.eye(model.m1 + model.m2))
+    return [e @ step[5] @ e.T for step in _forward(model, policy, cost, horizon, False)]
 
 
 def coupled_scalar_model():
@@ -111,14 +120,17 @@ def test_error_moments_zero_without_uncertainty():
         xbar0=[1.0], xbar1=[0.5],
         sigma_x0=[[0.25]], sigma_x1=[[0.0]],
     )
-    covs = error_moments(model, [[0.3]], horizon=10)
+    policy = StructuredPolicy.constant([[0.5]], [[0.2]], [[0.1]], [[0.3]])
+    covs = error_covariances(model, policy, 10)
     assert len(covs) == 11
     assert all(np.allclose(c, 0.0, atol=1e-15) for c in covs)
 
 
 def test_error_moments_hand_recursion():
     model = coupled_scalar_model()
-    covs = error_moments(model, [[0.25]], horizon=2)
+    # the error moves by a11 - b11 k11 whatever the other gain blocks are
+    policy = StructuredPolicy.constant([[0.5]], [[0.2]], [[0.1]], [[0.25]])
+    covs = error_covariances(model, policy, 2)
     f = 0.8 - 1.0 * 0.25
     c0 = 0.16
     c1 = f * c0 * f + 0.09
@@ -135,7 +147,7 @@ def test_error_moments_match_sampled_errors():
     policy = StructuredPolicy.from_stationary(sol)
     horizon, trials = 20, 100000
     batch = simulate_batch(model, policy, cost, horizon, seed=5, trials=trials)
-    covs = error_moments(model, policy.at(0)[3], horizon)
+    covs = error_covariances(model, policy, horizon)
     err = batch.x1 - batch.x1hat
     for k in (1, 5, 10, 20):
         sample = err[k, 0]

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
-from lfns.estimator import error_moments
-from lfns.finite_horizon import discounted_backward_riccati, split_gain
+from lfns.finite_horizon import closed_loop, discounted_backward_riccati, split_gain
 from lfns.infinite_horizon import (
     FIXED_POINT_TOL,
     RiccatiDivergence,
@@ -14,7 +13,8 @@ from lfns.infinite_horizon import (
     stationary_cost,
 )
 from lfns.model import assemble_compact, make_cost, make_model
-from lfns.oracle import StructuredPolicy, closed_loop_matrices, exact_cost
+from lfns.oracle import StructuredPolicy, exact_cost
+from test_estimator import error_covariances
 
 
 def decoupled_unit_model():
@@ -189,9 +189,10 @@ def test_verdict_counts_divergent_estimation_error():
     assert np.max(np.abs(np.linalg.eigvals(comp.a - comp.b @ sol.h))) < 1.0
     assert verdict.inequality_holds.value is True
     assert verdict.stabilizable is False
-    gains = split_gain(sol.h, model.n, model.m1)
-    augmented = np.max(np.abs(np.linalg.eigvals(closed_loop_matrices(model, gains))))
+    _, f = closed_loop(comp, split_gain(sol.h, model.n, model.m1))
+    augmented = np.max(np.abs(np.linalg.eigvals(f)))
     assert verdict.spectral_radius == pytest.approx(augmented, abs=1e-12)
     assert verdict.spectral_radius == pytest.approx(1.1998, abs=1e-4)
-    assert error_moments(model, gains[3], 60)[-1][0, 0] > 1e8
+    policy = StructuredPolicy.from_stationary(sol)
+    assert error_covariances(model, policy, 60)[-1][0, 0] > 1e8
     assert "estimation error" in verdict.detail

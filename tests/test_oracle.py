@@ -7,23 +7,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lfns.estimator import advance
-from lfns.finite_horizon import backward_riccati, split_gain
+from lfns.finite_horizon import backward_riccati, closed_loop, split_gain
 from lfns.infinite_horizon import solve_stationary_riccati
-from lfns.model import assemble_compact, make_cost, make_model, model_from_dict
+from lfns.model import assemble_compact, make_cost, make_model, model_from_dict, step
 from lfns.oracle import (
     OracleError,
     StructuredPolicy,
-    closed_loop_matrices,
+    _forward,
     exact_cost,
     gain_gradient,
-    initial_moments,
     kalman_oracle,
-    mean_trajectory,
     perturbation_sweep,
     policy_gradient,
 )
-from lfns.simulation import simulate
+from lfns.simulation import simulate, simulate_batch
 from test_acceptance import random_pair
+
+
+def forward_means(model, policy, cost, horizon, discounted=False):
+    """Means of (x0, x1, x1hat) at steps 0..horizon, off the exact moment recursion."""
+    return np.array([step[4] for step in _forward(model, policy, cost, horizon, discounted)])
 
 
 def decoupled_unit_model():
@@ -48,7 +51,9 @@ def coupled_noisy_model():
 
 def test_initial_moments_layout():
     model = coupled_noisy_model()
-    mean, cov = initial_moments(model)
+    policy = StructuredPolicy.constant([[0.0]], [[0.0]], [[0.0]], [[0.0]])
+    *_, mean, cov = next(_forward(model, policy, make_cost(q=np.eye(2), r=np.eye(2)), 0,
+                                  False))
     assert np.array_equal(mean, [1.0, 0.5, 0.5])
     # the estimate starts at the prior mean with zero spread
     assert cov[0, 0] == 0.25
@@ -59,7 +64,8 @@ def test_initial_moments_layout():
 def test_closed_loop_matrices_zero_gain_is_plant():
     model = coupled_noisy_model()
     policy = StructuredPolicy.constant([[0.0]], [[0.0]], [[0.0]], [[0.0]])
-    f = closed_loop_matrices(model, policy.at(0))
+    cu, f = closed_loop(assemble_compact(model), policy.at(0))
+    assert not cu.any()
     assert f[0, 0] == 0.9
     assert f[1, 0] == 0.3
     assert f[1, 1] == 0.8
@@ -67,6 +73,29 @@ def test_closed_loop_matrices_zero_gain_is_plant():
     assert f[2, 2] == 0.8
     # true follower state never feeds the estimate
     assert f[2, 1] == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_loop_matches_engine_step(n, seed):
+    # z is the engine's state at step 0: x0 and x1 are drawn from their
+    # priors and x1hat starts at the prior mean, so x1 and x1hat differ
+    rng = np.random.default_rng(seed)
+    model, cost = random_pair(rng, n=n)
+    policy = StructuredPolicy(rng.standard_normal((2 * n, 2 * n)), n, n)
+    batch = simulate_batch(model, policy, cost, 1, seed=seed, trials=8)
+    x0, x1, x1hat, u0, u1 = batch.x0[0], batch.x1[0], batch.x1hat[0], batch.u0[0], batch.u1[0]
+    cu, f = closed_loop(assemble_compact(model), policy.at(0))
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    z = np.vstack([x0, x1, x1hat])
+    assert close(cu @ z, np.vstack([u0, u1]))
+    zero = np.zeros_like(x0)
+    _, _, k10, k11 = policy.at(0)
+    assert close(f @ z, np.vstack([*step(model, x0, x1, u0, u1, zero, zero),
+                                   advance(model, x1hat, x0, u0, k10, k11)]))
 
 
 def test_exact_cost_terminal_only():
@@ -97,7 +126,7 @@ def test_mean_trajectory_matches_noise_free_simulation():
     cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
     sol = solve_stationary_riccati(assemble_compact(model), cost)
     policy = StructuredPolicy.from_stationary(sol)
-    means = mean_trajectory(model, policy, 30)
+    means = forward_means(model, policy, cost, 30, discounted=True)
     trace = simulate(model, policy, cost, 30, seed=0)[0]
     assert np.max(np.abs(means[:, 0] - trace.x0[:, 0])) < 1e-12
     assert np.max(np.abs(means[:, 1] - trace.x1[:, 0])) < 1e-12
@@ -242,8 +271,8 @@ def test_constant_policy_matches_per_step_bitwise(auv_stationary, horizon, disco
     per_step = StructuredPolicy(np.stack([policy.gains] * horizon), policy.n, policy.m1)
     assert (exact_cost(model, policy, cost, horizon, discounted)
             == exact_cost(model, per_step, cost, horizon, discounted))
-    assert np.array_equal(mean_trajectory(model, policy, horizon),
-                          mean_trajectory(model, per_step, horizon))
+    assert np.array_equal(forward_means(model, policy, cost, horizon, discounted),
+                          forward_means(model, per_step, cost, horizon, discounted))
 
 
 @settings(max_examples=8, deadline=None)

@@ -7,7 +7,7 @@ from lfns.estimator import advance
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.finite_horizon import backward_riccati
 from lfns.infinite_horizon import solve_stationary_riccati
-from lfns.oracle import StructuredPolicy, exact_cost, mean_trajectory
+from lfns.oracle import StructuredPolicy, exact_cost
 from lfns.simulation import (
     CHUNK,
     _draw_chunk,
@@ -21,6 +21,7 @@ from lfns.simulation import (
     simulate_batch,
 )
 from test_acceptance import random_pair
+from test_oracle import forward_means
 
 
 def coupled_noisy_model():
@@ -104,6 +105,10 @@ def test_chunks_rejects_runs_it_cannot_simulate():
         chunks(model, policy, cost, 0, seed=0, trials=4)
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         monte_carlo(model, policy, cost, 0, seed=0, trials=4)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        chunks(model, policy, cost, 5, seed=0, trials=0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        monte_carlo(model, policy, cost, 5, seed=0, trials=0)
     # trial 2**32 would need a two-word spawn key
     with pytest.raises(ValueError, match="exceed 2"):
         chunks(model, policy, cost, 5, seed=0, trials=2 ** 32 + 1)
@@ -245,7 +250,7 @@ def test_sample_mean_follows_mean_recursion():
     policy, cost = stationary_policy(model)
     trials = 20000
     mc = monte_carlo(model, policy, cost, 30, seed=8, trials=trials)
-    means = mean_trajectory(model, policy, 30)
+    means = forward_means(model, policy, cost, 30, discounted=True)
     batch = simulate_batch(model, policy, cost, 30, seed=8, trials=trials)
     for k in (5, 15, 30):
         for col, name in ((0, "x0"), (1, "x1")):
