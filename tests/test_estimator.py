@@ -15,7 +15,7 @@ def error_covariances(model, policy, horizon):
     n = model.n
     e = np.hstack([np.zeros((n, n)), np.eye(n), -np.eye(n)])
     cost = make_cost(q=np.eye(2 * n), r=np.eye(model.m1 + model.m2))
-    return [e @ step[5] @ e.T for step in _forward(model, policy, cost, horizon, False)]
+    return [e @ item[5] @ e.T for item in _forward(model, policy, cost, horizon, False)]
 
 
 def coupled_scalar_model():

@@ -26,7 +26,7 @@ from test_acceptance import random_pair
 
 def forward_means(model, policy, cost, horizon, discounted=False):
     """Means of (x0, x1, x1hat) at steps 0..horizon, off the exact moment recursion."""
-    return np.array([step[4] for step in _forward(model, policy, cost, horizon, discounted)])
+    return np.array([item[4] for item in _forward(model, policy, cost, horizon, discounted)])
 
 
 def decoupled_unit_model():
