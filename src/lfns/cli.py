@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -23,13 +22,14 @@ from .auv import (follower_reference, force_round_trip_error, leader_reference, 
 from .finite_horizon import (RiccatiError, backward_riccati,
                              discounted_backward_riccati, optimal_cost,
                              split_gain, stationarity_residuals)
-from .infinite_horizon import (FIXED_POINT_TOL, RiccatiDivergence, check_stabilizability,
-                               closed_loop_radii, solve_stationary_riccati,
-                               stationary_cost, stationary_cost_terms)
+from .infinite_horizon import (RiccatiDivergence, check_stabilizability, closed_loop_radii,
+                               solve_stationary_riccati, stationary_cost,
+                               stationary_cost_terms)
 from .model import (ModelValidationError, SpecFormatError, assemble_compact,
                     load_model_spec, make_cost, make_model, validate)
 # gain_gradient is not called here; the benchmark's harness tests wrap it through this module
-from .oracle import StructuredPolicy, gain_gradient, kalman_oracle, policy_gradient
+from .oracle import (OracleError, StructuredPolicy, gain_gradient, kalman_oracle,
+                     policy_gradient)
 from .simulation import (SimulationDiverged, chunks, monte_carlo, mss_diagnostics, reduce,
                          simulate)
 
@@ -98,16 +98,6 @@ def _lst(a):
     return np.asarray(a).tolist()
 
 
-def _stationary(compact, cost):
-    """Stationary solve that fails, rather than returning, at the iteration cap."""
-    sol = solve_stationary_riccati(compact, cost)
-    if not sol.converged:
-        raise RiccatiError(f"value iteration hit the iteration cap after {sol.iterations} "
-                           f"iterations (relative change {sol.residual:.3e}, "
-                           f"tolerance {FIXED_POINT_TOL:.0e})")
-    return sol
-
-
 def _policy_for(model, cost, args):
     """Solve per the requested mode and return (policy, solution, discounted)."""
     compact = assemble_compact(model)
@@ -120,15 +110,15 @@ def _policy_for(model, cost, args):
         return StructuredPolicy.from_finite_horizon(sol, model), sol, False
     if cost.gamma is None:
         raise ModelValidationError(["stationary mode needs a discount factor"])
-    sol = _stationary(compact, cost)
+    sol = solve_stationary_riccati(compact, cost)
     return StructuredPolicy.from_stationary(sol), sol, True
 
 
 def cmd_solve(args) -> int:
     model, cost, name = _load(args)
     compact = assemble_compact(model)
-    out = _out_dir(args)
     _, sol, _ = _policy_for(model, cost, args)
+    out = _out_dir(args)
     if args.mode == "finite":
         doc = _doc(args, mode="finite", horizon=sol.horizon,
                    p0=_lst(sol.p_seq[0]), k0=_lst(sol.k_seq[0]),
@@ -138,8 +128,9 @@ def cmd_solve(args) -> int:
         return 0
     verdict = check_stabilizability(sol, cost, compact)
     mean_term, trace_term = stationary_cost_terms(sol, model)
+    # the solve raises rather than return an iterate short of the tolerance
     doc = _doc(args, mode="stationary", iterations=sol.iterations,
-               residual=sol.residual, converged=sol.converged,
+               residual=sol.residual, converged=True,
                p=_lst(sol.p), h=_lst(sol.h),
                h_blocks=dict(zip(("h00", "h01", "h10", "h11"),
                                  map(_lst, split_gain(sol.h, model.n, model.m1)))),
@@ -250,7 +241,7 @@ def cmd_converge(args) -> int:
     sweep = sorted(set(range(0, top + 1, 10)) | {0, top})
     sol = discounted_backward_riccati(compact, cost, top)
     rows = [[n, optimal_cost(sol.tail(n), model)] for n in sweep]
-    stat = _stationary(compact, cost)
+    stat = solve_stationary_riccati(compact, cost)
     stationary_value = stationary_cost(stat, model)
     out = _out_dir(args)
     if args.format == "csv":
@@ -283,8 +274,6 @@ def _verify_checks(model, cost, args):
         bump = np.zeros(policy.gains.shape[-2:])
         bump[-1, -1] = 0.05
         policy = StructuredPolicy(policy.gains + bump, model.n, model.m1)
-        if discounted:
-            sol = dataclasses.replace(sol, h=sol.h + bump)
 
     # the Riccati map is recomputed here rather than taken from the solver,
     # so that this check is independent of the synthesis code
@@ -303,8 +292,8 @@ def _verify_checks(model, cost, args):
     add("riccati_fixed_point" if discounted else "riccati_recursion",
         worst < 1e-10, worst, 1e-10)
     if discounted:
-        f = a - b @ sol.h
-        lyap = cost.gamma * f.T @ sol.p @ f + cost.q + sol.h.T @ cost.r @ sol.h
+        f = a - b @ policy.gains
+        lyap = cost.gamma * f.T @ sol.p @ f + cost.q + policy.gains.T @ cost.r @ policy.gains
         res = np.linalg.norm(lyap - sol.p) / max(1.0, np.linalg.norm(sol.p))
         add("closed_loop_identity", res < 1e-10, res, 1e-10)
     probe_horizon = 300 if discounted else sol.horizon + 1
@@ -322,7 +311,7 @@ def _verify_checks(model, cost, args):
         err = max(np.linalg.norm(tr.x1hat[k] - kf[k]) for k in range(steps + 1))
         add("estimator_vs_conditional_mean", err < 1e-9, err, 1e-9)
 
-    check = stationarity_residuals(sol, tr)
+    check = stationarity_residuals(sol, policy, tr)
     add("costate_hat_residual", check.max_hat < 1e-9, check.max_hat, 1e-9)
     add("costate_tilde_residual", check.max_tilde < 1e-9, check.max_tilde, 1e-9)
 
@@ -436,6 +425,9 @@ def main(argv=None) -> int:
         return 3
     except SimulationDiverged as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
+        return 3
+    except OracleError as exc:
+        print(f"exact moments diverged: {exc}", file=sys.stderr)
         return 3
 
 

@@ -55,10 +55,10 @@ class FiniteHorizonSolution:
         return dataclasses.replace(self, p_seq=self.p_seq[cut:], k_seq=self.k_seq[cut:],
                                    lambda_seq=self.lambda_seq[cut:], l_seq=self.l_seq[cut:])
 
-    def identity(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gain, Lambda or Psi, L or gamma L) of the stationarity identity at step k."""
+    def identity(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Lambda or Psi, L or gamma L) of the stationarity identity at step k."""
         l_mat = self.l_seq[k] if self.gamma is None else self.gamma * self.l_seq[k]
-        return self.k_seq[k], self.lambda_seq[k], l_mat
+        return self.lambda_seq[k], l_mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +212,8 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
     return p, psi, l_mat, gamma * x
 
 
+# _check_step raises at the first non-finite iterate, so numpy's warnings about it are redundant
+@np.errstate(over="ignore", invalid="ignore")
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
                p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
     dim = cost.q.shape[0]
@@ -267,18 +269,19 @@ def optimal_cost(solution: FiniteHorizonSolution, model: LfnsModel) -> float:
     return total
 
 
-def stationarity_residuals(solution, trace) -> CostateCheck:
+def stationarity_residuals(solution, policy: StructuredPolicy, trace) -> CostateCheck:
     """Evaluate the two per-step stationarity identities along a trace.
 
     The conditional-mean identity uses Uhat = (u0, u1hat) and Xhat =
     (x0, x1hat); the residual identity uses Utilde = (0, u1 - u1hat) and
     Xtilde = (0, x1 - x1hat), where u1hat = -k10 x0 - k11 x1hat is the
-    policy's conditional-mean follower control.  For an undiscounted
-    solution the identity matrices are Lambda(k), L(k); for a discounted or
-    stationary solution they are Psi, gamma L.
+    conditional-mean follower control of the policy the trace ran.  For an
+    undiscounted solution the identity matrices are Lambda(k), L(k); for a
+    discounted or stationary solution they are Psi, gamma L.
 
     solution is a FiniteHorizonSolution or a StationarySolution; its
-    identity(k) supplies the gain and the two identity matrices of step k.
+    identity(k) supplies the two identity matrices of step k, and the policy
+    the gains the trace applied, which need not be the solved ones.
     """
     x0 = np.asarray(trace.x0, dtype=float)
     x1 = np.asarray(trace.x1, dtype=float)
@@ -291,8 +294,8 @@ def stationarity_residuals(solution, trace) -> CostateCheck:
     hat = np.zeros(steps)
     tilde = np.zeros(steps)
     for k in range(steps):
-        gain, lam, l_mat = solution.identity(k)
-        _, _, k10, k11 = split_gain(gain, n, m1)
+        lam, l_mat = solution.identity(k)
+        _, _, k10, k11 = policy.at(k)
         u1hat = -k10 @ x0[k] - k11 @ x1hat[k]
         uhat = np.concatenate([u0[k], u1hat])
         utilde = np.concatenate([np.zeros(m1), u1[k] - u1hat])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_horizon import closed_loop, riccati_step, split_gain
+from .finite_horizon import RiccatiError, closed_loop, riccati_step, split_gain
 from .model import (PD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, stacked_moments,
                     symmetrize)
 
@@ -61,13 +61,9 @@ class StationarySolution:
     n: int
     m1: int
 
-    @property
-    def converged(self) -> bool:
-        return self.residual < FIXED_POINT_TOL
-
-    def identity(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(H, Psi, gamma L) of the stationarity identity, the same at every step k."""
-        return self.h, self.psi, self.gamma * self.l
+    def identity(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Psi, gamma L) of the stationarity identity, the same at every step k."""
+        return self.psi, self.gamma * self.l
 
 
 @dataclass(frozen=True)
@@ -92,26 +88,25 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
     """Value-iterate P <- Q + gamma A'PA - gamma^2 L' Psi^{-1} L from P = 0.
 
     Stops when the relative Frobenius change drops below 1e-12; raises
-    RiccatiDivergence when the iterate norm passes 1e12.  Hitting the
-    iteration cap returns the last iterate with its residual recorded, so
-    callers can see the non-convergence rather than receiving an exception.
+    RiccatiDivergence when the iterate norm passes 1e12, and RiccatiError
+    when MAX_ITERATIONS iterations end before the change drops below 1e-12.
     """
     if cost.gamma is None or not (0.0 < cost.gamma < 1.0):
         raise ValueError(f"stationary solve requires gamma in (0, 1), got {cost.gamma}")
     gamma = cost.gamma
     p = np.zeros_like(cost.q)
-    residual = np.inf
-    iterations = 0
-    for i in range(1, MAX_ITERATIONS + 1):
-        p_new = symmetrize(riccati_step(compact, cost, p, gamma, i)[0])
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        p_new = symmetrize(riccati_step(compact, cost, p, gamma, iterations)[0])
         norm = float(np.linalg.norm(p_new))
         if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-            raise RiccatiDivergence(i, norm)
+            raise RiccatiDivergence(iterations, norm)
         residual = float(np.linalg.norm(p_new - p) / max(1.0, norm))
         p = p_new
-        iterations = i
         if residual < FIXED_POINT_TOL:
             break
+    else:
+        raise RiccatiError(f"value iteration hit the iteration cap after {iterations} iterations "
+                           f"(relative change {residual:.3e}, tolerance {FIXED_POINT_TOL:.0e})")
     _, psi, l_mat, h = riccati_step(compact, cost, p, gamma, iterations)
     return StationarySolution(p=p, h=h, psi=psi, l=l_mat, gamma=gamma,
                               iterations=iterations, residual=residual,

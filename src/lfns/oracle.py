@@ -54,8 +54,9 @@ def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon
         built = (build(policy.at(k)) for k in range(horizon))
     for k, (cu, m, f) in enumerate(built):
         yield weight, cu, m, f, mu, sigma
-        mu = f @ mu
-        sigma = f @ sigma @ f.T + gw
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = f @ mu
+            sigma = f @ sigma @ f.T + gw
         if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise OracleError(f"closed-loop moments non-finite at step {k + 1}")
         if discounted:

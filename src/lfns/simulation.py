@@ -53,7 +53,8 @@ class BatchResult:
 
     State arrays have shape (horizon+1, dim, trials); control, noise and
     stage-cost arrays cover steps 0..horizon-1.  Stage costs are stored
-    undiscounted; discounting happens at aggregation.
+    undiscounted; discounting happens at aggregation.  Every entry is
+    finite: a block whose loop overflows raises SimulationDiverged instead.
     """
 
     x0: np.ndarray
@@ -66,7 +67,6 @@ class BatchResult:
     stage_cost: np.ndarray
     seed: int
     trial_offset: int
-    truncated_at: int | None
 
     @property
     def trials(self) -> int:
@@ -87,7 +87,6 @@ class SimulationTrace:
     stage_cost: np.ndarray
     seed: int
     trial: int
-    truncated_at: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +178,7 @@ def _draw_chunk(model: LfnsModel, horizon: int, seed: int, lo: int, hi: int):
     return z0, z1, zw0, zw1
 
 
-# a diverging loop is cut at its first non-finite state and reported through
-# truncated_at, so numpy's overflow warnings on the way there are redundant
+# the loop raises at its first overflow, so numpy's warnings about it are redundant
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                     horizon: int, seed: int, lo: int, hi: int) -> BatchResult:
@@ -192,19 +190,20 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     lw0 = psd_factor(model.sigma_w0)
     lw1 = psd_factor(model.sigma_w1)
 
-    x0 = np.full((horizon + 1, n, b), np.nan)
-    x1 = np.full((horizon + 1, n, b), np.nan)
-    x1hat = np.full((horizon + 1, n, b), np.nan)
-    u0 = np.full((horizon, m1, b), np.nan)
-    u1 = np.full((horizon, m2, b), np.nan)
-    w0 = np.full((horizon, n, b), np.nan)
-    w1 = np.full((horizon, n, b), np.nan)
-    stage = np.full((horizon, b), np.nan)
+    x0 = np.empty((horizon + 1, n, b))
+    x1 = np.empty((horizon + 1, n, b))
+    x1hat = np.empty((horizon + 1, n, b))
+    u0 = np.empty((horizon, m1, b))
+    u1 = np.empty((horizon, m2, b))
+    w0 = np.empty((horizon, n, b))
+    w1 = np.empty((horizon, n, b))
+    stage = np.empty((horizon, b))
 
     x0[0] = model.xbar0[:, None] + lx0 @ z0
     x1[0] = model.xbar1[:, None] + lx1 @ z1
     x1hat[0] = model.xbar1[:, None]
-    truncated_at = None
+    # a non-finite state or estimate makes its step's controls and stage cost
+    # non-finite, so states are checked only at the horizon, where none is read
     for k in range(horizon):
         k00, k01, k10, k11 = policy.at(k)
         cur0, cur1, curhat = x0[k], x1[k], x1hat[k]
@@ -214,17 +213,20 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
         us = np.vstack([uk0, uk1])
         stage[k] = (np.einsum("ib,ib->b", xs, cost.q @ xs)
                     + np.einsum("ib,ib->b", us, cost.r @ us))
+        if not np.isfinite(stage[k]).all():
+            break
         wk0 = lw0 @ zw0[k]
         wk1 = lw1 @ zw1[k]
         u0[k], u1[k], w0[k], w1[k] = uk0, uk1, wk0, wk1
         x0[k + 1], x1[k + 1] = step(model, cur0, cur1, uk0, uk1, wk0, wk1)
         x1hat[k + 1] = advance(model, curhat, cur0, uk0, k10, k11)
-        if not (np.all(np.isfinite(x0[k + 1])) and np.all(np.isfinite(x1[k + 1]))):
-            truncated_at = k + 1
-            break
+    else:
+        k = horizon
+    if k < horizon or not np.isfinite([x0[k], x1[k], x1hat[k]]).all():
+        raise SimulationDiverged(f"trial block {lo}..{hi - 1} truncated at step {k}; "
+                                 f"closed loop is destabilizing")
     return BatchResult(x0=x0, x1=x1, x1hat=x1hat, u0=u0, u1=u1, w0=w0, w1=w1,
-                       stage_cost=stage, seed=seed, trial_offset=lo,
-                       truncated_at=truncated_at)
+                       stage_cost=stage, seed=seed, trial_offset=lo)
 
 
 def chunks(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -248,12 +250,9 @@ def simulate_batch(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     if len(blocks) == 1:
         return blocks[0]
     cat = lambda name: np.concatenate([getattr(c, name) for c in blocks], axis=-1)
-    truncations = [c.truncated_at for c in blocks if c.truncated_at is not None]
     return BatchResult(x0=cat("x0"), x1=cat("x1"), x1hat=cat("x1hat"),
                        u0=cat("u0"), u1=cat("u1"), w0=cat("w0"), w1=cat("w1"),
-                       stage_cost=np.concatenate([c.stage_cost for c in blocks], axis=-1),
-                       seed=seed, trial_offset=0,
-                       truncated_at=min(truncations) if truncations else None)
+                       stage_cost=cat("stage_cost"), seed=seed, trial_offset=0)
 
 
 def simulate(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -266,8 +265,7 @@ def simulate(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
             x0=batch.x0[:, :, j], x1=batch.x1[:, :, j], x1hat=batch.x1hat[:, :, j],
             u0=batch.u0[:, :, j], u1=batch.u1[:, :, j],
             w0=batch.w0[:, :, j], w1=batch.w1[:, :, j],
-            stage_cost=batch.stage_cost[:, j], seed=seed, trial=j,
-            truncated_at=batch.truncated_at))
+            stage_cost=batch.stage_cost[:, j], seed=seed, trial=j))
     return out
 
 
@@ -284,6 +282,7 @@ def _pathwise_costs(stage: np.ndarray, x0_last: np.ndarray, x1_last: np.ndarray,
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     """Reduce consecutive trial blocks, in trial order, to a summary.
 
@@ -291,17 +290,14 @@ def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     blocks streams.  Sums accumulate block by block and the stage-cost tail
     behind the truncation bound is the largest per-block tail mean, so the
     summary depends on the split; monte_carlo's blocks are CHUNK trials wide.
-    A truncated block raises SimulationDiverged.
+    Finite paths can still overflow the sums, so a summary with a non-finite
+    number raises SimulationDiverged, without numpy's overflow warnings.
     """
     if discounted and cost.gamma is None:
         raise ValueError("discounted aggregation requires cost.gamma")
     cost_parts = []
     sum_state = sum_sq = stage_tail = 0.0
     for batch in blocks:
-        if batch.truncated_at is not None:
-            lo = batch.trial_offset
-            raise SimulationDiverged(f"trial block {lo}..{lo + batch.trials - 1} truncated at "
-                                     f"step {batch.truncated_at}; closed loop is destabilizing")
         horizon = batch.stage_cost.shape[0]
         cost_parts.append(_pathwise_costs(batch.stage_cost, batch.x0[-1],
                                           batch.x1[-1], cost, discounted))
@@ -320,6 +316,10 @@ def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     truncation_bound = None
     if discounted:
         truncation_bound = cost.gamma ** horizon / (1.0 - cost.gamma) * stage_tail
+    numbers = (mean_cost, se, mean_state, mean_norm, second_moment, truncation_bound or 0.0)
+    if not all(np.isfinite(x).all() for x in numbers):
+        raise SimulationDiverged(f"summary of trials 0..{trials - 1} is not finite; "
+                                 f"closed loop is destabilizing")
     return MonteCarloSummary(trials=trials, horizon=horizon, discounted=discounted,
                              gamma=cost.gamma if discounted else None,
                              mean_cost=mean_cost, standard_error=se,

@@ -33,11 +33,12 @@ from lfns.finite_horizon import backward_riccati, discounted_backward_riccati, \
     optimal_cost, stationarity_residuals
 from lfns.infinite_horizon import check_stabilizability, \
     solve_stationary_riccati, stationary_cost
-from lfns.model import assemble_compact, make_cost, make_model, model_from_dict
+from lfns.model import assemble_compact, make_cost, model_from_dict
 from lfns.oracle import StructuredPolicy, gain_gradient, kalman_oracle, \
     perturbation_sweep
 from lfns.simulation import monte_carlo, mss_diagnostics, simulate, \
     simulate_batch
+from pairs import coupled_noisy_model, random_pair, scalar_demo_pair
 
 H00_REF = np.array([
     [-0.50, -0.94, -0.27, 1.48, 0.47, -0.78],
@@ -96,32 +97,6 @@ def bundled():
 def bundled_solution(bundled):
     model, cost = bundled
     return solve_stationary_riccati(assemble_compact(model), cost)
-
-
-def scalar_demo_pair():
-    model = make_model(a00=[[1.0]], a10=[[0.0]], a11=[[1.0]],
-                       b00=[[1.0]], b10=[[0.0]], b11=[[1.0]],
-                       sigma_w0=[[0.1]], sigma_w1=[[0.1]],
-                       xbar0=[1.0], xbar1=[0.5],
-                       sigma_x0=[[0.25]], sigma_x1=[[0.25]])
-    cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2), gamma=0.9)
-    return model, cost
-
-
-def random_pair(rng, n=2):
-    model = make_model(
-        a00=0.6 * rng.standard_normal((n, n)),
-        a10=0.4 * rng.standard_normal((n, n)),
-        a11=0.6 * rng.standard_normal((n, n)),
-        b00=rng.standard_normal((n, n)),
-        b10=0.3 * rng.standard_normal((n, n)),
-        b11=rng.standard_normal((n, n)),
-        sigma_w0=0.1 * np.eye(n), sigma_w1=0.2 * np.eye(n),
-        xbar0=rng.standard_normal(n), xbar1=rng.standard_normal(n),
-        sigma_x0=0.3 * np.eye(n), sigma_x1=0.2 * np.eye(n))
-    cost = make_cost(q=np.eye(2 * n), r=np.eye(2 * n),
-                     p_terminal=np.eye(2 * n), gamma=0.9)
-    return model, cost
 
 
 def report(capsys, num, ok, detail):
@@ -266,7 +241,7 @@ def test_criterion_07_stationarity_identities(bundled, bundled_solution,
     model, cost = bundled
     policy = StructuredPolicy.from_stationary(bundled_solution)
     trace = simulate(model, policy, cost, 60, seed=0)[0]
-    check = stationarity_residuals(bundled_solution, trace)
+    check = stationarity_residuals(bundled_solution, policy, trace)
     ok = check.max_hat < 1e-9 and check.max_tilde < 1e-9
     line = report(
         capsys, 7, ok,
@@ -309,11 +284,7 @@ def test_criterion_08_monte_carlo_consistency(bundled, bundled_solution,
 
 
 def test_criterion_09_error_statistics(capsys):
-    model = make_model(a00=[[0.9]], a10=[[0.3]], a11=[[0.8]],
-                       b00=[[1.0]], b10=[[0.2]], b11=[[1.0]],
-                       sigma_w0=[[0.04]], sigma_w1=[[0.09]],
-                       xbar0=[1.0], xbar1=[0.5],
-                       sigma_x0=[[0.25]], sigma_x1=[[0.16]])
+    model = coupled_noisy_model()
     cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
     sol = solve_stationary_riccati(assemble_compact(model), cost)
     policy = StructuredPolicy.from_stationary(sol)

@@ -59,11 +59,18 @@ def test_unreadable_spec_exits_1(tmp_path):
                 "--out", str(tmp_path)]) == 1
 
 
-def test_invalid_model_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    write_spec(path, a10=[[0.3, 0.0]])
-    assert run(["solve", "--model", str(path), "--out", str(tmp_path)]) == 2
-    assert "validation:" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, spec, message", [
+    (["solve"], {"a10": [[0.3, 0.0]]}, "validation: "),
+    (["solve", "--gamma", "1.5"], None, "validation: gamma out of range (0, 1): 1.5"),
+    (["solve"], {"gamma": None}, "validation: stationary mode needs a discount factor"),
+    (["converge"], {"gamma": None}, "validation: convergence sweep needs a discount factor"),
+], ids=["ragged-a10", "gamma-out-of-range", "solve-without-gamma", "converge-without-gamma"])
+def test_invalid_model_exits_2(tmp_path, capsys, argv, spec, message):
+    model = "scalar-demo" if spec is None else str(write_spec(tmp_path / "bad.json", **spec))
+    out = tmp_path / "out"
+    assert run(argv + ["--model", model, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nonfinite_spec_exits_2(tmp_path, capsys):
@@ -103,24 +110,51 @@ def test_csv_format_rejected_where_unsupported(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_divergent_model_exits_3(tmp_path):
-    path = tmp_path / "runaway.json"
-    write_spec(path, a00=[[2.0]], b00=[[0.0]], b10=[[0.0]])
-    assert run(["solve", "--model", str(path), "--out", str(tmp_path)]) == 3
-
-
-def test_diverging_simulation_exits_3(tmp_path, capsys):
-    # A - BH is stable, but the follower's estimation error grows like 1.2^k,
-    # so the simulated states overflow long before the horizon
-    path = tmp_path / "error-diverges.json"
-    write_spec(path, a00=[[0.5]], a10=[[0.0]], a11=[[1.2]], b00=[[1.0]], b10=[[1.0]],
-               b11=[[0.01]], sigma_w0=[[0.1]], sigma_w1=[[0.1]], sigma_x1=[[0.25]])
-    assert run(["simulate", "--model", str(path), "--trials", "2", "--horizon", "4500",
-                "--out", str(tmp_path)]) == 3
+# a numpy overflow warning would be a stderr line of its own
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, spec, message", [
+    (["solve"], dict(a00=[[2.0]], b00=[[0.0]], b10=[[0.0]]),
+     "solver diverged: stationary Riccati iteration diverged after "),
+    # the undiscounted recursion has no divergence threshold: P grows like 9^k
+    # until an iterate overflows
+    (["solve", "--mode", "finite", "--horizon", "400"],
+     dict(a00=[[3.0]], b00=[[0.0]], gamma=None),
+     "solver failed: non-finite Riccati iterate at step 78"),
+], ids=["stationary", "finite"])
+def test_divergent_model_exits_3(tmp_path, capsys, argv, spec, message):
+    path = write_spec(tmp_path / "runaway.json", **spec)
+    assert run(argv + ["--model", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("simulation diverged: trial block 0..1 truncated at step ")
-    # the partial traces would hold NaN/Infinity tokens, which are not JSON
+    assert err[0].startswith(message)
+    assert [p.name for p in tmp_path.iterdir()] == ["runaway.json"]
+
+
+# a numpy overflow warning would be a stderr line of its own
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a11, argv, message", [
+    (1.2, ["simulate", "--trials", "2", "--horizon", "4500"],
+     "simulation diverged: trial block 0..1 truncated at step "),
+    # the paths stay finite, but the summary's standard error overflows
+    (3.0, ["verify"], "simulation diverged: summary of trials 0..1999 is not finite; "),
+    (3.0, ["simulate", "--horizon", "200", "--trials", "100"],
+     "simulation diverged: summary of trials 0..99 is not finite; "),
+    # the stage cost of step 155 overflows while the states are still finite
+    (10.0, ["simulate", "--horizon", "200", "--trials", "3"],
+     "simulation diverged: trial block 0..2 truncated at step 155; "),
+    (10.0, ["verify"], "exact moments diverged: closed-loop moments non-finite at step 155"),
+], ids=["error-1.2-simulate", "error-3-verify", "error-3-simulate", "error-10-simulate",
+        "error-10-verify"])
+def test_diverging_simulation_exits_3(tmp_path, capsys, a11, argv, message):
+    # A - BH is stable, but the follower's estimation error grows like a11^k
+    path = tmp_path / "error-diverges.json"
+    write_spec(path, a00=[[0.5]], a10=[[0.0]], a11=[[a11]], b00=[[1.0]], b10=[[1.0]],
+               b11=[[0.01]], sigma_w0=[[0.1]], sigma_w1=[[0.1]], sigma_x1=[[0.25]])
+    assert run(argv + ["--model", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(message)
+    # no artifact is left, and no traces with NaN/Infinity tokens, which are not JSON
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error-diverges.json"]
 
 
@@ -327,6 +361,12 @@ def test_verify_perturbed_gains_negative_control(tmp_path):
     doc = json.loads((tmp_path / "verify-scalar-demo.json").read_text())
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert "gradient_stationarity" in failed
+    # the costate identity is evaluated at the gains that ran, in both modes
+    assert "costate_hat_residual" in failed
+    assert run(["verify", "--model", "scalar-demo", "--perturb-gains", "--mode", "finite",
+                "--horizon", "20", "--out", str(tmp_path)]) == 4
+    doc = json.loads((tmp_path / "verify-scalar-demo.json").read_text())
+    assert "costate_hat_residual" in {c["name"] for c in doc["checks"] if not c["passed"]}
 
 
 def test_verify_finite_horizon_shorter_than_probe(tmp_path):

@@ -7,6 +7,7 @@ from lfns.model import assemble_compact, make_cost, make_model
 from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.oracle import StructuredPolicy, _forward, kalman_oracle
 from lfns.simulation import simulate_batch
+from pairs import coupled_noisy_model
 
 
 def error_covariances(model, policy, horizon):
@@ -18,18 +19,8 @@ def error_covariances(model, policy, horizon):
     return [e @ item[5] @ e.T for item in _forward(model, policy, cost, horizon, False)]
 
 
-def coupled_scalar_model():
-    return make_model(
-        a00=[[0.9]], a10=[[0.3]], a11=[[0.8]],
-        b00=[[1.0]], b10=[[0.2]], b11=[[1.0]],
-        sigma_w0=[[0.04]], sigma_w1=[[0.09]],
-        xbar0=[1.0], xbar1=[0.5],
-        sigma_x0=[[0.25]], sigma_x1=[[0.16]],
-    )
-
-
 def test_init_is_prior_mean():
-    model = coupled_scalar_model()
+    model = coupled_noisy_model()
     policy = StructuredPolicy.constant([[0.3]], [[0.1]], [[0.2]], [[0.4]])
     batch = simulate_batch(model, policy, make_cost(q=np.eye(2), r=np.eye(2)), 3,
                            seed=1, trials=5)
@@ -37,7 +28,7 @@ def test_init_is_prior_mean():
 
 
 def test_advance_hand_recursion():
-    model = coupled_scalar_model()
+    model = coupled_noisy_model()
     nxt = advance(model, np.array([0.5]), np.array([2.0]), np.array([-1.0]),
                   np.array([[0.1]]), np.array([[0.2]]))
     # u1hat = -0.1*2 - 0.2*0.5 = -0.3
@@ -57,7 +48,7 @@ def test_advance_applies_conditional_mean_control():
 def test_advance_ignores_follower_private_data():
     # the estimate is driven by leader data only: a wider follower prior and
     # noisier follower moves x1 but not one bit of x0, u0 or x1hat
-    quiet = coupled_scalar_model()
+    quiet = coupled_noisy_model()
     loud = dataclasses.replace(quiet, sigma_x1=np.array([[4.0]]),
                                sigma_w1=np.array([[2.0]]))
     policy = StructuredPolicy.constant([[0.3]], [[0.1]], [[0.2]], [[0.4]])
@@ -70,7 +61,7 @@ def test_advance_ignores_follower_private_data():
 
 
 def test_advance_affine_in_inputs():
-    model = coupled_scalar_model()
+    model = coupled_noisy_model()
     k10, k11 = np.array([[0.5]]), np.array([[0.3]])
 
     def push(x1hat, x0_prev, u0_prev):
@@ -127,7 +118,7 @@ def test_error_moments_zero_without_uncertainty():
 
 
 def test_error_moments_hand_recursion():
-    model = coupled_scalar_model()
+    model = coupled_noisy_model()
     # the error moves by a11 - b11 k11 whatever the other gain blocks are
     policy = StructuredPolicy.constant([[0.5]], [[0.2]], [[0.1]], [[0.25]])
     covs = error_covariances(model, policy, 2)
@@ -141,7 +132,7 @@ def test_error_moments_hand_recursion():
 
 
 def test_error_moments_match_sampled_errors():
-    model = coupled_scalar_model()
+    model = coupled_noisy_model()
     cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
     sol = solve_stationary_riccati(assemble_compact(model), cost)
     policy = StructuredPolicy.from_stationary(sol)

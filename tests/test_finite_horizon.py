@@ -13,43 +13,7 @@ from lfns.finite_horizon import (
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.oracle import StructuredPolicy, exact_cost
 from lfns.simulation import simulate
-
-
-def decoupled_unit_model():
-    # two identical uncoupled scalar agents a=b=1
-    return make_model(
-        a00=[[1.0]], a10=[[0.0]], a11=[[1.0]],
-        b00=[[1.0]], b10=[[0.0]], b11=[[1.0]],
-        sigma_w0=[[0.1]], sigma_w1=[[0.1]],
-        xbar0=[1.0], xbar1=[0.5],
-        sigma_x0=[[0.25]], sigma_x1=[[0.25]],
-    )
-
-
-def coupled_noisy_model():
-    return make_model(
-        a00=[[0.9]], a10=[[0.3]], a11=[[0.8]],
-        b00=[[1.0]], b10=[[0.2]], b11=[[1.0]],
-        sigma_w0=[[0.04]], sigma_w1=[[0.09]],
-        xbar0=[1.0], xbar1=[0.5],
-        sigma_x0=[[0.25]], sigma_x1=[[0.16]],
-    )
-
-
-def random_model(rng, n=2, follower_noise=True):
-    return make_model(
-        a00=0.6 * rng.standard_normal((n, n)),
-        a10=0.4 * rng.standard_normal((n, n)),
-        a11=0.6 * rng.standard_normal((n, n)),
-        b00=rng.standard_normal((n, n)),
-        b10=0.3 * rng.standard_normal((n, n)),
-        b11=rng.standard_normal((n, n)),
-        sigma_w0=0.1 * np.eye(n),
-        sigma_w1=0.2 * np.eye(n) if follower_noise else np.zeros((n, n)),
-        xbar0=rng.standard_normal(n), xbar1=rng.standard_normal(n),
-        sigma_x0=0.3 * np.eye(n),
-        sigma_x1=0.2 * np.eye(n) if follower_noise else np.zeros((n, n)),
-    )
+from pairs import coupled_noisy_model, decoupled_unit_model, random_model
 
 
 def test_scalar_two_step_frozen_values():
@@ -196,7 +160,7 @@ def test_stationarity_hat_residual_vanishes_on_trajectory():
     sol = backward_riccati(assemble_compact(model), cost, 10)
     policy = StructuredPolicy.from_finite_horizon(sol, model)
     trace = simulate(model, policy, cost, 11, seed=2)[0]
-    check = stationarity_residuals(sol, trace)
+    check = stationarity_residuals(sol, policy, trace)
     assert check.max_hat < 1e-9
 
 
@@ -206,7 +170,7 @@ def test_stationarity_tilde_residual_vanishes_only_without_coupling():
     sol = backward_riccati(assemble_compact(clean), cost, 10)
     policy = StructuredPolicy.from_finite_horizon(sol, clean)
     trace = simulate(clean, policy, cost, 11, seed=3)[0]
-    assert stationarity_residuals(sol, trace).max_tilde < 1e-9
+    assert stationarity_residuals(sol, policy, trace).max_tilde < 1e-9
 
     dirty = coupled_noisy_model()
     sol = backward_riccati(assemble_compact(dirty), cost, 10)
@@ -214,4 +178,4 @@ def test_stationarity_tilde_residual_vanishes_only_without_coupling():
     trace = simulate(dirty, policy, cost, 11, seed=3)[0]
     # the residual follower control sees a leader-row penalty the recursion
     # drops, so the identity genuinely fails under coupling plus noise
-    assert stationarity_residuals(sol, trace).max_tilde > 1e-6
+    assert stationarity_residuals(sol, policy, trace).max_tilde > 1e-6

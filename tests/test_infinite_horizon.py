@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
-from lfns.finite_horizon import closed_loop, discounted_backward_riccati, split_gain
+from lfns import infinite_horizon
+from lfns.finite_horizon import RiccatiError, closed_loop, discounted_backward_riccati, split_gain
 from lfns.infinite_horizon import (
     FIXED_POINT_TOL,
     RiccatiDivergence,
@@ -14,31 +15,8 @@ from lfns.infinite_horizon import (
 )
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.oracle import StructuredPolicy, exact_cost
+from pairs import coupled_noisy_model, decoupled_unit_model, random_model
 from test_estimator import error_covariances
-
-
-def decoupled_unit_model():
-    return make_model(
-        a00=[[1.0]], a10=[[0.0]], a11=[[1.0]],
-        b00=[[1.0]], b10=[[0.0]], b11=[[1.0]],
-        sigma_w0=[[0.1]], sigma_w1=[[0.1]],
-        xbar0=[1.0], xbar1=[0.5],
-        sigma_x0=[[0.25]], sigma_x1=[[0.25]],
-    )
-
-
-def random_model(rng, n=2):
-    return make_model(
-        a00=0.6 * rng.standard_normal((n, n)),
-        a10=0.4 * rng.standard_normal((n, n)),
-        a11=0.6 * rng.standard_normal((n, n)),
-        b00=rng.standard_normal((n, n)),
-        b10=0.3 * rng.standard_normal((n, n)),
-        b11=rng.standard_normal((n, n)),
-        sigma_w0=0.1 * np.eye(n), sigma_w1=0.2 * np.eye(n),
-        xbar0=rng.standard_normal(n), xbar1=rng.standard_normal(n),
-        sigma_x0=0.3 * np.eye(n), sigma_x1=0.2 * np.eye(n),
-    )
 
 
 def test_scalar_closed_form_fixed_point():
@@ -50,7 +28,6 @@ def test_scalar_closed_form_fixed_point():
     h = 0.9 * p / (1.0 + 0.9 * p)
     assert np.max(np.abs(sol.p - p * np.eye(2))) < 1e-10
     assert np.max(np.abs(sol.h - h * np.eye(2))) < 1e-10
-    assert sol.converged
     assert sol.residual < FIXED_POINT_TOL
     assert sol.iterations > 0
 
@@ -76,6 +53,15 @@ def test_uncontrollable_unstable_plant_diverges():
     assert exc.value.norm > 1e11
 
 
+def test_iteration_cap_raises(monkeypatch):
+    # no iterate short of the tolerance is ever returned
+    monkeypatch.setattr(infinite_horizon, "MAX_ITERATIONS", 2)
+    cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
+    with pytest.raises(RiccatiError, match=r"hit the iteration cap after 2 iterations "
+                                           r"\(relative change \d\.\d{3}e[-+]\d+, tolerance 1e-12\)"):
+        solve_stationary_riccati(assemble_compact(decoupled_unit_model()), cost)
+
+
 def test_matches_scipy_dare_on_random_systems():
     rng = np.random.default_rng(31)
     gamma = 0.9
@@ -97,7 +83,7 @@ def test_value_iteration_matches_scipy_dare(n, gamma, seed):
     comp = assemble_compact(random_model(np.random.default_rng(seed), n=n))
     cost = make_cost(q=np.eye(2 * n), r=np.eye(2 * n), gamma=gamma)
     sol = solve_stationary_riccati(comp, cost)
-    assert sol.converged
+    assert sol.residual < FIXED_POINT_TOL
     ref = solve_discrete_are(np.sqrt(gamma) * comp.a, np.sqrt(gamma) * comp.b,
                              cost.q, cost.r)
     assert np.max(np.abs(sol.p - ref)) / np.max(np.abs(ref)) < 1e-8
@@ -145,13 +131,7 @@ def test_stationary_cost_matches_discounted_exact_cost_without_coupling():
 
 
 def test_stationary_cost_is_lower_bound_with_estimation_error():
-    model = make_model(
-        a00=[[0.9]], a10=[[0.3]], a11=[[0.8]],
-        b00=[[1.0]], b10=[[0.2]], b11=[[1.0]],
-        sigma_w0=[[0.04]], sigma_w1=[[0.09]],
-        xbar0=[1.0], xbar1=[0.5],
-        sigma_x0=[[0.25]], sigma_x1=[[0.16]],
-    )
+    model = coupled_noisy_model()
     cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
     sol = solve_stationary_riccati(assemble_compact(model), cost)
     policy = StructuredPolicy.from_stationary(sol)

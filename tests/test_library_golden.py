@@ -30,7 +30,7 @@ from lfns.model import assemble_compact, make_cost
 from lfns.oracle import (StructuredPolicy, exact_cost, gain_gradient, kalman_oracle,
                          policy_gradient)
 from lfns.simulation import monte_carlo, simulate_batch
-from test_acceptance import random_pair
+from pairs import random_pair
 
 FIXTURE = Path(__file__).with_name("library_golden.json")
 SEEDS = (0, 2 ** 40 + 5)
@@ -69,7 +69,7 @@ def _batch(name, mode):
     batch = simulate_batch(model, _policy(model, cost, mode, horizon), cost, horizon,
                            seed=SEEDS[0], trials=1030)
     return [batch.x0, batch.x1, batch.x1hat, batch.u0, batch.u1, batch.w0, batch.w1,
-            batch.stage_cost, batch.trial_offset, batch.truncated_at]
+            batch.stage_cost, batch.trial_offset]
 
 
 def _summary(name, mode):

@@ -21,32 +21,12 @@ from lfns.oracle import (
     policy_gradient,
 )
 from lfns.simulation import simulate, simulate_batch
-from test_acceptance import random_pair
+from pairs import coupled_noisy_model, decoupled_unit_model, random_pair
 
 
 def forward_means(model, policy, cost, horizon, discounted=False):
     """Means of (x0, x1, x1hat) at steps 0..horizon, off the exact moment recursion."""
     return np.array([item[4] for item in _forward(model, policy, cost, horizon, discounted)])
-
-
-def decoupled_unit_model():
-    return make_model(
-        a00=[[1.0]], a10=[[0.0]], a11=[[1.0]],
-        b00=[[1.0]], b10=[[0.0]], b11=[[1.0]],
-        sigma_w0=[[0.1]], sigma_w1=[[0.1]],
-        xbar0=[1.0], xbar1=[0.5],
-        sigma_x0=[[0.25]], sigma_x1=[[0.25]],
-    )
-
-
-def coupled_noisy_model():
-    return make_model(
-        a00=[[0.9]], a10=[[0.3]], a11=[[0.8]],
-        b00=[[1.0]], b10=[[0.2]], b11=[[1.0]],
-        sigma_w0=[[0.04]], sigma_w1=[[0.09]],
-        xbar0=[1.0], xbar1=[0.5],
-        sigma_x0=[[0.25]], sigma_x1=[[0.16]],
-    )
 
 
 def test_initial_moments_layout():

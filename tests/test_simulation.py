@@ -10,6 +10,7 @@ from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.oracle import StructuredPolicy, exact_cost
 from lfns.simulation import (
     CHUNK,
+    SimulationDiverged,
     _draw_chunk,
     _simulate_chunk,
     chunks,
@@ -20,18 +21,8 @@ from lfns.simulation import (
     simulate,
     simulate_batch,
 )
-from test_acceptance import random_pair
+from pairs import coupled_noisy_model, random_pair
 from test_oracle import forward_means
-
-
-def coupled_noisy_model():
-    return make_model(
-        a00=[[0.9]], a10=[[0.3]], a11=[[0.8]],
-        b00=[[1.0]], b10=[[0.2]], b11=[[1.0]],
-        sigma_w0=[[0.04]], sigma_w1=[[0.09]],
-        xbar0=[1.0], xbar1=[0.5],
-        sigma_x0=[[0.25]], sigma_x1=[[0.16]],
-    )
 
 
 def stationary_policy(model, gamma=0.9):
@@ -184,18 +175,31 @@ def test_undiscounted_aggregation_applies_terminal():
 
 
 def test_truncation_flag_and_rejection():
-    model = make_model(a00=[[1e8]], a10=[[0.0]], a11=[[0.5]],
-                       b00=[[0.0]], b10=[[0.0]], b11=[[1.0]],
-                       xbar0=[1e200], xbar1=[0.0])
-    cost = make_cost(q=np.eye(2), r=np.eye(2))
+    # a loop that leaves the finite numbers raises at the first step whose
+    # stage cost is not finite, or at the horizon if only the last state is
     policy = StructuredPolicy.constant([[0.0]], [[0.0]], [[0.0]], [[0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = simulate_batch(model, policy, cost, 30, seed=0, trials=4)
-        assert batch.truncated_at is not None
-        with pytest.raises(ValueError):
-            reduce([batch], cost, discounted=False)
-        with pytest.raises(ValueError):
-            monte_carlo(model, policy, cost, 30, seed=0, trials=4)
+    weighted = make_cost(q=np.eye(2), r=np.eye(2))
+    unweighted = make_cost(q=np.zeros((2, 2)), r=np.zeros((2, 2)))
+    # x0(k) = xbar0 1e8^k: a unit weight overflows the stage cost of step 0
+    # at 1e200, no weight first sees the state that overflows at step 39
+    for xbar0, cost, horizon, step in ((1e200, weighted, 30, 0), (1.0, unweighted, 60, 39),
+                                       (1.0, unweighted, 39, 39)):
+        model = make_model(a00=[[1e8]], a10=[[0.0]], a11=[[0.5]],
+                           b00=[[0.0]], b10=[[0.0]], b11=[[1.0]],
+                           xbar0=[xbar0], xbar1=[0.0])
+        message = rf"trial block 0\.\.3 truncated at step {step}; closed loop is destabilizing"
+        with pytest.raises(SimulationDiverged, match=message):
+            simulate_batch(model, policy, cost, horizon, seed=0, trials=4)
+        with pytest.raises(SimulationDiverged, match=message):
+            monte_carlo(model, policy, cost, horizon, seed=0, trials=4)
+    # finite paths whose squares overflow the summary's sums
+    model = make_model(a00=[[1.0]], a10=[[0.0]], a11=[[0.5]],
+                       b00=[[0.0]], b10=[[0.0]], b11=[[1.0]],
+                       xbar0=[1e154], xbar1=[0.0])
+    batch = simulate_batch(model, policy, weighted, 2, seed=0, trials=4)
+    assert np.isfinite(batch.stage_cost).all()
+    with pytest.raises(SimulationDiverged, match=r"summary of trials 0\.\.3 is not finite"):
+        reduce([batch], weighted, discounted=False)
 
 
 def test_mss_flags_zero_noise_stable_loop():
