@@ -35,6 +35,8 @@ COMMANDS = [
     ["simulate", "--model", "scalar-demo", "--mode", "finite", "--horizon", "12",
      "--trials", "5"],
     ["simulate", "--model", "auv-paper", "--trials", "40", "--horizon", "30", "--seed", "1"],
+    # more than one 1024-trial block
+    ["simulate", "--model", "scalar-demo", "--trials", "1100", "--horizon", "4", "--seed", "5"],
     ["verify", "--model", "scalar-demo", "--seed", "2"],
     ["verify", "--model", "scalar-demo", "--perturb-gains"],
     ["verify", "--model", "scalar-demo", "--mode", "finite", "--horizon", "60"],
