@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -30,8 +31,9 @@ from .model import (ModelValidationError, SpecFormatError, assemble_compact,
 # gain_gradient is not called here; the benchmark's harness tests wrap it through this module
 from .oracle import (OracleError, StructuredPolicy, gain_gradient, kalman_oracle,
                      policy_gradient)
-from .simulation import (SimulationDiverged, chunks, monte_carlo, mss_diagnostics, reduce,
-                         simulate)
+from . import simulation
+from .simulation import (SimulationDiverged, block_bounds, combine, monte_carlo,
+                         mss_diagnostics, simulate)
 
 OUT_DIR_ENV = "LFNS_OUT_DIR"
 BUILTINS = ("auv-paper", "scalar-demo")
@@ -158,6 +160,95 @@ def _auv_reference_columns(horizon):
     return cols
 
 
+# json.dumps(record, sort_keys=True) of one trace record: json writes a finite
+# float with float.__repr__, as %r does, and a block that reaches the writer is
+# finite, because the engine raises at its first overflow
+_STEP_RECORD = ('{"k": %d, "stage_cost": %r, "trial": %d, "u0": %r, "u1": %r, '
+                '"x0": %r, "x1": %r, "x1hat": %r}\n')
+_LAST_RECORD = ('{"k": %d, "stage_cost": null, "trial": %d, "u0": null, "u1": null, '
+                '"x0": %r, "x1": %r, "x1hat": %r}\n')
+
+
+def _trace_block(model, policy, cost, horizon, seed, lo, hi, discounted, part):
+    """Simulate trials lo..hi-1, write their trace records to the file part
+    and return the block's share of the summary.  Runs in a worker process."""
+    batch = simulation._simulate_chunk(model, policy, cost, horizon, seed, lo, hi)
+    with open(part, "w") as fh:
+        # tolist() one trial at a time: a whole block's Python floats would
+        # raise the worker's peak memory by more than half
+        for col in range(hi - lo):
+            x0, x1, x1hat = (a[:, :, col].tolist() for a in (batch.x0, batch.x1, batch.x1hat))
+            u0, u1 = batch.u0[:, :, col].tolist(), batch.u1[:, :, col].tolist()
+            stage = batch.stage_cost[:, col].tolist()
+            trial = lo + col
+            fh.writelines([_STEP_RECORD % (k, stage[k], trial, u0[k], u1[k], x0[k], x1[k],
+                                           x1hat[k]) for k in range(horizon)])
+            fh.write(_LAST_RECORD % (horizon, trial, x0[horizon], x1[horizon], x1hat[horizon]))
+    return simulation.block_sums(batch, cost, discounted)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(tasks) -> list:
+    """_trace_block's result for each task, in task order.
+
+    The tasks run in spawned worker processes, at most one per CPU; with one
+    worker they run in this process and no process is started.
+    """
+    workers = min(_cpus(), len(tasks))
+    if workers == 1:
+        return [_trace_block(*task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        futures = [pool.submit(_trace_block, *task) for task in tasks]
+        # in trial order, so a diverging run reports its first diverging block
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _new_dirs(path: Path) -> list[Path]:
+    """Create the directory path; return the levels this created, deepest first."""
+    missing = [level for level in (path, *path.parents) if not level.exists()]
+    path.mkdir(parents=True, exist_ok=True)
+    return missing
+
+
+def _write_traces(traces: Path, meta: dict, model, policy, cost, horizon: int, seed: int,
+                  trials: int, discounted: bool) -> simulation.MonteCarloSummary:
+    """Write the meta record, then every trial's records, to traces and
+    return the run's summary.
+
+    Each block's records go to a part file of their own, written by the task
+    that simulated the block.  traces appears only once every trial has been
+    reduced, so a diverging run leaves none behind.
+    """
+    partial = traces.with_name(traces.name + ".partial")
+    bounds = block_bounds(horizon, trials)
+    parts = [partial.with_name(f"{partial.name}.{j}") for j in range(len(bounds))]
+    try:
+        with open(partial, "wb") as fh:
+            fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
+            summary = combine(_run_blocks(
+                [(model, policy, cost, horizon, seed, lo, hi, discounted, part)
+                 for (lo, hi), part in zip(bounds, parts)]), cost, discounted)
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+        os.replace(partial, traces)
+    finally:
+        for path in (partial, *parts):
+            path.unlink(missing_ok=True)
+    return summary
+
+
 def cmd_simulate(args) -> int:
     model, cost, name = _load(args)
     policy, sol, discounted = _policy_for(model, cost, args)
@@ -165,35 +256,19 @@ def cmd_simulate(args) -> int:
         horizon = sol.horizon + 1
     else:
         horizon = args.horizon if args.horizon is not None else 60
-    out = _out_dir(args)
-
-    def written(blocks, fh):
-        # each trial runs once: its block is written out, then reduced
-        for batch in blocks:
-            for col in range(batch.trials):
-                for k in range(horizon + 1):
-                    rec = {"trial": batch.trial_offset + col, "k": k,
-                           "x0": _lst(batch.x0[k, :, col]), "x1": _lst(batch.x1[k, :, col]),
-                           "x1hat": _lst(batch.x1hat[k, :, col]),
-                           "u0": _lst(batch.u0[k, :, col]) if k < horizon else None,
-                           "u1": _lst(batch.u1[k, :, col]) if k < horizon else None,
-                           "stage_cost": float(batch.stage_cost[k, col]) if k < horizon else None}
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            yield batch
-
-    # the traces file appears only once every trial has been reduced, so a
-    # diverging run leaves none behind
-    traces = out / f"simulate-{name}-traces.jsonl"
-    partial = traces.with_name(traces.name + ".partial")
+    out = _out_path(args)
+    created = _new_dirs(out)
     try:
-        with open(partial, "w") as fh:
-            meta = _doc(args, kind="meta", horizon=horizon)
-            fh.write(json.dumps(meta, sort_keys=True) + "\n")
-            blocks = chunks(model, policy, cost, horizon, seed=args.seed, trials=args.trials)
-            summary = reduce(written(blocks, fh), cost, discounted)
-        os.replace(partial, traces)
-    finally:
-        partial.unlink(missing_ok=True)
+        summary = _write_traces(out / f"simulate-{name}-traces.jsonl",
+                                _doc(args, kind="meta", horizon=horizon), model, policy,
+                                cost, horizon, args.seed, args.trials, discounted)
+    except BaseException:
+        for level in created:
+            try:
+                os.rmdir(level)
+            except OSError:  # not empty: it holds files this run did not write
+                break
+        raise
     rho = max(closed_loop_radii(sol, assemble_compact(model))) if discounted else None
     report = mss_diagnostics(summary, spectral_radius=rho)
     _write_json(out / f"simulate-{name}-summary.json", _doc(

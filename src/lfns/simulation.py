@@ -229,18 +229,23 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                        stage_cost=stage, seed=seed, trial_offset=lo)
 
 
-def chunks(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
-           horizon: int, seed: int, trials: int):
-    """The trials 0..trials-1 as consecutive BatchResult blocks, CHUNK wide,
-    each simulated when it is reached."""
+def block_bounds(horizon: int, trials: int) -> list[tuple[int, int]]:
+    """The (lo, hi) trial ranges of consecutive CHUNK-wide blocks of 0..trials-1."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 to simulate, got {horizon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1 to simulate, got {trials}")
     if trials > 2 ** 32:
         raise ValueError(f"trial indices are one 32-bit spawn-key word; {trials} trials exceed 2**32")
-    return (_simulate_chunk(model, policy, cost, horizon, seed, lo, min(lo + CHUNK, trials))
-            for lo in range(0, trials, CHUNK))
+    return [(lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
+
+
+def chunks(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
+           horizon: int, seed: int, trials: int):
+    """The trials 0..trials-1 as consecutive BatchResult blocks, CHUNK wide,
+    each simulated when it is reached."""
+    return (_simulate_chunk(model, policy, cost, horizon, seed, lo, hi)
+            for lo, hi in block_bounds(horizon, trials))
 
 
 def simulate_batch(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -282,14 +287,37 @@ def _pathwise_costs(stage: np.ndarray, x0_last: np.ndarray, x1_last: np.ndarray,
     return total
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
-    """Reduce consecutive trial blocks, in trial order, to a summary.
+@dataclass(frozen=True, eq=False)
+class BlockSums:
+    """One trial block's share of a summary: what combine adds up in trial order."""
 
-    Only per-block accumulators are kept, never the paths, so a generator of
-    blocks streams.  Sums accumulate block by block and the stage-cost tail
-    behind the truncation bound is the largest per-block tail mean, so the
-    summary depends on the split; monte_carlo's blocks are CHUNK trials wide.
+    costs: np.ndarray
+    sum_state: np.ndarray
+    sum_sq: np.ndarray
+    stage_tail: float
+
+
+# finite paths can still overflow these sums; combine raises on what overflowed
+@np.errstate(over="ignore", invalid="ignore")
+def block_sums(batch: BatchResult, cost: CostSpec, discounted: bool) -> BlockSums:
+    """Per-trial path costs, state sums and the stage-cost tail mean of one block."""
+    horizon = batch.stage_cost.shape[0]
+    states = np.concatenate([batch.x0, batch.x1], axis=1)
+    window = max(1, horizon // 10)
+    return BlockSums(
+        costs=_pathwise_costs(batch.stage_cost, batch.x0[-1], batch.x1[-1], cost, discounted),
+        sum_state=states.sum(axis=2),
+        sum_sq=np.einsum("kib,kib->k", states, states),
+        stage_tail=float(batch.stage_cost[-window:].mean(axis=1).max()))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def combine(sums, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
+    """Add consecutive blocks' BlockSums, in trial order, into a summary.
+
+    Sums accumulate block by block and the stage-cost tail behind the
+    truncation bound is the largest per-block tail mean, so the summary
+    depends on the split; monte_carlo's blocks are CHUNK trials wide.
     Finite paths can still overflow the sums, so a summary with a non-finite
     number raises SimulationDiverged, without numpy's overflow warnings.
     """
@@ -297,15 +325,12 @@ def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
         raise ValueError("discounted aggregation requires cost.gamma")
     cost_parts = []
     sum_state = sum_sq = stage_tail = 0.0
-    for batch in blocks:
-        horizon = batch.stage_cost.shape[0]
-        cost_parts.append(_pathwise_costs(batch.stage_cost, batch.x0[-1],
-                                          batch.x1[-1], cost, discounted))
-        states = np.concatenate([batch.x0, batch.x1], axis=1)
-        sum_state = sum_state + states.sum(axis=2)
-        sum_sq = sum_sq + np.einsum("kib,kib->k", states, states)
-        window = max(1, horizon // 10)
-        stage_tail = max(stage_tail, float(batch.stage_cost[-window:].mean(axis=1).max()))
+    for part in sums:
+        cost_parts.append(part.costs)
+        sum_state = sum_state + part.sum_state
+        sum_sq = sum_sq + part.sum_sq
+        stage_tail = max(stage_tail, part.stage_tail)
+    horizon = sum_sq.shape[0] - 1
     costs = np.concatenate(cost_parts)
     trials = costs.size
     mean_cost = float(costs.mean())
@@ -326,6 +351,17 @@ def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
                              mean_state=mean_state, mean_norm=mean_norm,
                              second_moment=second_moment,
                              truncation_bound=truncation_bound)
+
+
+def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
+    """Reduce consecutive trial blocks, in trial order, to a summary.
+
+    Each block is turned into its BlockSums and released before the next is
+    drawn, so a generator of blocks streams: only the block being reduced is
+    held, never the paths of the run.
+    """
+    return combine(map(lambda batch: block_sums(batch, cost, discounted), blocks),
+                   cost, discounted)
 
 
 def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,

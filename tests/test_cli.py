@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lfns import infinite_horizon, simulation
+from lfns import cli, infinite_horizon, simulation
 from lfns.cli import main
 from lfns.model import make_cost, make_model, save_model_spec
 
@@ -132,29 +134,38 @@ def test_divergent_model_exits_3(tmp_path, capsys, argv, spec, message):
 
 # a numpy overflow warning would be a stderr line of its own
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("a11, argv, message", [
-    (1.2, ["simulate", "--trials", "2", "--horizon", "4500"],
+@pytest.mark.parametrize("a11, argv, out, message", [
+    (1.2, ["simulate", "--trials", "2", "--horizon", "4500"], ".",
      "simulation diverged: trial block 0..1 truncated at step "),
     # the paths stay finite, but the summary's standard error overflows
-    (3.0, ["verify"], "simulation diverged: summary of trials 0..1999 is not finite; "),
-    (3.0, ["simulate", "--horizon", "200", "--trials", "100"],
+    (3.0, ["verify"], ".", "simulation diverged: summary of trials 0..1999 is not finite; "),
+    (3.0, ["simulate", "--horizon", "200", "--trials", "100"], ".",
      "simulation diverged: summary of trials 0..99 is not finite; "),
     # the stage cost of step 155 overflows while the states are still finite
-    (10.0, ["simulate", "--horizon", "200", "--trials", "3"],
+    (10.0, ["simulate", "--horizon", "200", "--trials", "3"], ".",
      "simulation diverged: trial block 0..2 truncated at step 155; "),
-    (10.0, ["verify"], "exact moments diverged: closed-loop moments non-finite at step 155"),
+    (10.0, ["verify"], ".", "exact moments diverged: closed-loop moments non-finite at step 155"),
+    # the directory levels the run created go too
+    (1.2, ["simulate", "--trials", "2", "--horizon", "4500"], "new",
+     "simulation diverged: trial block 0..1 truncated at step "),
+    # two blocks in two worker processes: the first block's divergence is reported
+    (10.0, ["simulate", "--horizon", "200", "--trials", "1100"], "new/sub",
+     "simulation diverged: trial block 0..1023 truncated at step 154; "),
 ], ids=["error-1.2-simulate", "error-3-verify", "error-3-simulate", "error-10-simulate",
-        "error-10-verify"])
-def test_diverging_simulation_exits_3(tmp_path, capsys, a11, argv, message):
+        "error-10-verify", "error-1.2-simulate-new-out", "error-10-simulate-workers"])
+def test_diverging_simulation_exits_3(tmp_path, capfd, monkeypatch, a11, argv, out, message):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     # A - BH is stable, but the follower's estimation error grows like a11^k
     path = tmp_path / "error-diverges.json"
     write_spec(path, a00=[[0.5]], a10=[[0.0]], a11=[[a11]], b00=[[1.0]], b10=[[1.0]],
                b11=[[0.01]], sigma_w0=[[0.1]], sigma_w1=[[0.1]], sigma_x1=[[0.25]])
-    assert run(argv + ["--model", str(path), "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err.splitlines()
+    assert run(argv + ["--model", str(path), "--out", str(tmp_path / out)]) == 3
+    # captured at the file descriptor, so a worker's stderr counts too
+    err = capfd.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(message)
-    # no artifact is left, and no traces with NaN/Infinity tokens, which are not JSON
+    # no artifact, part file or created directory is left, and no traces with
+    # NaN/Infinity tokens, which are not JSON
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error-diverges.json"]
 
 
@@ -270,6 +281,63 @@ def test_simulate_auv_curves_include_references(tmp_path):
         assert col in header
     ref_x = float(rows[1][header.index("ref_leader_x")])
     assert ref_x == pytest.approx(1.2, abs=1e-12)
+
+
+def reference_traces(batch, horizon):
+    """The trace records of a batch, one json.dumps per record: the writer's reference."""
+    lst = lambda a: np.asarray(a).tolist()
+    lines = []
+    for col in range(batch.trials):
+        for k in range(horizon + 1):
+            rec = {"trial": batch.trial_offset + col, "k": k,
+                   "x0": lst(batch.x0[k, :, col]), "x1": lst(batch.x1[k, :, col]),
+                   "x1hat": lst(batch.x1hat[k, :, col]),
+                   "u0": lst(batch.u0[k, :, col]) if k < horizon else None,
+                   "u1": lst(batch.u1[k, :, col]) if k < horizon else None,
+                   "stage_cost": float(batch.stage_cost[k, col]) if k < horizon else None}
+            lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+# 2100 trials are three blocks, 1030 are two; three workers, or none
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("argv", [
+    ["--model", "scalar-demo", "--trials", "2100", "--horizon", "3", "--seed", "4"],
+    ["--model", "scalar-demo", "--mode", "finite", "--trials", "2100", "--horizon", "2"],
+    ["--model", "auv-paper", "--trials", "1030", "--horizon", "3", "--seed", "7"],
+], ids=["scalar-stationary", "scalar-finite", "auv"])
+def test_traces_equal_json_dumps_reference(tmp_path, monkeypatch, argv, cpus):
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    assert run(["simulate", *argv, "--out", str(tmp_path)]) == 0
+    args = cli.build_parser().parse_args(["simulate", *argv])
+    model, cost, name = cli._load(args)
+    policy, sol, _ = cli._policy_for(model, cost, args)
+    horizon = sol.horizon + 1 if args.mode == "finite" else args.horizon
+    batch = simulation.simulate_batch(model, policy, cost, horizon, args.seed, args.trials)
+    text = (tmp_path / f"simulate-{name}-traces.jsonl").read_text()
+    meta, records = text.split("\n", 1)
+    assert json.loads(meta)["kind"] == "meta"
+    assert records == reference_traces(batch, horizon)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"simulate-{name}-{kind}" for kind in ("curves.csv", "summary.json", "traces.jsonl")]
+
+
+# finite floats, and the ones whose repr is easy to get wrong
+floats = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([-0.0, 5e-324, 1e-310, 1e16, 1e-5]))
+vectors = st.lists(floats, min_size=1, max_size=6)
+
+
+@given(k=st.integers(0, 10 ** 6), trial=st.integers(0, 2 ** 32 - 1), stage=floats,
+       u0=vectors, u1=vectors, x0=vectors, x1=vectors, x1hat=vectors)
+def test_record_templates_equal_json_dumps(k, trial, stage, u0, u1, x0, x1, x1hat):
+    rec = {"trial": trial, "k": k, "x0": x0, "x1": x1, "x1hat": x1hat,
+           "u0": u0, "u1": u1, "stage_cost": stage}
+    assert (cli._STEP_RECORD % (k, stage, trial, u0, u1, x0, x1, x1hat)
+            == json.dumps(rec, sort_keys=True) + "\n")
+    rec.update(u0=None, u1=None, stage_cost=None)
+    assert (cli._LAST_RECORD % (k, trial, x0, x1, x1hat)
+            == json.dumps(rec, sort_keys=True) + "\n")
 
 
 def test_byte_identical_rerun(tmp_path):

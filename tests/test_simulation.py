@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from lfns.simulation import (
     SimulationDiverged,
     _draw_chunk,
     _simulate_chunk,
+    block_bounds,
     chunks,
     monte_carlo,
     mss_diagnostics,
@@ -139,6 +142,26 @@ def test_stored_batch_reduces_to_streaming_summary():
     assert summary.mean_cost == pytest.approx(stream.mean_cost, rel=1e-12)
     assert summary.standard_error == pytest.approx(stream.standard_error, rel=1e-9)
     assert np.allclose(summary.mean_state, stream.mean_state, atol=1e-12)
+
+
+def test_reduce_holds_one_block_at_a_time():
+    model = coupled_noisy_model()
+    policy, cost = stationary_policy(model)
+    refs = []
+
+    def blocks():
+        for lo, hi in block_bounds(5, 2 * CHUNK + 5):
+            batch = _simulate_chunk(model, policy, cost, 5, 4, lo, hi)
+            # reduce let go of the block before it asked for this one
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(batch))
+            yield batch
+
+    summary = reduce(blocks(), cost, discounted=True)
+    assert len(refs) == 3
+    stream = monte_carlo(model, policy, cost, 5, seed=4, trials=2 * CHUNK + 5, discounted=True)
+    assert summary.mean_cost == stream.mean_cost
+    assert np.array_equal(summary.second_moment, stream.second_moment)
 
 
 def test_monte_carlo_matches_exact_cost():
