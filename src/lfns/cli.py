@@ -171,7 +171,7 @@ _LAST_RECORD = ('{"k": %d, "stage_cost": null, "trial": %d, "u0": null, "u1": nu
 
 def _trace_block(model, policy, cost, horizon, seed, lo, hi, discounted, part):
     """Simulate trials lo..hi-1, write their trace records to the file part
-    and return the block's share of the summary.  Runs in a worker process."""
+    and return the block's share of the summary: one task of _run_blocks."""
     batch = simulation._simulate_chunk(model, policy, cost, horizon, seed, lo, hi)
     with open(part, "w") as fh:
         # tolist() one trial at a time: a whole block's Python floats would

@@ -144,16 +144,16 @@ def test_stored_batch_reduces_to_streaming_summary():
     assert np.allclose(summary.mean_state, stream.mean_state, atol=1e-12)
 
 
-def test_reduce_holds_one_block_at_a_time():
+def test_reduce_streams_blocks():
     model = coupled_noisy_model()
     policy, cost = stationary_policy(model)
     refs = []
 
     def blocks():
         for lo, hi in block_bounds(5, 2 * CHUNK + 5):
+            # reduce holds at most the block it reduced last while the next is drawn
+            assert all(ref() is None for ref in refs[:-1])
             batch = _simulate_chunk(model, policy, cost, 5, 4, lo, hi)
-            # reduce let go of the block before it asked for this one
-            assert all(ref() is None for ref in refs)
             refs.append(weakref.ref(batch))
             yield batch
 
