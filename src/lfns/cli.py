@@ -239,9 +239,12 @@ def _write_traces(traces: Path, meta: dict, model, policy, cost, horizon: int, s
             summary = combine(_run_blocks(
                 [(model, policy, cost, horizon, seed, lo, hi, discounted, part)
                  for (lo, hi), part in zip(bounds, parts)]), cost, discounted)
+            # each part goes once it is copied, so the run holds the traces
+            # on disk about once, not twice
             for part in parts:
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh)
+                part.unlink()
         os.replace(partial, traces)
     finally:
         for path in (partial, *parts):
