@@ -184,7 +184,7 @@ def _trace_block(model, policy, cost, horizon, seed, lo, hi, discounted, part):
             fh.writelines([_STEP_RECORD % (k, stage[k], trial, u0[k], u1[k], x0[k], x1[k],
                                            x1hat[k]) for k in range(horizon)])
             fh.write(_LAST_RECORD % (horizon, trial, x0[horizon], x1[horizon], x1hat[horizon]))
-    return simulation.block_sums(batch, cost, discounted)
+    return simulation.block_sums(batch.states, batch.stage_cost, cost, discounted)
 
 
 def _cpus() -> int:
@@ -194,13 +194,26 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _spawn_can_import_main() -> bool:
+    """Whether a spawned worker can re-import this process's __main__.
+
+    A worker imports it by module name, or runs it from its file; a script
+    read from stdin (python -) has neither, and its workers would die.
+    """
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    return (getattr(main.__spec__, "name", None) is not None or path is None
+            or os.path.isfile(path))
+
+
 def _run_blocks(tasks) -> list:
     """_trace_block's result for each task, in task order.
 
     The tasks run in spawned worker processes, at most one per CPU; with one
-    worker they run in this process and no process is started.
+    worker, or a __main__ that a worker cannot import, they run in this
+    process and no process is started.
     """
-    workers = min(_cpus(), len(tasks))
+    workers = min(_cpus(), len(tasks)) if _spawn_can_import_main() else 1
     if workers == 1:
         return [_trace_block(*task) for task in tasks]
     import multiprocessing

@@ -11,6 +11,14 @@ chunks in trial order.  Each step applies the structured policy, then
 model.step for the plant and estimator.advance for the leader's estimate,
 the same functions a single trial's vectors go through.
 
+A block's states are one stacked (horizon+1, 2n, trials) array; x0 and x1
+are its views.  One step loop serves two routes.  The stored route
+(simulate_batch, chunks, the CLI's traces) keeps every path of a block.
+monte_carlo's reduce-only route keeps only the states and stage costs that
+block_sums reads, in one workspace allocated for the run and reused by
+every block, so its memory is 8*CHUNK*(4n(horizon+1) + horizon) bytes of
+buffers whatever the number of trials.
+
 The streams are produced without building a SeedSequence and a Generator
 per trial: a chunk's spawn keys are hashed together in uint32 arithmetic,
 each trial's PCG64 state is set on one Generator, and one
@@ -20,6 +28,7 @@ tests compare against.  A spawn key is one 32-bit word, so trial < 2**32.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +61,13 @@ class BatchResult:
     """Column-stacked sample paths for a contiguous block of trials.
 
     State arrays have shape (horizon+1, dim, trials); control, noise and
-    stage-cost arrays cover steps 0..horizon-1.  Stage costs are stored
-    undiscounted; discounting happens at aggregation.  Every entry is
+    stage-cost arrays cover steps 0..horizon-1.  states stacks (x0, x1) as
+    (horizon+1, 2n, trials), and x0 and x1 are its views.  Stage costs are
+    stored undiscounted; discounting happens at aggregation.  Every entry is
     finite: a block whose loop overflows raises SimulationDiverged instead.
     """
 
-    x0: np.ndarray
-    x1: np.ndarray
+    states: np.ndarray
     x1hat: np.ndarray
     u0: np.ndarray
     u1: np.ndarray
@@ -69,8 +78,16 @@ class BatchResult:
     trial_offset: int
 
     @property
+    def x0(self) -> np.ndarray:
+        return self.states[:, :self.states.shape[1] // 2]
+
+    @property
+    def x1(self) -> np.ndarray:
+        return self.states[:, self.states.shape[1] // 2:]
+
+    @property
     def trials(self) -> int:
-        return self.x0.shape[2]
+        return self.states.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,15 +171,17 @@ def _spawned_states(seed: int, lo: int, hi: int) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _draw_chunk(model: LfnsModel, horizon: int, seed: int, lo: int, hi: int):
+def _draw_chunk(model: LfnsModel, horizon: int, seed: int, lo: int, hi: int, buf=None):
     """Each trial's normals in the documented order, as views of one buffer.
 
-    Row j - lo of the trial-major buffer holds trial j's z0, z1, zw0 and zw1
-    back to back, filled by one standard_normal call from the PCG64 state
-    that default_rng(SeedSequence(entropy=seed, spawn_key=(j,))) starts in.
+    Row j - lo of the trial-major buffer, shape (hi-lo, 2*horizon+2, n), holds
+    trial j's z0, z1, zw0 and zw1 back to back, filled by one standard_normal
+    call from the PCG64 state that default_rng(SeedSequence(entropy=seed,
+    spawn_key=(j,))) starts in.  buf is that buffer, or None for a new one.
     """
     n = model.n
-    buf = np.empty((hi - lo, 2 * horizon + 2, n))
+    if buf is None:
+        buf = np.empty((hi - lo, 2 * horizon + 2, n))
     gen = np.random.Generator(np.random.PCG64(0))
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     for col, (s_hi, s_lo, q_hi, q_lo) in enumerate(_spawned_states(seed, lo, hi).tolist()):
@@ -178,38 +197,51 @@ def _draw_chunk(model: LfnsModel, horizon: int, seed: int, lo: int, hi: int):
     return z0, z1, zw0, zw1
 
 
+def _block_arrays(n: int, horizon: int, b: int, pool=None) -> list[np.ndarray]:
+    """A b-trial block's draw buffer (b, 2*horizon+2, n), stacked states
+    (horizon+1, 2n, b) and stage costs (horizon, b).
+
+    New arrays, or C-contiguous prefixes of pool's three flat arrays: a
+    narrower last block then hands every matmul the layout a full one does.
+    """
+    shapes = ((b, 2 * horizon + 2, n), (horizon + 1, 2 * n, b), (horizon, b))
+    if pool is None:
+        return [np.empty(shape) for shape in shapes]
+    return [flat[:math.prod(shape)].reshape(shape) for flat, shape in zip(pool, shapes)]
+
+
 # the loop raises at its first overflow, so numpy's warnings about it are redundant
 @np.errstate(over="ignore", invalid="ignore")
-def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
-                    horizon: int, seed: int, lo: int, hi: int) -> BatchResult:
-    n, m1, m2 = model.n, model.m1, model.m2
-    b = hi - lo
-    z0, z1, zw0, zw1 = _draw_chunk(model, horizon, seed, lo, hi)
+def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
+                horizon: int, seed: int, lo: int, hi: int, arrays, paths=None) -> None:
+    """Draw and step trials lo..hi-1 in arrays, _block_arrays' three for b = hi-lo.
+
+    The states and stage costs are written in place.  paths is None, or the
+    (x1hat, u0, u1, w0, w1) arrays to store those paths in as well; without
+    them the running estimate is one (n, b) array.
+    """
+    n = model.n
+    draws, states, stage = arrays
+    z0, z1, zw0, zw1 = _draw_chunk(model, horizon, seed, lo, hi, draws)
     lx0 = psd_factor(model.sigma_x0)
     lx1 = psd_factor(model.sigma_x1)
     lw0 = psd_factor(model.sigma_w0)
     lw1 = psd_factor(model.sigma_w1)
 
-    x0 = np.empty((horizon + 1, n, b))
-    x1 = np.empty((horizon + 1, n, b))
-    x1hat = np.empty((horizon + 1, n, b))
-    u0 = np.empty((horizon, m1, b))
-    u1 = np.empty((horizon, m2, b))
-    w0 = np.empty((horizon, n, b))
-    w1 = np.empty((horizon, n, b))
-    stage = np.empty((horizon, b))
-
-    x0[0] = model.xbar0[:, None] + lx0 @ z0
-    x1[0] = model.xbar1[:, None] + lx1 @ z1
-    x1hat[0] = model.xbar1[:, None]
+    states[0, :n] = model.xbar0[:, None] + lx0 @ z0
+    states[0, n:] = model.xbar1[:, None] + lx1 @ z1
+    hat = np.repeat(model.xbar1[:, None], hi - lo, axis=1)
+    if paths is not None:
+        paths[0][0] = hat
+    gains = policy.at(0) if policy.is_constant else None
     # a non-finite state or estimate makes its step's controls and stage cost
     # non-finite, so states are checked only at the horizon, where none is read
     for k in range(horizon):
-        k00, k01, k10, k11 = policy.at(k)
-        cur0, cur1, curhat = x0[k], x1[k], x1hat[k]
-        uk0 = -(k00 @ cur0 + k01 @ curhat)
+        k00, k01, k10, k11 = gains if gains is not None else policy.at(k)
+        xs = states[k]
+        cur0, cur1 = xs[:n], xs[n:]
+        uk0 = -(k00 @ cur0 + k01 @ hat)
         uk1 = -(k10 @ cur0 + k11 @ cur1)
-        xs = np.vstack([cur0, cur1])
         us = np.vstack([uk0, uk1])
         stage[k] = (np.einsum("ib,ib->b", xs, cost.q @ xs)
                     + np.einsum("ib,ib->b", us, cost.r @ us))
@@ -217,16 +249,28 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
             break
         wk0 = lw0 @ zw0[k]
         wk1 = lw1 @ zw1[k]
-        u0[k], u1[k], w0[k], w1[k] = uk0, uk1, wk0, wk1
-        x0[k + 1], x1[k + 1] = step(model, cur0, cur1, uk0, uk1, wk0, wk1)
-        x1hat[k + 1] = advance(model, curhat, cur0, uk0, k10, k11)
+        states[k + 1, :n], states[k + 1, n:] = step(model, cur0, cur1, uk0, uk1, wk0, wk1)
+        hat = advance(model, hat, cur0, uk0, k10, k11)
+        if paths is not None:
+            x1hat, u0, u1, w0, w1 = paths
+            x1hat[k + 1], u0[k], u1[k], w0[k], w1[k] = hat, uk0, uk1, wk0, wk1
     else:
         k = horizon
-    if k < horizon or not np.isfinite([x0[k], x1[k], x1hat[k]]).all():
+    if k < horizon or not (np.isfinite(states[k]).all() and np.isfinite(hat).all()):
         raise SimulationDiverged(f"trial block {lo}..{hi - 1} truncated at step {k}; "
                                  f"closed loop is destabilizing")
-    return BatchResult(x0=x0, x1=x1, x1hat=x1hat, u0=u0, u1=u1, w0=w0, w1=w1,
-                       stage_cost=stage, seed=seed, trial_offset=lo)
+
+
+def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
+                    horizon: int, seed: int, lo: int, hi: int) -> BatchResult:
+    """Trials lo..hi-1 with every path stored: the stored route's block."""
+    n, b = model.n, hi - lo
+    arrays = _block_arrays(n, horizon, b)
+    paths = (np.empty((horizon + 1, n, b)), np.empty((horizon, model.m1, b)),
+             np.empty((horizon, model.m2, b)), np.empty((horizon, n, b)),
+             np.empty((horizon, n, b)))
+    _step_block(model, policy, cost, horizon, seed, lo, hi, arrays, paths)
+    return BatchResult(arrays[1], *paths, stage_cost=arrays[2], seed=seed, trial_offset=lo)
 
 
 def block_bounds(horizon: int, trials: int) -> list[tuple[int, int]]:
@@ -255,7 +299,7 @@ def simulate_batch(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     if len(blocks) == 1:
         return blocks[0]
     cat = lambda name: np.concatenate([getattr(c, name) for c in blocks], axis=-1)
-    return BatchResult(x0=cat("x0"), x1=cat("x1"), x1hat=cat("x1hat"),
+    return BatchResult(states=cat("states"), x1hat=cat("x1hat"),
                        u0=cat("u0"), u1=cat("u1"), w0=cat("w0"), w1=cat("w1"),
                        stage_cost=cat("stage_cost"), seed=seed, trial_offset=0)
 
@@ -274,16 +318,15 @@ def simulate(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     return out
 
 
-def _pathwise_costs(stage: np.ndarray, x0_last: np.ndarray, x1_last: np.ndarray,
-                    cost: CostSpec, discounted: bool) -> np.ndarray:
+def _pathwise_costs(stage: np.ndarray, last: np.ndarray, cost: CostSpec,
+                    discounted: bool) -> np.ndarray:
     horizon = stage.shape[0]
     if discounted:
         weights = cost.gamma ** np.arange(horizon)
         return weights @ stage
     total = stage.sum(axis=0)
     if cost.p_terminal is not None:
-        xs = np.vstack([x0_last, x1_last])
-        total = total + np.einsum("ib,ib->b", xs, cost.p_terminal @ xs)
+        total = total + np.einsum("ib,ib->b", last, cost.p_terminal @ last)
     return total
 
 
@@ -299,16 +342,16 @@ class BlockSums:
 
 # finite paths can still overflow these sums; combine raises on what overflowed
 @np.errstate(over="ignore", invalid="ignore")
-def block_sums(batch: BatchResult, cost: CostSpec, discounted: bool) -> BlockSums:
-    """Per-trial path costs, state sums and the stage-cost tail mean of one block."""
-    horizon = batch.stage_cost.shape[0]
-    states = np.concatenate([batch.x0, batch.x1], axis=1)
-    window = max(1, horizon // 10)
+def block_sums(states: np.ndarray, stage: np.ndarray, cost: CostSpec,
+               discounted: bool) -> BlockSums:
+    """Per-trial path costs, state sums and the stage-cost tail mean of one
+    block, from its stacked states and its stage costs."""
+    window = max(1, stage.shape[0] // 10)
     return BlockSums(
-        costs=_pathwise_costs(batch.stage_cost, batch.x0[-1], batch.x1[-1], cost, discounted),
+        costs=_pathwise_costs(stage, states[-1], cost, discounted),
         sum_state=states.sum(axis=2),
         sum_sq=np.einsum("kib,kib->k", states, states),
-        stage_tail=float(batch.stage_cost[-window:].mean(axis=1).max()))
+        stage_tail=float(stage[-window:].mean(axis=1).max()))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -363,18 +406,32 @@ def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     and the next block faults them back in (about 10% slower on 1024-trial
     n=6 blocks, for a third less peak memory).
     """
-    return combine((block_sums(batch, cost, discounted) for batch in blocks), cost, discounted)
+    return combine((block_sums(batch.states, batch.stage_cost, cost, discounted)
+                    for batch in blocks), cost, discounted)
 
 
 def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                 horizon: int, seed: int, trials: int,
                 discounted: bool = False) -> MonteCarloSummary:
-    """Streaming Monte Carlo: runs chunks, keeps accumulators, never the paths.
+    """Streaming Monte Carlo: keeps accumulators, never the paths.
 
-    Aggregation is a deterministic reduction in trial order, so the result
-    for a given (seed, trials) pair is reproducible.
+    The reduce-only route: every block draws and steps in one workspace,
+    allocated for the first and widest block, and stores only what
+    block_sums reads.  The summary equals reduce over chunks bit for bit,
+    and aggregation is a deterministic reduction in trial order, so the
+    result for a given (seed, trials) pair is reproducible.
     """
-    return reduce(chunks(model, policy, cost, horizon, seed, trials), cost, discounted)
+    bounds = block_bounds(horizon, trials)
+    pool = [a.reshape(-1) for a in _block_arrays(model.n, horizon, bounds[0][1])]
+
+    def sums():
+        for lo, hi in bounds:
+            arrays = _block_arrays(model.n, horizon, hi - lo, pool)
+            _step_block(model, policy, cost, horizon, seed, lo, hi, arrays)
+            # consumed here, before the next block overwrites the workspace
+            yield block_sums(arrays[1], arrays[2], cost, discounted)
+
+    return combine(sums(), cost, discounted)
 
 
 def mss_diagnostics(summary: MonteCarloSummary, spectral_radius: float | None = None,

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +324,24 @@ def test_traces_equal_json_dumps_reference(tmp_path, monkeypatch, argv, cpus):
     assert records == reference_traces(batch, horizon)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         f"simulate-{name}-{kind}" for kind in ("curves.csv", "summary.json", "traces.jsonl")]
+
+
+def test_simulate_from_a_script_on_stdin(tmp_path, monkeypatch):
+    # a spawned worker cannot re-import a __main__ read from stdin, so the
+    # two blocks run in the script's own process, even with two CPUs
+    argv = ["simulate", "--model", "scalar-demo", "--trials", "1100", "--horizon", "4",
+            "--out", "out"]
+    script = f"from lfns import cli\ncli._cpus = lambda: 2\nraise SystemExit(cli.main({argv!r}))\n"
+    (tmp_path / "stdin").mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-"], input=script, text=True, capture_output=True,
+                          cwd=tmp_path / "stdin", env=env, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    (tmp_path / "inproc").mkdir()
+    monkeypatch.chdir(tmp_path / "inproc")
+    assert run(argv) == 0
+    traces = "out/simulate-scalar-demo-traces.jsonl"
+    assert (tmp_path / "stdin" / traces).read_bytes() == (tmp_path / "inproc" / traces).read_bytes()
 
 
 # finite floats, and the ones whose repr is easy to get wrong

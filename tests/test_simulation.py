@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfns.auv import paper_model
 from lfns.estimator import advance
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.finite_horizon import backward_riccati
@@ -33,6 +36,35 @@ def stationary_policy(model, gamma=0.9):
                      gamma=gamma)
     sol = solve_stationary_riccati(assemble_compact(model), cost)
     return StructuredPolicy.from_stationary(sol), cost
+
+
+ROUTE_CASES = ["scalar-stationary", "scalar-finite", "auv-paper"]
+
+
+def route_case(name, horizon):
+    """(model, policy, cost, discounted) of a case both routes run over horizon
+    steps: a constant policy, a per-step one, and the n = 6 auv-paper loop."""
+    if name == "auv-paper":
+        model, cost = paper_model()
+        sol = solve_stationary_riccati(assemble_compact(model), cost)
+        return model, StructuredPolicy.from_stationary(sol), cost, True
+    model = coupled_noisy_model()
+    if name == "scalar-finite":
+        cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.diag([2.0, 3.0]))
+        sol = backward_riccati(assemble_compact(model), cost, horizon - 1)
+        return model, StructuredPolicy.from_finite_horizon(sol, model), cost, False
+    return model, *stationary_policy(model), True
+
+
+def error_diverges():
+    """test_cli's a11 = 10 spec: A - BH is stable, but the follower's
+    estimation error grows like 10^k."""
+    model = make_model(a00=[[0.5]], a10=[[0.0]], a11=[[10.0]], b00=[[1.0]], b10=[[1.0]],
+                       b11=[[0.01]], sigma_w0=[[0.1]], sigma_w1=[[0.1]], xbar0=[1.0],
+                       xbar1=[0.5], sigma_x0=[[0.25]], sigma_x1=[[0.25]])
+    cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9, p_terminal=np.eye(2))
+    sol = solve_stationary_riccati(assemble_compact(model), cost)
+    return model, StructuredPolicy.from_stationary(sol), cost
 
 
 def test_psd_factor_cases():
@@ -120,16 +152,16 @@ def test_repeat_runs_are_bit_identical():
 def test_trials_invariant_to_batch_size():
     # per-trial streams make chunking invisible, including across the
     # internal chunk boundary
-    model = coupled_noisy_model()
-    policy, cost = stationary_policy(model)
-    big = simulate_batch(model, policy, cost, 6, seed=11, trials=1500)
-    small = simulate_batch(model, policy, cost, 6, seed=11, trials=100)
-    assert np.array_equal(big.x0[:, :, :100], small.x0)
-    assert np.array_equal(big.u1[:, :, :100], small.u1)
-    straddle = _simulate_chunk(model, policy, cost, 6, 11, CHUNK - 4, CHUNK + 6)
-    for name in ("x0", "x1", "x1hat", "u0", "u1", "w0", "w1", "stage_cost"):
-        assert np.array_equal(getattr(big, name)[..., CHUNK - 4:CHUNK + 6],
-                              getattr(straddle, name))
+    for case in ROUTE_CASES:
+        model, policy, cost, _ = route_case(case, 6)
+        big = simulate_batch(model, policy, cost, 6, seed=11, trials=1500)
+        small = simulate_batch(model, policy, cost, 6, seed=11, trials=100)
+        assert np.array_equal(big.x0[:, :, :100], small.x0), case
+        assert np.array_equal(big.u1[:, :, :100], small.u1), case
+        straddle = _simulate_chunk(model, policy, cost, 6, 11, CHUNK - 4, CHUNK + 6)
+        for name in ("x0", "x1", "x1hat", "u0", "u1", "w0", "w1", "stage_cost"):
+            assert np.array_equal(getattr(big, name)[..., CHUNK - 4:CHUNK + 6],
+                                  getattr(straddle, name)), (case, name)
 
 
 def test_stored_batch_reduces_to_streaming_summary():
@@ -145,23 +177,47 @@ def test_stored_batch_reduces_to_streaming_summary():
 
 
 def test_reduce_streams_blocks():
-    model = coupled_noisy_model()
-    policy, cost = stationary_policy(model)
-    refs = []
+    for case in ROUTE_CASES:
+        model, policy, cost, discounted = route_case(case, 5)
+        refs = []
 
-    def blocks():
-        for lo, hi in block_bounds(5, 2 * CHUNK + 5):
-            # reduce holds at most the block it reduced last while the next is drawn
-            assert all(ref() is None for ref in refs[:-1])
-            batch = _simulate_chunk(model, policy, cost, 5, 4, lo, hi)
-            refs.append(weakref.ref(batch))
-            yield batch
+        def blocks():
+            for lo, hi in block_bounds(5, 2 * CHUNK + 5):
+                # reduce holds at most the block it reduced last while the next is drawn
+                assert all(ref() is None for ref in refs[:-1])
+                batch = _simulate_chunk(model, policy, cost, 5, 4, lo, hi)
+                refs.append(weakref.ref(batch))
+                yield batch
 
-    summary = reduce(blocks(), cost, discounted=True)
-    assert len(refs) == 3
-    stream = monte_carlo(model, policy, cost, 5, seed=4, trials=2 * CHUNK + 5, discounted=True)
-    assert summary.mean_cost == stream.mean_cost
-    assert np.array_equal(summary.second_moment, stream.second_moment)
+        summary = reduce(blocks(), cost, discounted)
+        assert len(refs) == 3
+        # monte_carlo's reduce-only route, whose narrower last block steps in a
+        # prefix of its workspace, gives the stored route's summary bit for bit
+        stream = monte_carlo(model, policy, cost, 5, seed=4, trials=2 * CHUNK + 5,
+                             discounted=discounted)
+        for field in dataclasses.fields(summary):
+            want, got = getattr(summary, field.name), getattr(stream, field.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), (case, field.name)
+            else:
+                assert got == want, (case, field.name)
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    model, policy, cost, _ = route_case("auv-paper", 100)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            monte_carlo(model, policy, cost, 100, seed=0, trials=trials, discounted=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # numpy's first-call set-up is not the run's memory
+    monte_carlo(model, policy, cost, 1, seed=0, trials=1, discounted=True)
+    one_block = peak(CHUNK)
+    assert abs(peak(10 * CHUNK + 7) / one_block - 1.0) <= 0.05
 
 
 def test_monte_carlo_matches_exact_cost():
@@ -223,6 +279,16 @@ def test_truncation_flag_and_rejection():
     assert np.isfinite(batch.stage_cost).all()
     with pytest.raises(SimulationDiverged, match=r"summary of trials 0\.\.3 is not finite"):
         reduce([batch], weighted, discounted=False)
+    # the stage cost of step 154 overflows in the first block, on both routes
+    model, policy, cost = error_diverges()
+    messages = []
+    for run in (lambda: reduce(chunks(model, policy, cost, 200, 0, 1100), cost, True),
+                lambda: monte_carlo(model, policy, cost, 200, 0, 1100, discounted=True)):
+        with pytest.raises(SimulationDiverged) as caught:
+            run()
+        messages.append(str(caught.value))
+    assert messages == ["trial block 0..1023 truncated at step 154; "
+                        "closed loop is destabilizing"] * 2
 
 
 def test_mss_flags_zero_noise_stable_loop():
