@@ -96,6 +96,17 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, args, columns, rows, notes=()) -> None:
+    """A CSV table under '# version=', '# config=' and then each note, one '# ' line each."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# version={__version__}\n")
+        fh.write("# config=" + json.dumps(_config_echo(args), sort_keys=True) + "\n")
+        fh.writelines(f"# {note}\n" for note in notes)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def _lst(a):
     return np.asarray(a).tolist()
 
@@ -313,13 +324,8 @@ def cmd_simulate(args) -> int:
         for j, ch in enumerate(("x", "y", "psi")):
             cols[f"actual_leader_{ch}"] = refs[f"ref_leader_{ch}"] + summary.mean_state[:, j]
             cols[f"actual_follower_{ch}"] = refs[f"ref_follower_{ch}"] + summary.mean_state[:, n + j]
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# version={__version__}\n")
-        fh.write("# config=" + json.dumps(_config_echo(args), sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(cols.keys())
-        for i in range(horizon + 1):
-            writer.writerow([repr(float(cols[key][i])) for key in cols])
+    _write_csv(csv_path, args, cols.keys(),
+               ([repr(float(cols[key][i])) for key in cols] for i in range(horizon + 1)))
     return 0
 
 
@@ -336,15 +342,9 @@ def cmd_converge(args) -> int:
     stationary_value = stationary_cost(stat, model)
     out = _out_dir(args)
     if args.format == "csv":
-        path = out / f"converge-{name}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# version={__version__}\n")
-            fh.write("# config=" + json.dumps(_config_echo(args), sort_keys=True) + "\n")
-            fh.write(f"# stationary_cost={stationary_value!r}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["horizon", "cost"])
-            for n, val in rows:
-                writer.writerow([n, repr(val)])
+        _write_csv(out / f"converge-{name}.csv", args, ["horizon", "cost"],
+                   [[n, repr(val)] for n, val in rows],
+                   notes=[f"stationary_cost={stationary_value!r}"])
     else:
         _write_json(out / f"converge-{name}.json",
                     _doc(args, rows=rows, stationary_cost=stationary_value))
@@ -395,8 +395,7 @@ def _verify_checks(model, cost, args):
 
     # a finite-mode policy holds only horizon + 1 gains
     steps = min(50, probe_horizon)
-    traces = simulate(model, policy, cost, steps, seed=args.seed, trials=1)
-    tr = traces[0]
+    tr = simulate(model, policy, cost, steps, seed=args.seed)
     if policy.is_constant:
         kf = kalman_oracle(model, tr.x0, tr.u0, follower_gains=policy.at(0)[2:])
         err = max(np.linalg.norm(tr.x1hat[k] - kf[k]) for k in range(steps + 1))
@@ -454,18 +453,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("finite", "stationary"),
                        default="stationary")
         p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
-        # only converge writes CSV; the others reject it rather than ignore it
-        p.add_argument("--format", default="json",
-                       choices=("json", "csv") if name == "converge" else ("json",))
+        # a command is given only the flags it reads, so it rejects the others
+        # rather than ignore them; these defaults, which the flags added below
+        # take as theirs, fill the config echo of every command
+        p.set_defaults(fn=fn, trials=1, seed=0, format="json")
+        if name in ("simulate", "verify"):
+            p.add_argument("--trials", type=int)
+            p.add_argument("--seed", type=int)
+        if name == "converge":
+            p.add_argument("--format", choices=("json", "csv"))
         if name == "verify":
             p.add_argument("--perturb-gains", action="store_true",
                            help="negative control: offset the solved gains")
-        p.set_defaults(fn=fn)
     return parser
 
 

@@ -5,19 +5,21 @@ dedicated stream numpy.random.default_rng(SeedSequence(entropy=s,
 spawn_key=(j,))), in the fixed order initial-leader z (n draws), initial
 follower z (n draws), leader noise path (horizon x n), follower noise path
 (horizon x n).  A trial's random inputs therefore depend only on (s, j),
-never on how many trials run alongside it or how they are chunked.  Trials
-are processed in column-stacked chunks of fixed width; aggregation reduces
-chunks in trial order.  Each step applies the structured policy, then
-model.step for the plant and estimator.advance for the leader's estimate,
-the same functions a single trial's vectors go through.
+never on how many trials run alongside it or how they are split into
+blocks.  Each step applies the structured policy, then model.step for the
+plant and estimator.advance for the leader's estimate, the same functions
+a single trial's vectors go through.
 
 A block's states are one stacked (horizon+1, 2n, trials) array; x0 and x1
-are its views.  One step loop serves two routes.  The stored route
-(simulate_batch, chunks, the CLI's traces) keeps every path of a block.
-monte_carlo's reduce-only route keeps only the states and stage costs that
-block_sums reads, in one workspace allocated for the run and reused by
-every block, so its memory is 8*CHUNK*(4n(horizon+1) + horizon) bytes of
-buffers whatever the number of trials.
+are its views.  One step loop serves two routes.  The stored route keeps
+every path: simulate_batch runs all its trials as one block, simulate is
+its first trial, and the CLI's traces store one CHUNK-wide block at a time.
+The reduce-only route keeps only the states and stage costs that
+block_sums reads: monte_carlo steps CHUNK-wide blocks in one workspace
+allocated for the run and reused by every block, so its memory is
+8*CHUNK*(4n(horizon+1) + horizon) bytes of buffers whatever the number of
+trials.  Both monte_carlo and the CLI's traces reduce by combine over
+block_sums.
 
 The streams are produced without building a SeedSequence and a Generator
 per trial: a chunk's spawn keys are hashed together in uint32 arithmetic,
@@ -38,6 +40,8 @@ from .finite_horizon import StructuredPolicy
 from .model import CostSpec, LfnsModel, step
 
 CHUNK = 1024
+# mss_diagnostics' mean test: the final mean norm at most this share of the initial one
+MEAN_DECAY_FRACTION = 0.05
 
 
 class SimulationDiverged(ValueError):
@@ -74,7 +78,6 @@ class BatchResult:
     w0: np.ndarray
     w1: np.ndarray
     stage_cost: np.ndarray
-    seed: int
     trial_offset: int
 
     @property
@@ -92,26 +95,18 @@ class BatchResult:
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """Single-trial view of a batch: per-step states, controls, noises, costs."""
+    """One trial's states, (horizon+1, dim), and controls, (horizon, dim)."""
 
     x0: np.ndarray
     x1: np.ndarray
     x1hat: np.ndarray
     u0: np.ndarray
     u1: np.ndarray
-    w0: np.ndarray
-    w1: np.ndarray
-    stage_cost: np.ndarray
-    seed: int
-    trial: int
 
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloSummary:
     trials: int
-    horizon: int
-    discounted: bool
-    gamma: float | None
     mean_cost: float
     standard_error: float
     mean_state: np.ndarray
@@ -270,7 +265,7 @@ def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
              np.empty((horizon, model.m2, b)), np.empty((horizon, n, b)),
              np.empty((horizon, n, b)))
     _step_block(model, policy, cost, horizon, seed, lo, hi, arrays, paths)
-    return BatchResult(arrays[1], *paths, stage_cost=arrays[2], seed=seed, trial_offset=lo)
+    return BatchResult(arrays[1], *paths, stage_cost=arrays[2], trial_offset=lo)
 
 
 def block_bounds(horizon: int, trials: int) -> list[tuple[int, int]]:
@@ -284,38 +279,19 @@ def block_bounds(horizon: int, trials: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
 
 
-def chunks(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
-           horizon: int, seed: int, trials: int):
-    """The trials 0..trials-1 as consecutive BatchResult blocks, CHUNK wide,
-    each simulated when it is reached."""
-    return (_simulate_chunk(model, policy, cost, horizon, seed, lo, hi)
-            for lo, hi in block_bounds(horizon, trials))
-
-
 def simulate_batch(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                    horizon: int, seed: int, trials: int) -> BatchResult:
-    """Run all trials, chunked internally, and return stacked arrays."""
-    blocks = list(chunks(model, policy, cost, horizon, seed, trials))
-    if len(blocks) == 1:
-        return blocks[0]
-    cat = lambda name: np.concatenate([getattr(c, name) for c in blocks], axis=-1)
-    return BatchResult(states=cat("states"), x1hat=cat("x1hat"),
-                       u0=cat("u0"), u1=cat("u1"), w0=cat("w0"), w1=cat("w1"),
-                       stage_cost=cat("stage_cost"), seed=seed, trial_offset=0)
+    """Trials 0..trials-1 as one stored block."""
+    block_bounds(horizon, trials)  # raises on a run it cannot simulate
+    return _simulate_chunk(model, policy, cost, horizon, seed, 0, trials)
 
 
 def simulate(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
-             horizon: int, seed: int, trials: int = 1) -> list[SimulationTrace]:
-    """Per-trial traces; thin views over the batch arrays."""
-    batch = simulate_batch(model, policy, cost, horizon, seed, trials)
-    out = []
-    for j in range(trials):
-        out.append(SimulationTrace(
-            x0=batch.x0[:, :, j], x1=batch.x1[:, :, j], x1hat=batch.x1hat[:, :, j],
-            u0=batch.u0[:, :, j], u1=batch.u1[:, :, j],
-            w0=batch.w0[:, :, j], w1=batch.w1[:, :, j],
-            stage_cost=batch.stage_cost[:, j], seed=seed, trial=j))
-    return out
+             horizon: int, seed: int) -> SimulationTrace:
+    """Trial 0's paths, as views of a one-trial batch."""
+    batch = simulate_batch(model, policy, cost, horizon, seed, 1)
+    return SimulationTrace(*(getattr(batch, name)[:, :, 0]
+                             for name in ("x0", "x1", "x1hat", "u0", "u1")))
 
 
 def _pathwise_costs(stage: np.ndarray, last: np.ndarray, cost: CostSpec,
@@ -388,26 +364,10 @@ def combine(sums, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     if not all(np.isfinite(x).all() for x in numbers):
         raise SimulationDiverged(f"summary of trials 0..{trials - 1} is not finite; "
                                  f"closed loop is destabilizing")
-    return MonteCarloSummary(trials=trials, horizon=horizon, discounted=discounted,
-                             gamma=cost.gamma if discounted else None,
-                             mean_cost=mean_cost, standard_error=se,
+    return MonteCarloSummary(trials=trials, mean_cost=mean_cost, standard_error=se,
                              mean_state=mean_state, mean_norm=mean_norm,
                              second_moment=second_moment,
                              truncation_bound=truncation_bound)
-
-
-def reduce(blocks, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
-    """Reduce consecutive trial blocks, in trial order, to a summary.
-
-    Each block is turned into its BlockSums, so a generator of blocks
-    streams: besides the block being drawn, only the last one reduced is
-    held, never the paths of the run.  That one is released once the next
-    has been drawn: releasing it first lets the allocator return its pages,
-    and the next block faults them back in (about 10% slower on 1024-trial
-    n=6 blocks, for a third less peak memory).
-    """
-    return combine((block_sums(batch.states, batch.stage_cost, cost, discounted)
-                    for batch in blocks), cost, discounted)
 
 
 def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -417,9 +377,10 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
 
     The reduce-only route: every block draws and steps in one workspace,
     allocated for the first and widest block, and stores only what
-    block_sums reads.  The summary equals reduce over chunks bit for bit,
-    and aggregation is a deterministic reduction in trial order, so the
-    result for a given (seed, trials) pair is reproducible.
+    block_sums reads.  The summary equals combine over the block_sums of
+    the stored route's CHUNK-wide blocks bit for bit, and aggregation is a
+    deterministic reduction in trial order, so the result for a given
+    (seed, trials) pair is reproducible.
     """
     bounds = block_bounds(horizon, trials)
     pool = [a.reshape(-1) for a in _block_arrays(model.n, horizon, bounds[0][1])]
@@ -434,15 +395,15 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     return combine(sums(), cost, discounted)
 
 
-def mss_diagnostics(summary: MonteCarloSummary, spectral_radius: float | None = None,
-                    decay_fraction: float = 0.05) -> MssReport:
+def mss_diagnostics(summary: MonteCarloSummary,
+                    spectral_radius: float | None = None) -> MssReport:
     """Mean-decay and second-moment-plateau flags per the MSS definition.
 
-    The mean test asks whether the final mean norm fell below the given
-    fraction of the initial one (or stayed negligible throughout).  The
-    plateau test asks whether the second moment changed by less than 1%
-    relative over the last 20% of the steps; a second moment that has
-    decayed to zero counts as plateaued at zero.
+    The mean test asks whether the final mean norm fell to at most
+    MEAN_DECAY_FRACTION of the initial one (or stayed negligible
+    throughout).  The plateau test asks whether the second moment changed
+    by less than 1% relative over the last 20% of the steps; a second
+    moment that has decayed to zero counts as plateaued at zero.
     """
     initial = float(summary.mean_norm[0])
     final = float(summary.mean_norm[-1])
@@ -451,7 +412,7 @@ def mss_diagnostics(summary: MonteCarloSummary, spectral_radius: float | None = 
         ratio = 0.0 if mean_decay else np.inf
     else:
         ratio = final / initial
-        mean_decay = ratio <= decay_fraction
+        mean_decay = ratio <= MEAN_DECAY_FRACTION
     steps = summary.second_moment.shape[0]
     window = summary.second_moment[-max(2, int(np.ceil(0.2 * steps))):]
     top = float(window.max())

@@ -240,7 +240,7 @@ def test_criterion_07_stationarity_identities(bundled, bundled_solution,
                                               capsys):
     model, cost = bundled
     policy = StructuredPolicy.from_stationary(bundled_solution)
-    trace = simulate(model, policy, cost, 60, seed=0)[0]
+    trace = simulate(model, policy, cost, 60, seed=0)
     check = stationarity_residuals(bundled_solution, policy, trace)
     ok = check.max_hat < 1e-9 and check.max_tilde < 1e-9
     line = report(

@@ -116,6 +116,16 @@ def test_csv_format_rejected_where_unsupported(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--trials", "5"), ("converge", "--seed", "7"), ("solve", "--format", "json")])
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--model", "scalar-demo", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # a numpy overflow warning would be a stderr line of its own
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, spec, message", [

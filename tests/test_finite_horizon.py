@@ -159,7 +159,7 @@ def test_stationarity_hat_residual_vanishes_on_trajectory():
     cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2))
     sol = backward_riccati(assemble_compact(model), cost, 10)
     policy = StructuredPolicy.from_finite_horizon(sol, model)
-    trace = simulate(model, policy, cost, 11, seed=2)[0]
+    trace = simulate(model, policy, cost, 11, seed=2)
     check = stationarity_residuals(sol, policy, trace)
     assert check.max_hat < 1e-9
 
@@ -169,13 +169,13 @@ def test_stationarity_tilde_residual_vanishes_only_without_coupling():
     clean = decoupled_unit_model()
     sol = backward_riccati(assemble_compact(clean), cost, 10)
     policy = StructuredPolicy.from_finite_horizon(sol, clean)
-    trace = simulate(clean, policy, cost, 11, seed=3)[0]
+    trace = simulate(clean, policy, cost, 11, seed=3)
     assert stationarity_residuals(sol, policy, trace).max_tilde < 1e-9
 
     dirty = coupled_noisy_model()
     sol = backward_riccati(assemble_compact(dirty), cost, 10)
     policy = StructuredPolicy.from_finite_horizon(sol, dirty)
-    trace = simulate(dirty, policy, cost, 11, seed=3)[0]
+    trace = simulate(dirty, policy, cost, 11, seed=3)
     # the residual follower control sees a leader-row penalty the recursion
     # drops, so the identity genuinely fails under coupling plus noise
     assert stationarity_residuals(sol, policy, trace).max_tilde > 1e-6

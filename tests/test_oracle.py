@@ -107,7 +107,7 @@ def test_mean_trajectory_matches_noise_free_simulation():
     sol = solve_stationary_riccati(assemble_compact(model), cost)
     policy = StructuredPolicy.from_stationary(sol)
     means = forward_means(model, policy, cost, 30, discounted=True)
-    trace = simulate(model, policy, cost, 30, seed=0)[0]
+    trace = simulate(model, policy, cost, 30, seed=0)
     assert np.max(np.abs(means[:, 0] - trace.x0[:, 0])) < 1e-12
     assert np.max(np.abs(means[:, 1] - trace.x1[:, 0])) < 1e-12
     assert np.max(np.abs(means[:, 2] - trace.x1hat[:, 0])) < 1e-12
@@ -211,7 +211,7 @@ def test_kalman_oracle_exact_when_follower_deterministic():
     cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
     sol = solve_stationary_riccati(assemble_compact(model), cost)
     policy = StructuredPolicy.from_stationary(sol)
-    trace = simulate(model, policy, cost, 25, seed=9)[0]
+    trace = simulate(model, policy, cost, 25, seed=9)
     # no follower-side randomness: the conditional mean is the exact state
     assert np.max(np.abs(trace.x1hat - trace.x1)) < 1e-12
 

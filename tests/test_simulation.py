@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -19,11 +18,11 @@ from lfns.simulation import (
     _draw_chunk,
     _simulate_chunk,
     block_bounds,
-    chunks,
+    block_sums,
+    combine,
     monte_carlo,
     mss_diagnostics,
     psd_factor,
-    reduce,
     simulate,
     simulate_batch,
 )
@@ -124,20 +123,20 @@ def test_draw_chunk_equals_per_trial_generators(seed, n, horizon, lo, width):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_chunks_rejects_runs_it_cannot_simulate():
+def test_simulate_batch_rejects_runs_it_cannot_simulate():
     model = coupled_noisy_model()
     policy, cost = stationary_policy(model)
     with pytest.raises(ValueError, match="horizon must be >= 1"):
-        chunks(model, policy, cost, 0, seed=0, trials=4)
+        simulate_batch(model, policy, cost, 0, seed=0, trials=4)
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         monte_carlo(model, policy, cost, 0, seed=0, trials=4)
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        chunks(model, policy, cost, 5, seed=0, trials=0)
+        simulate_batch(model, policy, cost, 5, seed=0, trials=0)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         monte_carlo(model, policy, cost, 5, seed=0, trials=0)
     # trial 2**32 would need a two-word spawn key
     with pytest.raises(ValueError, match="exceed 2"):
-        chunks(model, policy, cost, 5, seed=0, trials=2 ** 32 + 1)
+        simulate_batch(model, policy, cost, 5, seed=0, trials=2 ** 32 + 1)
 
 
 def test_repeat_runs_are_bit_identical():
@@ -164,35 +163,27 @@ def test_trials_invariant_to_batch_size():
                                   getattr(straddle, name)), (case, name)
 
 
-def test_stored_batch_reduces_to_streaming_summary():
-    model = coupled_noisy_model()
-    policy, cost = stationary_policy(model)
-    batch = simulate_batch(model, policy, cost, 20, seed=6, trials=3000)
-    summary = reduce([batch], cost, discounted=True)
-    stream = monte_carlo(model, policy, cost, 20, seed=6, trials=3000,
-                         discounted=True)
-    assert summary.mean_cost == pytest.approx(stream.mean_cost, rel=1e-12)
-    assert summary.standard_error == pytest.approx(stream.standard_error, rel=1e-9)
-    assert np.allclose(summary.mean_state, stream.mean_state, atol=1e-12)
+def test_simulate_is_trial_zero_of_the_batch():
+    # a constant and a per-step policy; at n = 6 a one-trial block takes
+    # numpy's matrix-vector products, whose sums can differ in the last bits
+    for case in ("scalar-stationary", "scalar-finite"):
+        model, policy, cost, _ = route_case(case, 7)
+        trace = simulate(model, policy, cost, 7, seed=13)
+        batch = simulate_batch(model, policy, cost, 7, seed=13, trials=3)
+        for name in ("x0", "x1", "x1hat", "u0", "u1"):
+            assert np.array_equal(getattr(trace, name), getattr(batch, name)[:, :, 0]), \
+                (case, name)
 
 
-def test_reduce_streams_blocks():
+def test_monte_carlo_equals_combined_block_sums():
+    # the CLI's trace writer reduces the stored route's blocks this way;
+    # monte_carlo's narrower last block steps in a prefix of its workspace
     for case in ROUTE_CASES:
         model, policy, cost, discounted = route_case(case, 5)
-        refs = []
-
-        def blocks():
-            for lo, hi in block_bounds(5, 2 * CHUNK + 5):
-                # reduce holds at most the block it reduced last while the next is drawn
-                assert all(ref() is None for ref in refs[:-1])
-                batch = _simulate_chunk(model, policy, cost, 5, 4, lo, hi)
-                refs.append(weakref.ref(batch))
-                yield batch
-
-        summary = reduce(blocks(), cost, discounted)
-        assert len(refs) == 3
-        # monte_carlo's reduce-only route, whose narrower last block steps in a
-        # prefix of its workspace, gives the stored route's summary bit for bit
+        blocks = (_simulate_chunk(model, policy, cost, 5, 4, lo, hi)
+                  for lo, hi in block_bounds(5, 2 * CHUNK + 5))
+        summary = combine((block_sums(batch.states, batch.stage_cost, cost, discounted)
+                           for batch in blocks), cost, discounted)
         stream = monte_carlo(model, policy, cost, 5, seed=4, trials=2 * CHUNK + 5,
                              discounted=discounted)
         for field in dataclasses.fields(summary):
@@ -235,7 +226,7 @@ def test_discounted_aggregation_hand_weights():
     model = coupled_noisy_model()
     policy, cost = stationary_policy(model, gamma=0.5)
     batch = simulate_batch(model, policy, cost, 3, seed=21, trials=16)
-    summary = reduce([batch], cost, discounted=True)
+    summary = monte_carlo(model, policy, cost, 3, seed=21, trials=16, discounted=True)
     weights = np.array([1.0, 0.5, 0.25])
     manual = (weights[:, None] * batch.stage_cost).sum(axis=0).mean()
     assert summary.mean_cost == pytest.approx(manual, rel=1e-12)
@@ -247,7 +238,7 @@ def test_undiscounted_aggregation_applies_terminal():
     sol = backward_riccati(assemble_compact(model), cost, 3)
     policy = StructuredPolicy.from_finite_horizon(sol, model)
     batch = simulate_batch(model, policy, cost, 4, seed=22, trials=16)
-    summary = reduce([batch], cost, discounted=False)
+    summary = monte_carlo(model, policy, cost, 4, seed=22, trials=16)
     terminal = (2.0 * batch.x0[4, 0] ** 2 + 3.0 * batch.x1[4, 0] ** 2)
     manual = (batch.stage_cost.sum(axis=0) + terminal).mean()
     assert summary.mean_cost == pytest.approx(manual, rel=1e-12)
@@ -278,17 +269,18 @@ def test_truncation_flag_and_rejection():
     batch = simulate_batch(model, policy, weighted, 2, seed=0, trials=4)
     assert np.isfinite(batch.stage_cost).all()
     with pytest.raises(SimulationDiverged, match=r"summary of trials 0\.\.3 is not finite"):
-        reduce([batch], weighted, discounted=False)
-    # the stage cost of step 154 overflows in the first block, on both routes
+        monte_carlo(model, policy, weighted, 2, seed=0, trials=4)
+    # the stage cost of step 154 overflows in the first block, on both routes:
+    # simulate_batch's one block and monte_carlo's first CHUNK-wide one
     model, policy, cost = error_diverges()
     messages = []
-    for run in (lambda: reduce(chunks(model, policy, cost, 200, 0, 1100), cost, True),
+    for run in (lambda: simulate_batch(model, policy, cost, 200, 0, 1100),
                 lambda: monte_carlo(model, policy, cost, 200, 0, 1100, discounted=True)):
         with pytest.raises(SimulationDiverged) as caught:
             run()
         messages.append(str(caught.value))
-    assert messages == ["trial block 0..1023 truncated at step 154; "
-                        "closed loop is destabilizing"] * 2
+    assert messages == [f"trial block 0..{hi} truncated at step 154; "
+                        "closed loop is destabilizing" for hi in (1099, 1023)]
 
 
 def test_mss_flags_zero_noise_stable_loop():
@@ -356,7 +348,7 @@ def test_sample_mean_follows_mean_recursion():
 def test_information_pattern_recoverable_from_trace():
     model = coupled_noisy_model()
     policy, cost = stationary_policy(model)
-    trace = simulate(model, policy, cost, 15, seed=14)[0]
+    trace = simulate(model, policy, cost, 15, seed=14)
     k00, k01, k10, k11 = policy.at(0)
     for k in range(15):
         u0 = -k00 @ trace.x0[k] - k01 @ trace.x1hat[k]
