@@ -8,6 +8,11 @@ verification checks.  The undiscounted recursion starts from the terminal
 weight with gamma = 1; the discounted one starts from zero, and its iterates
 are the value-iteration sequence of the stationary problem, which iterates
 the same step.
+
+The recursion runs the bare step for k = N..0 and then checks every iterate
+in one stacked pass (check_iterates): Psi(k) positive definite, P(k) finite,
+symmetric and positive semidefinite.  The first failure in recursion order
+raises, as if each step had been checked as it was computed.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PD_TOL, PSD_TOL, CompactModel, CostSpec, LfnsModel, eigmin,
+from .model import (PD_TOL, PSD_TOL, CompactModel, CostSpec, LfnsModel, eigmins,
                     stacked_moments, symmetrize)
 
 ASYMMETRY_TOL = 1e-8
@@ -174,17 +179,59 @@ class StructuredPolicy:
         return StructuredPolicy(np.array(solution.h, dtype=float), solution.n, solution.m1)
 
 
-def _check_step(p: np.ndarray, k: int) -> np.ndarray:
-    if not np.all(np.isfinite(p)):
-        raise RiccatiError(f"non-finite Riccati iterate at step {k}")
-    sym = symmetrize(p)
-    denom = max(1.0, float(np.linalg.norm(sym)))
-    if np.linalg.norm(p - sym) / denom > ASYMMETRY_TOL:
-        warnings.warn(f"Riccati iterate at step {k} asymmetric beyond tolerance",
-                      RuntimeWarning, stacklevel=4)
-    if eigmin(sym) < PSD_TOL:
-        raise RiccatiError(f"Riccati iterate at step {k} lost positive semidefiniteness")
-    return sym
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or len(mask) if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
+
+
+def _scan(steps, psi, p, sym) -> tuple[list[int], RiccatiError | None]:
+    """The checks of check_iterates on one run of steps, each evaluated only on
+    the steps before the first failure found so far: the steps to warn about
+    and the error to raise, if any."""
+    end = len(steps) if psi is None else _first(eigmins(psi) < PD_TOL)
+    error = None if end == len(steps) else RiccatiError(f"Psi({steps[end]}) not positive definite")
+    if p is None:
+        return [], error
+    lost = _first(~np.isfinite(p[:end]).all(axis=(1, 2)))
+    if lost < end:
+        end, error = lost, RiccatiError(f"non-finite Riccati iterate at step {steps[lost]}")
+    p, sym = p[:end], sym[:end]
+    skew = np.linalg.norm(p - sym, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
+    lost = _first(eigmins(sym) < PSD_TOL)
+    if lost < end:
+        end, error = lost + 1, RiccatiError(
+            f"Riccati iterate at step {steps[lost]} lost positive semidefiniteness")
+    return [steps[i] for i in np.flatnonzero(skew[:end] > ASYMMETRY_TOL)], error
+
+
+def check_iterates(steps, psi: np.ndarray | None = None, p: np.ndarray | None = None) -> None:
+    """The recursion's checks on stacks of its iterates in recursion order:
+    psi[i] is Psi(steps[i]) and p[i] is P(steps[i]) before symmetrization, and
+    either stack may be omitted.  Step by step, Psi must be positive definite,
+    P finite and symmetrized P positive semidefinite, and a P asymmetric
+    beyond ASYMMETRY_TOL is warned about before its PSD check.  The first
+    failure raises RiccatiError, after the warnings of the checks before it.
+
+    eigvalsh sees one stack of the steps before the first whose Psi, P or
+    symmetrized P is not finite.  From there each step is checked as a stack
+    of one, so the checks meet a non-finite matrix in the same order as when
+    every step was checked as it was computed.
+    """
+    sym = None if p is None else symmetrize(p)
+    finite = np.ones(len(steps), dtype=bool)
+    for stack in (psi, p, sym):
+        if stack is not None:
+            finite &= np.isfinite(stack).all(axis=(1, 2))
+    cut = _first(~finite)
+    for lo, hi in [(0, cut)] + [(i, i + 1) for i in range(cut, len(steps))]:
+        stacks = (None if x is None else x[lo:hi] for x in (psi, p, sym))
+        warned, error = _scan(steps[lo:hi], *stacks)
+        for k in warned:
+            warnings.warn(f"Riccati iterate at step {k} asymmetric beyond tolerance",
+                          RuntimeWarning, stacklevel=4)
+        if error is not None:
+            raise error
 
 
 def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamma: float,
@@ -199,20 +246,27 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
     Returns (P(k), Psi(k), L(k), H(k)) with P(k) not yet symmetrized.  With
     gamma = 1.0 this is the undiscounted step (Psi is then Lambda and H is K):
     multiplying by 1.0 is exact, so the bits are those of the plain formula.
-    Psi is factorized, never inverted, and is checked positive definite
-    before the solve; k only labels the error.
+    Psi is factorized, never inverted.  The caller checks Psi positive
+    definite with check_iterates: the backward recursion once for all steps
+    after its loop, value iteration at every iteration.  Only a Psi that the
+    solve finds singular is checked here, so that a singular Psi that is not
+    positive definite still raises RiccatiError at step k; k only labels it.
     """
     a, b = compact.a, compact.b
-    psi = symmetrize(cost.r + gamma * (b.T @ p_next @ b))
-    if eigmin(psi) < PD_TOL:
-        raise RiccatiError(f"Psi({k}) not positive definite")
-    l_mat = b.T @ p_next @ a
-    x = np.linalg.solve(psi, l_mat)
+    bp = b.T @ p_next
+    psi = symmetrize(cost.r + gamma * (bp @ b))
+    l_mat = bp @ a
+    try:
+        x = np.linalg.solve(psi, l_mat)
+    except np.linalg.LinAlgError:
+        check_iterates([k], psi=psi[None])
+        raise
     p = cost.q + gamma * (a.T @ p_next @ a) - gamma**2 * (l_mat.T @ x)
     return p, psi, l_mat, gamma * x
 
 
-# _check_step raises at the first non-finite iterate, so numpy's warnings about it are redundant
+# the loop runs on past a non-finite iterate, which check_iterates reports; numpy's
+# warnings about it are redundant
 @np.errstate(over="ignore", invalid="ignore")
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
                p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
@@ -221,12 +275,24 @@ def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
     k_seq: list[np.ndarray] = [np.zeros((cost.r.shape[0], dim))] * (n_horizon + 1)
     psi_seq = list(k_seq)
     l_seq = list(k_seq)
-    p_seq[n_horizon + 1] = _check_step(p_terminal, n_horizon + 1)
+    raw = np.empty((n_horizon + 1, dim, dim))
+    check_iterates([n_horizon + 1], p=p_terminal[None])
+    p_seq[n_horizon + 1] = symmetrize(p_terminal)
     step_gamma = 1.0 if gamma is None else gamma
+    lo, error = 0, None
     for k in range(n_horizon, -1, -1):
-        p, psi_seq[k], l_seq[k], k_seq[k] = riccati_step(compact, cost, p_seq[k + 1],
-                                                         step_gamma, k)
-        p_seq[k] = _check_step(p, k)
+        try:
+            raw[k], psi_seq[k], l_seq[k], k_seq[k] = riccati_step(compact, cost, p_seq[k + 1],
+                                                                  step_gamma, k)
+        except (RiccatiError, np.linalg.LinAlgError) as exc:
+            lo, error = k + 1, exc  # a failure at an earlier step comes first
+            break
+        p_seq[k] = symmetrize(raw[k])
+    if lo <= n_horizon:
+        check_iterates(range(n_horizon, lo - 1, -1), psi=np.stack(psi_seq[lo:])[::-1],
+                       p=raw[lo:][::-1])
+    if error is not None:
+        raise error
     return FiniteHorizonSolution(p_seq=p_seq, k_seq=k_seq, lambda_seq=psi_seq,
                                  l_seq=l_seq, discounted=gamma is not None, gamma=gamma)
 
@@ -255,14 +321,15 @@ def optimal_cost(solution: FiniteHorizonSolution, model: LfnsModel) -> float:
     Discounted:    J = E[X(0)' P(0) X(0)] + sum_{k=0}^{N} gamma^{k+1} tr(Sigma_W P(k+1))
 
     with E[X(0)' P(0) X(0)] = xbar' P(0) xbar + tr(blockdiag(Sigma_x0,
-    Sigma_x1) P(0)), the Gaussian second-moment expansion.
+    Sigma_x1) P(0)), the Gaussian second-moment expansion.  The N + 1 noise
+    traces come from one stacked product; the sum adds them in k order, each
+    times gamma^{k+1} when discounted.
     """
     xbar, sigma_x, sigma_w = stacked_moments(model)
     p0 = solution.p_seq[0]
     total = float(xbar @ p0 @ xbar + np.trace(sigma_x @ p0))
-    n_horizon = solution.horizon
-    for k in range(n_horizon + 1):
-        term = float(np.trace(sigma_w @ solution.p_seq[k + 1]))
+    traces = np.trace(sigma_w @ np.stack(solution.p_seq[1:]), axis1=1, axis2=2)
+    for k, term in enumerate(traces.tolist()):
         if solution.discounted:
             term *= solution.gamma ** (k + 1)
         total += term

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_horizon import RiccatiError, closed_loop, riccati_step, split_gain
+from .finite_horizon import (RiccatiError, check_iterates, closed_loop, riccati_step,
+                             split_gain)
 from .model import (PD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, stacked_moments,
                     symmetrize)
 
@@ -88,15 +89,19 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
     """Value-iterate P <- Q + gamma A'PA - gamma^2 L' Psi^{-1} L from P = 0.
 
     Stops when the relative Frobenius change drops below 1e-12; raises
-    RiccatiDivergence when the iterate norm passes 1e12, and RiccatiError
-    when MAX_ITERATIONS iterations end before the change drops below 1e-12.
+    RiccatiError when an iteration's Psi is not positive definite (checked at
+    every iteration, as a stack of one for check_iterates), RiccatiDivergence
+    when the iterate norm passes 1e12, and RiccatiError when MAX_ITERATIONS
+    iterations end before the change drops below 1e-12.
     """
     if cost.gamma is None or not (0.0 < cost.gamma < 1.0):
         raise ValueError(f"stationary solve requires gamma in (0, 1), got {cost.gamma}")
     gamma = cost.gamma
     p = np.zeros_like(cost.q)
     for iterations in range(1, MAX_ITERATIONS + 1):
-        p_new = symmetrize(riccati_step(compact, cost, p, gamma, iterations)[0])
+        p_step, psi = riccati_step(compact, cost, p, gamma, iterations)[:2]
+        check_iterates([iterations], psi=psi[None])
+        p_new = symmetrize(p_step)
         norm = float(np.linalg.norm(p_new))
         if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise RiccatiDivergence(iterations, norm)
@@ -108,6 +113,7 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
         raise RiccatiError(f"value iteration hit the iteration cap after {iterations} iterations "
                            f"(relative change {residual:.3e}, tolerance {FIXED_POINT_TOL:.0e})")
     _, psi, l_mat, h = riccati_step(compact, cost, p, gamma, iterations)
+    check_iterates([iterations], psi=psi[None])
     return StationarySolution(p=p, h=h, psi=psi, l=l_mat, gamma=gamma,
                               iterations=iterations, residual=residual,
                               n=compact.n, m1=compact.m1)

@@ -28,12 +28,18 @@ class ModelValidationError(ValueError):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """0.5 (M + M'), of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def eigmins(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetrized matrix in a stack."""
+    return np.linalg.eigvalsh(symmetrize(m)).min(axis=-1)
 
 
 def eigmin(m: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetrized matrix."""
-    return float(np.linalg.eigvalsh(symmetrize(m)).min())
+    return float(eigmins(m))
 
 
 def is_psd(m: np.ndarray) -> bool:
@@ -312,9 +318,3 @@ def load_model_spec(path) -> tuple[LfnsModel, CostSpec]:
     if violations:
         raise ModelValidationError(violations)
     return model, cost
-
-
-def save_model_spec(path, model: LfnsModel, cost: CostSpec) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model, cost), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,11 +1,14 @@
-"""The leader-follower pairs the tests share.
+"""The leader-follower pairs the tests share, and the writer of their JSON
+model specs.
 
 The random builders draw from the generator they are given in a fixed
 order (a00, a10, a11, b00, b10, b11, xbar0, xbar1), so a seed fixes a pair.
 """
+import json
+
 import numpy as np
 
-from lfns.model import make_cost, make_model
+from lfns.model import make_cost, make_model, model_to_dict
 
 
 def decoupled_unit_model():
@@ -56,3 +59,10 @@ def random_pair(rng, n=2):
     """random_model with unit weights, a unit terminal weight and gamma 0.9."""
     cost = make_cost(q=np.eye(2 * n), r=np.eye(2 * n), p_terminal=np.eye(2 * n), gamma=0.9)
     return random_model(rng, n=n), cost
+
+
+def save_model_spec(path, model, cost):
+    """Write (model, cost) as the JSON model spec that load_model_spec reads."""
+    with open(path, "w") as fh:
+        json.dump(model_to_dict(model, cost), fh, indent=2, sort_keys=True)
+        fh.write("\n")

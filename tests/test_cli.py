@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from lfns import cli, infinite_horizon, simulation
 from lfns.cli import main
-from lfns.model import make_cost, make_model, save_model_spec
+from lfns.model import make_cost, make_model
+from pairs import save_model_spec
 
 
 def run(argv):

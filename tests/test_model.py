@@ -18,10 +18,10 @@ from lfns.model import (
     make_model,
     model_from_dict,
     model_to_dict,
-    save_model_spec,
     step,
     validate,
 )
+from pairs import save_model_spec
 
 
 def two_state_model():

@@ -255,6 +255,30 @@ def test_constant_policy_matches_per_step_bitwise(auv_stationary, horizon, disco
                           forward_means(model, per_step, cost, horizon, discounted))
 
 
+def off_optimum_policies(n, gamma, horizon, seed):
+    """A random pair's solved stationary and per-step policies, each moved off
+    its optimum by a random offset, where the estimator row's part of the
+    gradient vanishes and settled per-step gains tie across steps."""
+    rng = np.random.default_rng(seed)
+    model, pair_cost = random_pair(rng, n=n)
+    cost = make_cost(pair_cost.q, pair_cost.r, pair_cost.p_terminal, gamma)
+    compact = assemble_compact(model)
+    policies = [StructuredPolicy.from_stationary(solve_stationary_riccati(compact, cost)),
+                StructuredPolicy.from_finite_horizon(
+                    backward_riccati(compact, cost, horizon - 1), model)]
+    moved = [StructuredPolicy(p.gains + 0.02 * rng.standard_normal(p.gains.shape), p.n, p.m1)
+             for p in policies]
+    return model, cost, compact, moved
+
+
+def discounted_growth(compact, policy, gamma):
+    """gamma rho(F)^2 for the closed loop F of a constant policy.  Below 1 the
+    discounted second moments, and with them the truncated cost and its
+    gradient, converge as the horizon grows."""
+    _, f = closed_loop(compact, policy.at(0))
+    return gamma * float(np.max(np.abs(np.linalg.eigvals(f)))) ** 2
+
+
 @settings(max_examples=8, deadline=None)
 @given(n=st.integers(1, 3), gamma=st.floats(0.5, 0.99), horizon=st.integers(1, 30),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -262,22 +286,11 @@ def test_policy_gradient_matches_finite_differences(n, gamma, horizon, seed):
     # the finite differences of a per-step policy cost about (n * horizon)^2
     # moment steps; this bound keeps an example near a second
     assume(n * horizon <= 45)
-    rng = np.random.default_rng(seed)
-    model, pair_cost = random_pair(rng, n=n)
-    cost = make_cost(pair_cost.q, pair_cost.r, pair_cost.p_terminal, gamma)
-    compact = assemble_compact(model)
-
-    def off_optimum(policy):
-        # at the solved gains the estimator row's part of the gradient
-        # vanishes, and settled per-step gains tie across steps
-        gains = policy.gains + 0.02 * rng.standard_normal(policy.gains.shape)
-        return StructuredPolicy(gains, policy.n, policy.m1)
-
-    stationary = StructuredPolicy.from_stationary(solve_stationary_riccati(compact, cost))
-    per_step = StructuredPolicy.from_finite_horizon(
-        backward_riccati(compact, cost, horizon - 1), model)
-    for policy, steps, discounted in ((off_optimum(stationary), 300, True),
-                                      (off_optimum(per_step), horizon, False)):
+    model, cost, compact, (stationary, per_step) = off_optimum_policies(n, gamma, horizon, seed)
+    # outside this domain the 300-step cost is not near its limit, and its
+    # finite differences carry rounding far above the bound below
+    assume(discounted_growth(compact, stationary, gamma) < 1.0)
+    for policy, steps, discounted in ((stationary, 300, True), (per_step, horizon, False)):
         exact = policy_gradient(model, policy, cost, steps, discounted)
         fd = gain_gradient(model, policy, cost, steps, discounted)
         assert exact.j_value == fd.j_value == exact_cost(model, policy, cost, steps, discounted)
@@ -286,3 +299,12 @@ def test_policy_gradient_matches_finite_differences(n, gamma, horizon, seed):
                       <= 1e-5 * (1.0 + np.max(np.abs(fd.gradient))))
         if fd.max_relative > 1e-6:
             assert exact.argmax == fd.argmax
+
+
+def test_gradient_property_rejects_a_divergent_discounted_loop():
+    # an example the property once drew: rho(F) = 1.263 > gamma^(-1/2) = 1.155,
+    # so the moved stationary policy's discounted cost grows with the horizon
+    _, _, compact, (stationary, _) = off_optimum_policies(2, 0.75, 1, 102)
+    growth = discounted_growth(compact, stationary, 0.75)
+    assert growth == pytest.approx(0.75 * 1.263 ** 2, rel=1e-3)
+    assert growth >= 1.0
