@@ -181,8 +181,7 @@ class StructuredPolicy:
 
 def _first(mask: np.ndarray) -> int:
     """Index of the first True in mask, or len(mask) if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else len(mask)
+    return int(mask.argmax()) if mask.any() else len(mask)
 
 
 def _scan(steps, psi, p, sym) -> tuple[list[int], RiccatiError | None]:
@@ -218,15 +217,13 @@ def check_iterates(steps, psi: np.ndarray | None = None, p: np.ndarray | None = 
     of one, so the checks meet a non-finite matrix in the same order as when
     every step was checked as it was computed.
     """
-    sym = None if p is None else symmetrize(p)
-    finite = np.ones(len(steps), dtype=bool)
-    for stack in (psi, p, sym):
-        if stack is not None:
-            finite &= np.isfinite(stack).all(axis=(1, 2))
-    cut = _first(~finite)
+    stacks = (psi, p, None if p is None else symmetrize(p))
+    cut = len(steps)
+    if cut > 1:  # a single step is checked alone either way
+        cut = _first(~np.logical_and.reduce([np.isfinite(x).all(axis=(1, 2))
+                                             for x in stacks if x is not None]))
     for lo, hi in [(0, cut)] + [(i, i + 1) for i in range(cut, len(steps))]:
-        stacks = (None if x is None else x[lo:hi] for x in (psi, p, sym))
-        warned, error = _scan(steps[lo:hi], *stacks)
+        warned, error = _scan(steps[lo:hi], *(None if x is None else x[lo:hi] for x in stacks))
         for k in warned:
             warnings.warn(f"Riccati iterate at step {k} asymmetric beyond tolerance",
                           RuntimeWarning, stacklevel=4)
