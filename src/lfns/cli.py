@@ -135,7 +135,7 @@ def cmd_solve(args) -> int:
     if args.mode == "finite":
         doc = _doc(args, mode="finite", horizon=sol.horizon,
                    p0=_lst(sol.p_seq[0]), k0=_lst(sol.k_seq[0]),
-                   gain_sequence=[_lst(k) for k in sol.k_seq],
+                   gain_sequence=_lst(sol.k_seq),
                    analytic_cost=optimal_cost(sol, model))
         _write_json(out / f"solve-{name}-finite.json", doc)
         return 0

@@ -9,20 +9,21 @@ weight with gamma = 1; the discounted one starts from zero, and its iterates
 are the value-iteration sequence of the stationary problem, which iterates
 the same step.
 
-The recursion runs the bare step for k = N..0 and then checks every iterate
-in one stacked pass (check_iterates): Psi(k) positive definite, P(k) finite,
-symmetric and positive semidefinite.  The first failure in recursion order
-raises, as if each step had been checked as it was computed.
+The recursion runs the bare step for k = N..0; one stacked test then decides
+whether every step passes check_step (Psi(k) positive definite, P(k) finite,
+symmetric and positive semidefinite).  If one fails, check_step runs step by
+step in recursion order, as if each step had been checked as it was computed.
 """
 from __future__ import annotations
 
 import dataclasses
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PD_TOL, PSD_TOL, CompactModel, CostSpec, LfnsModel, eigmins,
+from .model import (PD_TOL, PSD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, eigmins,
                     stacked_moments, symmetrize)
 
 ASYMMETRY_TOL = 1e-8
@@ -36,15 +37,15 @@ class RiccatiError(RuntimeError):
 class FiniteHorizonSolution:
     """Backward-recursion output over the control window k = 0..N.
 
-    p_seq has N+2 entries (indices 0..N+1, the last being the terminal
-    weight, zero in the discounted variant); k_seq, lambda_seq, l_seq have
-    N+1 entries each.
+    Stacks indexed by step: p_seq is (N+2, 2n, 2n), the last the terminal
+    weight (zero in the discounted variant); k_seq and l_seq are
+    (N+1, m1+m2, 2n), lambda_seq (N+1, m1+m2, m1+m2).
     """
 
-    p_seq: list[np.ndarray]
-    k_seq: list[np.ndarray]
-    lambda_seq: list[np.ndarray]
-    l_seq: list[np.ndarray]
+    p_seq: np.ndarray
+    k_seq: np.ndarray
+    lambda_seq: np.ndarray
+    l_seq: np.ndarray
     discounted: bool
     gamma: float | None
 
@@ -172,63 +173,46 @@ class StructuredPolicy:
 
     @staticmethod
     def from_finite_horizon(solution: FiniteHorizonSolution, model: LfnsModel) -> "StructuredPolicy":
-        return StructuredPolicy(np.stack(solution.k_seq), model.n, model.m1)
+        return StructuredPolicy(np.array(solution.k_seq), model.n, model.m1)
 
     @staticmethod
     def from_stationary(solution) -> "StructuredPolicy":
         return StructuredPolicy(np.array(solution.h, dtype=float), solution.n, solution.m1)
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in mask, or len(mask) if there is none."""
-    return int(mask.argmax()) if mask.any() else len(mask)
-
-
-def _scan(steps, psi, p, sym) -> tuple[list[int], RiccatiError | None]:
-    """The checks of check_iterates on one run of steps, each evaluated only on
-    the steps before the first failure found so far: the steps to warn about
-    and the error to raise, if any."""
-    end = len(steps) if psi is None else _first(eigmins(psi) < PD_TOL)
-    error = None if end == len(steps) else RiccatiError(f"Psi({steps[end]}) not positive definite")
+def check_step(k: int, psi: np.ndarray | None = None, p: np.ndarray | None = None) -> None:
+    """The checks of step k in order, each optional argument if given: Psi(k)
+    positive definite; P(k), before symmetrization, finite, a warning if it
+    is asymmetric beyond ASYMMETRY_TOL, symmetrized P(k) positive
+    semidefinite.  A failure raises RiccatiError."""
+    if psi is not None and eigmin(psi) < PD_TOL:
+        raise RiccatiError(f"Psi({k}) not positive definite")
     if p is None:
-        return [], error
-    lost = _first(~np.isfinite(p[:end]).all(axis=(1, 2)))
-    if lost < end:
-        end, error = lost, RiccatiError(f"non-finite Riccati iterate at step {steps[lost]}")
-    p, sym = p[:end], sym[:end]
+        return
+    if not np.all(np.isfinite(p)):
+        raise RiccatiError(f"non-finite Riccati iterate at step {k}")
+    sym = symmetrize(p)
+    if np.linalg.norm(p - sym) / max(1.0, float(np.linalg.norm(sym))) > ASYMMETRY_TOL:
+        frame, level = sys._getframe(), 1
+        while frame.f_code.co_filename == __file__:  # warn at the recursion's caller
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"Riccati iterate at step {k} asymmetric beyond tolerance",
+                      RuntimeWarning, stacklevel=level)
+    if eigmin(sym) < PSD_TOL:
+        raise RiccatiError(f"Riccati iterate at step {k} lost positive semidefiniteness")
+
+
+def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> None:
+    """check_step(steps[i], psi[i], p[i]) for each i in order, if one stacked
+    test fails: every Psi and symmetrized P (hence P) finite before eigvalsh
+    sees them, skew at most half of ASYMMETRY_TOL (stacked norms round
+    differently), every smallest eigenvalue clear of PD_TOL or PSD_TOL."""
+    sym = symmetrize(p)
     skew = np.linalg.norm(p - sym, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
-    lost = _first(eigmins(sym) < PSD_TOL)
-    if lost < end:
-        end, error = lost + 1, RiccatiError(
-            f"Riccati iterate at step {steps[lost]} lost positive semidefiniteness")
-    return [steps[i] for i in np.flatnonzero(skew[:end] > ASYMMETRY_TOL)], error
-
-
-def check_iterates(steps, psi: np.ndarray | None = None, p: np.ndarray | None = None) -> None:
-    """The recursion's checks on stacks of its iterates in recursion order:
-    psi[i] is Psi(steps[i]) and p[i] is P(steps[i]) before symmetrization, and
-    either stack may be omitted.  Step by step, Psi must be positive definite,
-    P finite and symmetrized P positive semidefinite, and a P asymmetric
-    beyond ASYMMETRY_TOL is warned about before its PSD check.  The first
-    failure raises RiccatiError, after the warnings of the checks before it.
-
-    eigvalsh sees one stack of the steps before the first whose Psi, P or
-    symmetrized P is not finite.  From there each step is checked as a stack
-    of one, so the checks meet a non-finite matrix in the same order as when
-    every step was checked as it was computed.
-    """
-    stacks = (psi, p, None if p is None else symmetrize(p))
-    cut = len(steps)
-    if cut > 1:  # a single step is checked alone either way
-        cut = _first(~np.logical_and.reduce([np.isfinite(x).all(axis=(1, 2))
-                                             for x in stacks if x is not None]))
-    for lo, hi in [(0, cut)] + [(i, i + 1) for i in range(cut, len(steps))]:
-        warned, error = _scan(steps[lo:hi], *(None if x is None else x[lo:hi] for x in stacks))
-        for k in warned:
-            warnings.warn(f"Riccati iterate at step {k} asymmetric beyond tolerance",
-                          RuntimeWarning, stacklevel=4)
-        if error is not None:
-            raise error
+    if not (np.isfinite(psi).all() and np.isfinite(sym).all() and (skew <= 0.5 * ASYMMETRY_TOL).all()
+            and (eigmins(psi) >= PD_TOL).all() and (eigmins(sym) >= PSD_TOL).all()):
+        for k, psi_k, p_k in zip(steps, psi, p):
+            check_step(k, psi_k, p_k)
 
 
 def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamma: float,
@@ -244,10 +228,10 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
     gamma = 1.0 this is the undiscounted step (Psi is then Lambda and H is K):
     multiplying by 1.0 is exact, so the bits are those of the plain formula.
     Psi is factorized, never inverted.  The caller checks Psi positive
-    definite with check_iterates: the backward recursion once for all steps
-    after its loop, value iteration at every iteration.  Only a Psi that the
-    solve finds singular is checked here, so that a singular Psi that is not
-    positive definite still raises RiccatiError at step k; k only labels it.
+    definite: the backward recursion after its loop, value iteration at every
+    iteration.  Only a Psi that the solve finds singular is checked here, so
+    that a singular Psi that is not positive definite still raises
+    RiccatiError at step k; k only labels it.
     """
     a, b = compact.a, compact.b
     bp = b.T @ p_next
@@ -256,38 +240,36 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
     try:
         x = np.linalg.solve(psi, l_mat)
     except np.linalg.LinAlgError:
-        check_iterates([k], psi=psi[None])
+        check_step(k, psi=psi)
         raise
     p = cost.q + gamma * (a.T @ p_next @ a) - gamma**2 * (l_mat.T @ x)
     return p, psi, l_mat, gamma * x
 
 
-# the loop runs on past a non-finite iterate, which check_iterates reports; numpy's
-# warnings about it are redundant
-@np.errstate(over="ignore", invalid="ignore")
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
                p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
-    dim = cost.q.shape[0]
-    p_seq: list[np.ndarray] = [np.zeros((dim, dim))] * (n_horizon + 2)
-    k_seq: list[np.ndarray] = [np.zeros((cost.r.shape[0], dim))] * (n_horizon + 1)
-    psi_seq = list(k_seq)
-    l_seq = list(k_seq)
+    dim, m = cost.q.shape[0], cost.r.shape[0]
+    p_seq = np.empty((n_horizon + 2, dim, dim))
     raw = np.empty((n_horizon + 1, dim, dim))
-    check_iterates([n_horizon + 1], p=p_terminal[None])
-    p_seq[n_horizon + 1] = symmetrize(p_terminal)
+    k_seq = np.empty((n_horizon + 1, m, dim))
+    psi_seq = np.empty((n_horizon + 1, m, m))
+    l_seq = np.empty((n_horizon + 1, m, dim))
     step_gamma = 1.0 if gamma is None else gamma
     lo, error = 0, None
-    for k in range(n_horizon, -1, -1):
-        try:
-            raw[k], psi_seq[k], l_seq[k], k_seq[k] = riccati_step(compact, cost, p_seq[k + 1],
-                                                                  step_gamma, k)
-        except (RiccatiError, np.linalg.LinAlgError) as exc:
-            lo, error = k + 1, exc  # a failure at an earlier step comes first
-            break
-        p_seq[k] = symmetrize(raw[k])
-    if lo <= n_horizon:
-        check_iterates(range(n_horizon, lo - 1, -1), psi=np.stack(psi_seq[lo:])[::-1],
-                       p=raw[lo:][::-1])
+    # the loop runs on past a non-finite iterate, which check_iterates reports;
+    # numpy's warnings about it are redundant
+    with np.errstate(over="ignore", invalid="ignore"):
+        check_step(n_horizon + 1, p=p_terminal)
+        p_seq[n_horizon + 1] = symmetrize(p_terminal)
+        for k in range(n_horizon, -1, -1):
+            try:
+                raw[k], psi_seq[k], l_seq[k], k_seq[k] = riccati_step(
+                    compact, cost, p_seq[k + 1], step_gamma, k)
+            except (RiccatiError, np.linalg.LinAlgError) as exc:
+                lo, error = k + 1, exc  # a failure at an earlier step comes first
+                break
+            p_seq[k] = symmetrize(raw[k])
+        check_iterates(range(n_horizon, lo - 1, -1), psi_seq[lo:][::-1], raw[lo:][::-1])
     if error is not None:
         raise error
     return FiniteHorizonSolution(p_seq=p_seq, k_seq=k_seq, lambda_seq=psi_seq,
@@ -319,13 +301,13 @@ def optimal_cost(solution: FiniteHorizonSolution, model: LfnsModel) -> float:
 
     with E[X(0)' P(0) X(0)] = xbar' P(0) xbar + tr(blockdiag(Sigma_x0,
     Sigma_x1) P(0)), the Gaussian second-moment expansion.  The N + 1 noise
-    traces come from one stacked product; the sum adds them in k order, each
-    times gamma^{k+1} when discounted.
+    traces come from one product with the stacked P(1..N+1); the sum adds
+    them in k order, each times gamma^{k+1} when discounted.
     """
     xbar, sigma_x, sigma_w = stacked_moments(model)
     p0 = solution.p_seq[0]
     total = float(xbar @ p0 @ xbar + np.trace(sigma_x @ p0))
-    traces = np.trace(sigma_w @ np.stack(solution.p_seq[1:]), axis1=1, axis2=2)
+    traces = np.trace(sigma_w @ solution.p_seq[1:], axis1=1, axis2=2)
     for k, term in enumerate(traces.tolist()):
         if solution.discounted:
             term *= solution.gamma ** (k + 1)

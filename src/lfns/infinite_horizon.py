@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_horizon import (RiccatiError, check_iterates, closed_loop, riccati_step,
-                             split_gain)
+from .finite_horizon import RiccatiError, check_step, closed_loop, riccati_step, split_gain
 from .model import (PD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, stacked_moments,
                     symmetrize)
 
@@ -90,7 +89,7 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
 
     Stops when the relative Frobenius change drops below 1e-12; raises
     RiccatiError when an iteration's Psi is not positive definite (checked at
-    every iteration, as a stack of one for check_iterates), RiccatiDivergence
+    every iteration by check_step), RiccatiDivergence
     when the iterate norm passes 1e12, and RiccatiError when MAX_ITERATIONS
     iterations end before the change drops below 1e-12.
     """
@@ -100,7 +99,7 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
     p = np.zeros_like(cost.q)
     for iterations in range(1, MAX_ITERATIONS + 1):
         p_step, psi = riccati_step(compact, cost, p, gamma, iterations)[:2]
-        check_iterates([iterations], psi=psi[None])
+        check_step(iterations, psi=psi)
         p_new = symmetrize(p_step)
         norm = float(np.linalg.norm(p_new))
         if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
@@ -113,7 +112,7 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
         raise RiccatiError(f"value iteration hit the iteration cap after {iterations} iterations "
                            f"(relative change {residual:.3e}, tolerance {FIXED_POINT_TOL:.0e})")
     _, psi, l_mat, h = riccati_step(compact, cost, p, gamma, iterations)
-    check_iterates([iterations], psi=psi[None])
+    check_step(iterations, psi=psi)
     return StationarySolution(p=p, h=h, psi=psi, l=l_mat, gamma=gamma,
                               iterations=iterations, residual=residual,
                               n=compact.n, m1=compact.m1)

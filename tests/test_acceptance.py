@@ -119,9 +119,11 @@ def test_criterion_01_gain_reproduction(bundled, capsys):
         "h11": np.max(np.abs(sol.h[m1:, n:] - H11_REF))}
     worst = max(errs.values())
     ok = worst <= 0.01 and elapsed < 5.0
+    # the time enters the line only when it fails, so the line repeats between runs
+    slow = "" if elapsed < 5.0 else f", solve time {elapsed:.3f}s (limit 5s)"
     line = report(capsys, 1, ok,
                   f"all four gain blocks within {worst:.4f} of the reference "
-                  f"print (tol 0.01), solve time {elapsed:.3f}s (limit 5s)")
+                  f"print (tol 0.01){slow}")
     assert ok, line
 
 

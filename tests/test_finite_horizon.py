@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from lfns import finite_horizon as fh
 from lfns.auv import paper_model
 from lfns.finite_horizon import (
     RiccatiError,
@@ -10,7 +13,7 @@ from lfns.finite_horizon import (
     optimal_cost,
     stationarity_residuals,
 )
-from lfns.model import assemble_compact, make_cost, make_model
+from lfns.model import CostSpec, assemble_compact, make_cost, make_model
 from lfns.oracle import StructuredPolicy, exact_cost
 from lfns.simulation import simulate
 from pairs import coupled_noisy_model, decoupled_unit_model, random_model
@@ -141,6 +144,48 @@ def test_tail_is_the_shorter_solve_bitwise(name):
                               (tail.lambda_seq, own.lambda_seq), (tail.l_seq, own.l_seq)):
                 assert len(got) == len(want)
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_clean_recursion_checks_only_the_terminal_weight_step_by_step(monkeypatch):
+    # the stacked test passes every iterate at once, so check_step runs only
+    # for P(N+1); a fallback on clean iterates would still give equal results
+    steps, check_step = [], fh.check_step
+
+    def counted(k, *args, **kwargs):
+        steps.append(k)
+        check_step(k, *args, **kwargs)
+
+    monkeypatch.setattr(fh, "check_step", counted)
+    model, cost = paper_model()
+    comp = assemble_compact(model)
+    for solve in (backward_riccati, discounted_backward_riccati):
+        steps.clear()
+        solve(comp, cost, 200)
+        assert steps == [201]
+
+
+def test_policy_copies_the_solved_gains():
+    model, cost = paper_model()
+    sol = backward_riccati(assemble_compact(model), cost, 5)
+    policy = StructuredPolicy.from_finite_horizon(sol, model)
+    assert np.array_equal(policy.gains, sol.k_seq)
+    assert not np.shares_memory(policy.gains, sol.k_seq)
+
+
+@pytest.mark.parametrize("solve, where", [(backward_riccati, "terminal"),
+                                          (backward_riccati, "iterate"),
+                                          (discounted_backward_riccati, "iterate")])
+def test_asymmetry_warning_points_at_the_recursions_caller(solve, where):
+    skewed = np.array([[1.0, 1e-3], [-1e-3, 1.0]])
+    q, p_terminal = (np.eye(2), skewed) if where == "terminal" else (skewed, np.eye(2))
+    cost = CostSpec(q=q, r=np.eye(2), p_terminal=p_terminal, gamma=0.9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(assemble_compact(decoupled_unit_model()), cost, 3)
+    steps = [4] if where == "terminal" else [3, 2, 1, 0]
+    assert [str(w.message) for w in caught] == [
+        f"Riccati iterate at step {k} asymmetric beyond tolerance" for k in steps]
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_discount_limit_matches_undiscounted():
