@@ -52,12 +52,12 @@ class ReferenceTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class AuvExample:
-    """Bundled coupled leader-follower setup: error model, cost, vehicle data."""
+    """Bundled coupled leader-follower setup: error model, cost, reference
+    trajectories, sampling period t and initial vehicle states; the vehicle
+    data are leader_params() and follower_params()."""
 
     model: LfnsModel
     cost: CostSpec
-    leader: AuvParams
-    follower: AuvParams
     leader_ref: ReferenceTrajectory
     follower_ref: ReferenceTrajectory
     t: float
@@ -273,7 +273,6 @@ def bundled_example() -> AuvExample:
     follower_nu0 = np.array([2.1, 1.4, 0.3])
     model, cost = paper_model()
     return AuvExample(model=model, cost=cost,
-                      leader=leader_params(), follower=follower_params(),
                       leader_ref=leader_ref, follower_ref=follower_ref, t=t,
                       leader_eta0=leader_eta0, leader_nu0=leader_nu0,
                       follower_eta0=follower_eta0, follower_nu0=follower_nu0)

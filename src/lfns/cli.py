@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -297,19 +298,14 @@ def cmd_simulate(args) -> int:
                 break
         raise
     rho = max(closed_loop_radii(sol, assemble_compact(model))) if discounted else None
-    report = mss_diagnostics(summary, spectral_radius=rho)
+    report = mss_diagnostics(summary)
     _write_json(out / f"simulate-{name}-summary.json", _doc(
         args, horizon=horizon, trials=args.trials,
         mean_cost=summary.mean_cost, standard_error=summary.standard_error,
         mean_error_norm=_lst(summary.mean_norm),
         second_moment=_lst(summary.second_moment),
         truncation_bound=summary.truncation_bound,
-        mss={"mean_decay": report.mean_decay,
-             "mean_ratio": report.mean_ratio,
-             "second_moment_plateau": report.second_moment_plateau,
-             "plateau_relative_change": report.plateau_relative_change,
-             "spectral_radius": report.spectral_radius,
-             "mss": report.mss}))
+        mss={**dataclasses.asdict(report), "spectral_radius": rho}))
 
     csv_path = out / f"simulate-{name}-curves.csv"
     n = model.n
@@ -401,9 +397,9 @@ def _verify_checks(model, cost, args):
         err = max(np.linalg.norm(tr.x1hat[k] - kf[k]) for k in range(steps + 1))
         add("estimator_vs_conditional_mean", err < 1e-9, err, 1e-9)
 
-    check = stationarity_residuals(sol, policy, tr)
-    add("costate_hat_residual", check.max_hat < 1e-9, check.max_hat, 1e-9)
-    add("costate_tilde_residual", check.max_tilde < 1e-9, check.max_tilde, 1e-9)
+    max_hat, max_tilde = stationarity_residuals(sol, policy, tr)
+    add("costate_hat_residual", max_hat < 1e-9, max_hat, 1e-9)
+    add("costate_tilde_residual", max_tilde < 1e-9, max_tilde, 1e-9)
 
     trials = args.trials if args.trials > 1 else 2000
     horizon = 200 if discounted else probe_horizon

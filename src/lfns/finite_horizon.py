@@ -67,28 +67,6 @@ class FiniteHorizonSolution:
         return self.lambda_seq[k], l_mat
 
 
-@dataclass(frozen=True, eq=False)
-class CostateCheck:
-    """Per-step residual norms of the two stationarity identities.
-
-    hat_residuals[k] is the norm of Lambda(k) Uhat(k) + L(k) Xhat(k) along a
-    trace (conditional-mean components), tilde_residuals[k] the same for the
-    residual components Utilde, Xtilde.  The discounted/stationary variant
-    uses Psi and gamma L in place of Lambda and L.
-    """
-
-    hat_residuals: np.ndarray
-    tilde_residuals: np.ndarray
-
-    @property
-    def max_hat(self) -> float:
-        return float(self.hat_residuals.max()) if self.hat_residuals.size else 0.0
-
-    @property
-    def max_tilde(self) -> float:
-        return float(self.tilde_residuals.max()) if self.tilde_residuals.size else 0.0
-
-
 GAIN_BLOCKS = ("k00", "k01", "k10", "k11")
 
 # The structured policy's information pattern, written only here: for each
@@ -315,8 +293,10 @@ def optimal_cost(solution: FiniteHorizonSolution, model: LfnsModel) -> float:
     return total
 
 
-def stationarity_residuals(solution, policy: StructuredPolicy, trace) -> CostateCheck:
-    """Evaluate the two per-step stationarity identities along a trace.
+def stationarity_residuals(solution, policy: StructuredPolicy, trace) -> tuple[float, float]:
+    """Largest residual norms (max_hat, max_tilde) of the two per-step
+    stationarity identities along a trace, 0.0 for a trace with no steps; a
+    NaN norm at any step makes its maximum NaN.
 
     The conditional-mean identity uses Uhat = (u0, u1hat) and Xhat =
     (x0, x1hat); the residual identity uses Utilde = (0, u1 - u1hat) and
@@ -349,4 +329,4 @@ def stationarity_residuals(solution, policy: StructuredPolicy, trace) -> Costate
         xtilde = np.concatenate([np.zeros(n), x1[k] - x1hat[k]])
         hat[k] = np.linalg.norm(lam @ uhat + l_mat @ xhat)
         tilde[k] = np.linalg.norm(lam @ utilde + l_mat @ xtilde)
-    return CostateCheck(hat_residuals=hat, tilde_residuals=tilde)
+    return (float(hat.max()), float(tilde.max())) if steps else (0.0, 0.0)

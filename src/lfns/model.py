@@ -106,8 +106,8 @@ class CompactModel:
 
     a and b are lower block-triangular; the zero blocks are exact zeros,
     they encode that the leader never sees follower state or input.  The
-    block partition (n, m1, m2) is carried along so stacked gains can be
-    split back into decentralized blocks.
+    block sizes n and m1 are carried along so stacked gains can be split
+    back into decentralized blocks.
     """
 
     a: np.ndarray
@@ -115,7 +115,6 @@ class CompactModel:
     sigma_w: np.ndarray
     n: int
     m1: int
-    m2: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +249,7 @@ def assemble_compact(model: LfnsModel) -> CompactModel:
     b[n:, :m1] = model.b10
     b[n:, m1:] = model.b11
     _, _, sigma_w = stacked_moments(model)
-    return CompactModel(a=a, b=b, sigma_w=sigma_w, n=n, m1=m1, m2=m2)
+    return CompactModel(a=a, b=b, sigma_w=sigma_w, n=n, m1=m1)
 
 
 def stacked_moments(model: LfnsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,18 +302,14 @@ def model_from_dict(doc: dict) -> tuple[LfnsModel, CostSpec]:
 
 
 def load_model_spec(path) -> tuple[LfnsModel, CostSpec]:
-    """Read and validate a JSON model-spec document.
+    """Read and parse a JSON model-spec document, without validating it.
 
-    Raises SpecFormatError when the document cannot be parsed and
-    ModelValidationError when it parses but is inadmissible.
+    Raises SpecFormatError when the document cannot be read or parsed; the
+    caller runs validate() on the model it will use.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecFormatError(f"cannot read model spec {path}: {exc}") from exc
-    model, cost = model_from_dict(doc)
-    violations = validate(model, cost)
-    if violations:
-        raise ModelValidationError(violations)
-    return model, cost
+    return model_from_dict(doc)

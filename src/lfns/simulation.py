@@ -117,13 +117,12 @@ class MonteCarloSummary:
 
 @dataclass(frozen=True)
 class MssReport:
-    """Empirical mean-square-stability diagnostics plus the analytic certificate."""
+    """Empirical mean-square-stability diagnostics of a Monte Carlo summary."""
 
     mean_decay: bool
     mean_ratio: float
     second_moment_plateau: bool
     plateau_relative_change: float
-    spectral_radius: float | None
     mss: bool
 
 
@@ -166,17 +165,14 @@ def _spawned_states(seed: int, lo: int, hi: int) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _draw_chunk(model: LfnsModel, horizon: int, seed: int, lo: int, hi: int, buf=None):
-    """Each trial's normals in the documented order, as views of one buffer.
+def _draw_chunk(horizon: int, seed: int, lo: int, hi: int, buf: np.ndarray):
+    """Each trial's normals in the documented order, as views of buf.
 
-    Row j - lo of the trial-major buffer, shape (hi-lo, 2*horizon+2, n), holds
-    trial j's z0, z1, zw0 and zw1 back to back, filled by one standard_normal
-    call from the PCG64 state that default_rng(SeedSequence(entropy=seed,
-    spawn_key=(j,))) starts in.  buf is that buffer, or None for a new one.
+    Row j - lo of the trial-major buffer buf, shape (hi-lo, 2*horizon+2, n),
+    gets trial j's z0, z1, zw0 and zw1 back to back, filled by one
+    standard_normal call from the PCG64 state that
+    default_rng(SeedSequence(entropy=seed, spawn_key=(j,))) starts in.
     """
-    n = model.n
-    if buf is None:
-        buf = np.empty((hi - lo, 2 * horizon + 2, n))
     gen = np.random.Generator(np.random.PCG64(0))
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     for col, (s_hi, s_lo, q_hi, q_lo) in enumerate(_spawned_states(seed, lo, hi).tolist()):
@@ -217,7 +213,7 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     """
     n = model.n
     draws, states, stage = arrays
-    z0, z1, zw0, zw1 = _draw_chunk(model, horizon, seed, lo, hi, draws)
+    z0, z1, zw0, zw1 = _draw_chunk(horizon, seed, lo, hi, draws)
     lx0 = psd_factor(model.sigma_x0)
     lx1 = psd_factor(model.sigma_x1)
     lw0 = psd_factor(model.sigma_w0)
@@ -395,8 +391,7 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     return combine(sums(), cost, discounted)
 
 
-def mss_diagnostics(summary: MonteCarloSummary,
-                    spectral_radius: float | None = None) -> MssReport:
+def mss_diagnostics(summary: MonteCarloSummary) -> MssReport:
     """Mean-decay and second-moment-plateau flags per the MSS definition.
 
     The mean test asks whether the final mean norm fell to at most
@@ -424,5 +419,4 @@ def mss_diagnostics(summary: MonteCarloSummary,
     return MssReport(mean_decay=bool(mean_decay), mean_ratio=float(ratio),
                      second_moment_plateau=bool(plateau),
                      plateau_relative_change=rel_change,
-                     spectral_radius=spectral_radius,
                      mss=bool(mean_decay and plateau))

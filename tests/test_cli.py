@@ -404,6 +404,16 @@ def test_gamma_override_echoed(tmp_path):
     assert base["p"] != other["p"]
 
 
+def test_gamma_overrides_the_spec_discount(tmp_path, capsys):
+    # the spec's own discount is out of range; validation sees the override
+    spec = str(write_spec(tmp_path / "far.json", gamma=1.5))
+    assert run(["solve", "--model", spec, "--gamma", "0.9", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "solve-far-stationary.json").read_text())
+    assert doc["config"]["gamma"] == 0.9
+    assert run(["solve", "--model", spec, "--out", str(tmp_path)]) == 2
+    assert "validation: gamma out of range (0, 1): 1.5" in capsys.readouterr().err
+
+
 def test_converge_sweep_monotone(tmp_path):
     assert run(["converge", "--model", "scalar-demo", "--gamma", "0.5",
                 "--horizon", "40", "--out", str(tmp_path)]) == 0

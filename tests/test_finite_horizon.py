@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -205,8 +206,23 @@ def test_stationarity_hat_residual_vanishes_on_trajectory():
     sol = backward_riccati(assemble_compact(model), cost, 10)
     policy = StructuredPolicy.from_finite_horizon(sol, model)
     trace = simulate(model, policy, cost, 11, seed=2)
-    check = stationarity_residuals(sol, policy, trace)
-    assert check.max_hat < 1e-9
+    max_hat, _ = stationarity_residuals(sol, policy, trace)
+    assert max_hat < 1e-9
+
+
+def test_stationarity_residual_maxima_keep_nan_and_empty_trace():
+    model = coupled_noisy_model()
+    cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2))
+    sol = backward_riccati(assemble_compact(model), cost, 10)
+    policy = StructuredPolicy.from_finite_horizon(sol, model)
+    trace = simulate(model, policy, cost, 11, seed=2)
+    x1 = trace.x1.copy()
+    x1[3, 0] = np.nan  # after finite steps, which a Python max() would keep instead
+    max_hat, max_tilde = stationarity_residuals(sol, policy, dataclasses.replace(trace, x1=x1))
+    assert max_hat < 1e-9
+    assert np.isnan(max_tilde) and not max_tilde < 1e-9
+    empty = dataclasses.replace(trace, u0=trace.u0[:0], u1=trace.u1[:0])
+    assert stationarity_residuals(sol, policy, empty) == (0.0, 0.0)
 
 
 def test_stationarity_tilde_residual_vanishes_only_without_coupling():
@@ -215,7 +231,7 @@ def test_stationarity_tilde_residual_vanishes_only_without_coupling():
     sol = backward_riccati(assemble_compact(clean), cost, 10)
     policy = StructuredPolicy.from_finite_horizon(sol, clean)
     trace = simulate(clean, policy, cost, 11, seed=3)
-    assert stationarity_residuals(sol, policy, trace).max_tilde < 1e-9
+    assert stationarity_residuals(sol, policy, trace)[1] < 1e-9
 
     dirty = coupled_noisy_model()
     sol = backward_riccati(assemble_compact(dirty), cost, 10)
@@ -223,4 +239,4 @@ def test_stationarity_tilde_residual_vanishes_only_without_coupling():
     trace = simulate(dirty, policy, cost, 11, seed=3)
     # the residual follower control sees a leader-row penalty the recursion
     # drops, so the identity genuinely fails under coupling plus noise
-    assert stationarity_residuals(sol, policy, trace).max_tilde > 1e-6
+    assert stationarity_residuals(sol, policy, trace)[1] > 1e-6

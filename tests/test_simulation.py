@@ -114,9 +114,8 @@ def test_trial_streams_are_documented_seed_sequences():
            lambda q: st.integers(q * CHUNK + 1, (q + 1) * CHUNK - 8)),
        width=st.integers(1, 8))
 def test_draw_chunk_equals_per_trial_generators(seed, n, horizon, lo, width):
-    a = np.eye(n)
-    model = make_model(a00=a, a10=a, a11=a, b00=a, b10=a, b11=a)
-    z0, z1, zw0, zw1 = _draw_chunk(model, horizon, seed, lo, lo + width)
+    buf = np.empty((width, 2 * horizon + 2, n))
+    z0, z1, zw0, zw1 = _draw_chunk(horizon, seed, lo, lo + width, buf)
     for col in range(width):
         want = reference_draws(seed, lo + col, n, horizon)
         got = (z0[:, col], z1[:, col], zw0[:, :, col], zw1[:, :, col])
@@ -290,7 +289,7 @@ def test_mss_flags_zero_noise_stable_loop():
     cost = make_cost(q=np.eye(2), r=np.eye(2))
     policy = StructuredPolicy.constant([[0.3]], [[0.0]], [[0.0]], [[0.3]])
     mc = monte_carlo(model, policy, cost, 60, seed=0, trials=1000)
-    rep = mss_diagnostics(mc, spectral_radius=0.5)
+    rep = mss_diagnostics(mc)
     assert rep.mean_decay
     assert rep.second_moment_plateau
     assert rep.mss
@@ -304,7 +303,7 @@ def test_mss_flags_unstable_loop():
     cost = make_cost(q=np.eye(2), r=np.eye(2))
     policy = StructuredPolicy.constant([[0.0]], [[0.0]], [[0.0]], [[0.0]])
     mc = monte_carlo(model, policy, cost, 40, seed=0, trials=1000)
-    rep = mss_diagnostics(mc, spectral_radius=2.0)
+    rep = mss_diagnostics(mc)
     assert not rep.mean_decay
     assert not rep.second_moment_plateau
     assert not rep.mss
@@ -321,10 +320,9 @@ def test_mss_second_moment_settles_at_analytic_fixed_point():
     policy = StructuredPolicy.constant([[0.59]], [[0.0]], [[0.0]], [[0.59]])
     trials = 400000
     mc = monte_carlo(model, policy, cost, 40, seed=0, trials=trials)
-    rep = mss_diagnostics(mc, spectral_radius=0.41)
+    rep = mss_diagnostics(mc)
     assert rep.mean_decay
     assert rep.second_moment_plateau
-    assert rep.spectral_radius == 0.41
     fixed = 2.0 / (1.0 - 0.41 ** 2)
     band = 3.0 * fixed * np.sqrt(2.0 / trials)
     assert abs(mc.second_moment[-9:].mean() - fixed) < band
