@@ -217,7 +217,7 @@ def test_stationarity_residual_maxima_keep_nan_and_empty_trace():
     policy = StructuredPolicy.from_finite_horizon(sol, model)
     trace = simulate(model, policy, cost, 11, seed=2)
     x1 = trace.x1.copy()
-    x1[3, 0] = np.nan  # after finite steps, which a Python max() would keep instead
+    x1[3, 0] = np.nan  # after finite norms, where a Python max() would drop it
     max_hat, max_tilde = stationarity_residuals(sol, policy, dataclasses.replace(trace, x1=x1))
     assert max_hat < 1e-9
     assert np.isnan(max_tilde) and not max_tilde < 1e-9
