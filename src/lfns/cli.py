@@ -1,7 +1,9 @@
 """Command-line front end: solve, simulate, converge, verify.
 
-Exit codes: 0 success, 1 unreadable model spec, 2 validation or usage
-failure, 3 solver or simulation divergence, 4 verification checks failed.
+Exit codes: 0 success, 1 unreadable or malformed model spec (a non-numeric
+entry, a wrong number of dimensions, or a non-square a00, covariance or
+weight), 2 validation or usage failure (a dimension mismatch between blocks
+among them), 3 solver or simulation divergence, 4 verification checks failed.
 Same flags plus same seed produce byte-identical output files; every file
 embeds the requested configuration and the package version.
 """
@@ -93,7 +95,7 @@ def _doc(args, **payload) -> dict:
 
 def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -106,10 +108,6 @@ def _write_csv(path: Path, args, columns, rows, notes=()) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
-
-
-def _lst(a):
-    return np.asarray(a).tolist()
 
 
 def _policy_for(model, cost, args):
@@ -135,8 +133,8 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     if args.mode == "finite":
         doc = _doc(args, mode="finite", horizon=sol.horizon,
-                   p0=_lst(sol.p_seq[0]), k0=_lst(sol.k_seq[0]),
-                   gain_sequence=_lst(sol.k_seq),
+                   p0=sol.p_seq[0], k0=sol.k_seq[0],
+                   gain_sequence=sol.k_seq,
                    analytic_cost=optimal_cost(sol, model))
         _write_json(out / f"solve-{name}-finite.json", doc)
         return 0
@@ -145,9 +143,9 @@ def cmd_solve(args) -> int:
     # the solve raises rather than return an iterate short of the tolerance
     doc = _doc(args, mode="stationary", iterations=sol.iterations,
                residual=sol.residual, converged=True,
-               p=_lst(sol.p), h=_lst(sol.h),
+               p=sol.p, h=sol.h,
                h_blocks=dict(zip(("h00", "h01", "h10", "h11"),
-                                 map(_lst, split_gain(sol.h, model.n, model.m1)))),
+                                 split_gain(sol.h, model.n, model.m1))),
                verdict={
                    "positive_definite": verdict.positive_definite.value,
                    "positive_definite_margin": verdict.positive_definite.margin,
@@ -302,8 +300,8 @@ def cmd_simulate(args) -> int:
     _write_json(out / f"simulate-{name}-summary.json", _doc(
         args, horizon=horizon, trials=args.trials,
         mean_cost=summary.mean_cost, standard_error=summary.standard_error,
-        mean_error_norm=_lst(summary.mean_norm),
-        second_moment=_lst(summary.second_moment),
+        mean_error_norm=summary.mean_norm,
+        second_moment=summary.second_moment,
         truncation_bound=summary.truncation_bound,
         mss={**dataclasses.asdict(report), "spectral_radius": rho}))
 

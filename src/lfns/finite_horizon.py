@@ -69,7 +69,7 @@ class FiniteHorizonSolution:
 
 GAIN_BLOCKS = ("k00", "k01", "k10", "k11")
 
-# The structured policy's information pattern, written only here: for each
+# The structured policy's information pattern that closed_loop reads: for each
 # gain block, its control and the block of z = (x0, x1, x1hat) it reads in
 # the applied controls and in the conditional-mean controls (u0, u1hat) that
 # advance the leader's estimator.  Listed by the block read, the order in

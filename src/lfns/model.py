@@ -42,32 +42,24 @@ def eigmin(m: np.ndarray) -> float:
     return float(eigmins(m))
 
 
-def is_psd(m: np.ndarray) -> bool:
-    return eigmin(m) >= PSD_TOL
-
-
-def is_pd(m: np.ndarray) -> bool:
-    return eigmin(m) >= PD_TOL
-
-
-def _numeric(value, name: str) -> np.ndarray:
+def _array(value, name: str, ndim: int = 2) -> np.ndarray:
+    """One spec entry as a float array with ndim dimensions (0 for a scalar)."""
     try:
-        return np.array(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"{name} is not numeric: {exc}") from exc
-
-
-def _matrix(value, name: str) -> np.ndarray:
-    arr = _numeric(value, name)
-    if arr.ndim != 2:
-        raise SpecFormatError(f"{name} must be a matrix, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        kind = ("scalar", "vector", "matrix")[ndim]
+        raise SpecFormatError(f"{name} must be a {kind}, got shape {arr.shape}")
     return arr
 
 
-def _vector(value, name: str) -> np.ndarray:
-    arr = _numeric(value, name)
-    if arr.ndim != 1:
-        raise SpecFormatError(f"{name} must be a vector, got shape {arr.shape}")
+def _square(value, name: str) -> np.ndarray:
+    """A square matrix entry; checked before it is symmetrized, which would
+    otherwise broadcast a non-square one or fail inside numpy."""
+    arr = _array(value, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise SpecFormatError(f"{name} must be square, got {arr.shape}")
     return arr
 
 
@@ -131,30 +123,30 @@ def make_model(a00, a10, a11, b00, b10, b11, sigma_w0=None, sigma_w1=None,
                xbar0=None, xbar1=None, sigma_x0=None, sigma_x1=None) -> LfnsModel:
     """Build an LfnsModel from array-likes, defaulting moments to zero.
 
+    Raises SpecFormatError for an entry that is not numeric, has the wrong
+    number of dimensions, or (a00 and the covariances) is not square.
     Covariances are symmetrized here once; validate() reports semantic
     problems (PSD failures, dimension mismatches between blocks).
     """
-    a00 = _matrix(a00, "a00")
-    if a00.shape[0] != a00.shape[1]:
-        raise SpecFormatError(f"a00 must be square, got {a00.shape}")
+    a00 = _square(a00, "a00")
     n = a00.shape[0]
-    a10 = _matrix(a10, "a10")
-    a11 = _matrix(a11, "a11")
-    b00 = _matrix(b00, "b00")
-    b10 = _matrix(b10, "b10")
-    b11 = _matrix(b11, "b11")
+    a10 = _array(a10, "a10")
+    a11 = _array(a11, "a11")
+    b00 = _array(b00, "b00")
+    b10 = _array(b10, "b10")
+    b11 = _array(b11, "b11")
     m1 = b00.shape[1]
     m2 = b11.shape[1]
 
     def cov(value, name):
         if value is None:
             return np.zeros((n, n))
-        return symmetrize(_matrix(value, name))
+        return symmetrize(_square(value, name))
 
     def mean(value, name):
         if value is None:
             return np.zeros(n)
-        return _vector(value, name)
+        return _array(value, name, 1)
 
     return LfnsModel(
         a00=a00, a10=a10, a11=a11, b00=b00, b10=b10, b11=b11,
@@ -165,15 +157,12 @@ def make_model(a00, a10, a11, b00, b10, b11, sigma_w0=None, sigma_w1=None,
 
 
 def make_cost(q, r, p_terminal=None, gamma=None) -> CostSpec:
-    q = symmetrize(_matrix(q, "q"))
-    r = symmetrize(_matrix(r, "r"))
+    q = symmetrize(_square(q, "q"))
+    r = symmetrize(_square(r, "r"))
     if p_terminal is not None:
-        p_terminal = symmetrize(_matrix(p_terminal, "p_terminal"))
+        p_terminal = symmetrize(_square(p_terminal, "p_terminal"))
     if gamma is not None:
-        try:
-            gamma = float(gamma)
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(f"gamma is not numeric: {exc}") from exc
+        gamma = float(_array(gamma, "gamma", 0))
     return CostSpec(q=q, r=r, p_terminal=p_terminal, gamma=gamma)
 
 
@@ -183,54 +172,39 @@ def validate(model: LfnsModel, cost: CostSpec | None = None) -> list[str]:
     Returns human-readable violation strings rather than raising, so a CLI
     can surface all problems at once.
     """
-    v: list[str] = []
     n, m1, m2 = model.n, model.m1, model.m2
-    arrays = [(f, getattr(model, f)) for f in _MODEL_FIELDS]
-    if cost is not None:
-        arrays += [("q", cost.q), ("r", cost.r)]
-        if cost.p_terminal is not None:
-            arrays.append(("p_terminal", cost.p_terminal))
+    stacked, controls = (2 * n, 2 * n), (m1 + m2, m1 + m2)
+    q, r, p_terminal = (None, None, None) if cost is None else (cost.q, cost.r, cost.p_terminal)
+    # name, array, required shape, and the bound and fault text of its
+    # definiteness test on the smallest eigenvalue; absent entries are skipped
+    rows = [row for row in [
+        ("a00", model.a00, (n, n), None, None),
+        ("a10", model.a10, (n, n), None, None),
+        ("a11", model.a11, (n, n), None, None),
+        ("b00", model.b00, (n, m1), None, None),
+        ("b10", model.b10, (n, m1), None, None),
+        ("b11", model.b11, (n, m2), None, None),
+        ("sigma_w0", model.sigma_w0, (n, n), PSD_TOL, "noise covariance not PSD: sigma_w0 has"),
+        ("sigma_w1", model.sigma_w1, (n, n), PSD_TOL, "noise covariance not PSD: sigma_w1 has"),
+        ("xbar0", model.xbar0, (n,), None, None),
+        ("xbar1", model.xbar1, (n,), None, None),
+        ("sigma_x0", model.sigma_x0, (n, n), PSD_TOL, "initial covariance not PSD: sigma_x0 has"),
+        ("sigma_x1", model.sigma_x1, (n, n), PSD_TOL, "initial covariance not PSD: sigma_x1 has"),
+        ("q", q, stacked, PSD_TOL, "Q not positive semidefinite:"),
+        ("r", r, controls, PD_TOL, "R not positive definite:"),
+        ("p_terminal", p_terminal, stacked, PSD_TOL, "terminal weight not positive semidefinite:"),
+    ] if row[1] is not None]
     # a NaN or inf entry also makes every eigenvalue NaN, so the definiteness
-    # checks below skip these arrays rather than report a second, garbled fault
-    nonfinite = [name for name, arr in arrays if not np.isfinite(arr).all()]
-    v.extend(f"non-finite entry: {name} contains NaN or inf" for name in nonfinite)
-    shape_req = [
-        ("a10", model.a10, (n, n)), ("a11", model.a11, (n, n)),
-        ("b00", model.b00, (n, m1)), ("b10", model.b10, (n, m1)),
-        ("b11", model.b11, (n, m2)),
-        ("sigma_w0", model.sigma_w0, (n, n)), ("sigma_w1", model.sigma_w1, (n, n)),
-        ("sigma_x0", model.sigma_x0, (n, n)), ("sigma_x1", model.sigma_x1, (n, n)),
-        ("xbar0", model.xbar0, (n,)), ("xbar1", model.xbar1, (n,)),
-    ]
-    for name, arr, want in shape_req:
+    # tests below skip these arrays rather than report a second, garbled fault
+    nonfinite = [name for name, arr, *_ in rows if not np.isfinite(arr).all()]
+    v = [f"non-finite entry: {name} contains NaN or inf" for name in nonfinite]
+    for name, arr, want, bound, fault in rows:
         if arr.shape != want:
             v.append(f"dimension mismatch: {name} has shape {arr.shape}, expected {want}")
-    if model.a11.shape == (n, n) and model.a11.shape != model.a00.shape:
-        v.append("leader and follower must share the state dimension")
-    for name, arr in [("sigma_w0", model.sigma_w0), ("sigma_w1", model.sigma_w1),
-                      ("sigma_x0", model.sigma_x0), ("sigma_x1", model.sigma_x1)]:
-        if arr.shape == (n, n) and name not in nonfinite and not is_psd(arr):
-            kind = "noise covariance" if name.startswith("sigma_w") else "initial covariance"
-            v.append(f"{kind} not PSD: {name} has min eigenvalue {eigmin(arr):.3e}")
-    if cost is not None:
-        if cost.q.shape != (2 * n, 2 * n):
-            v.append(f"dimension mismatch: q has shape {cost.q.shape}, expected {(2 * n, 2 * n)}")
-        elif "q" not in nonfinite and not is_psd(cost.q):
-            v.append(f"Q not positive semidefinite: min eigenvalue {eigmin(cost.q):.3e}")
-        m = m1 + m2
-        if cost.r.shape != (m, m):
-            v.append(f"dimension mismatch: r has shape {cost.r.shape}, expected {(m, m)}")
-        elif "r" not in nonfinite and not is_pd(cost.r):
-            v.append(f"R not positive definite: min eigenvalue {eigmin(cost.r):.3e}")
-        if cost.p_terminal is not None:
-            if cost.p_terminal.shape != (2 * n, 2 * n):
-                v.append(f"dimension mismatch: p_terminal has shape {cost.p_terminal.shape}, "
-                         f"expected {(2 * n, 2 * n)}")
-            elif "p_terminal" not in nonfinite and not is_psd(cost.p_terminal):
-                v.append(f"terminal weight not positive semidefinite: "
-                         f"min eigenvalue {eigmin(cost.p_terminal):.3e}")
-        if cost.gamma is not None and not (0.0 < cost.gamma < 1.0):
-            v.append(f"gamma out of range (0, 1): {cost.gamma}")
+        elif fault and name not in nonfinite and not (low := eigmin(arr)) >= bound:
+            v.append(f"{fault} min eigenvalue {low:.3e}")
+    if cost is not None and cost.gamma is not None and not (0.0 < cost.gamma < 1.0):
+        v.append(f"gamma out of range (0, 1): {cost.gamma}")
     return v
 
 

@@ -89,12 +89,18 @@ def test_nonfinite_spec_exits_2(tmp_path, capsys):
     assert "diverged" not in err
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("model", "a00", "abc"),
-    ("model", "sigma_w0", [[0.1], [0.2, 0.3]]),
-    ("cost", "gamma", "x"),
-], ids=["string-matrix", "ragged-covariance", "string-gamma"])
-def test_malformed_spec_entry_exits_1(tmp_path, capsys, section, key, value):
+@pytest.mark.parametrize("section, key, value, message", [
+    ("model", "a00", "abc", "is not numeric: "),
+    ("model", "sigma_w0", [[0.1], [0.2, 0.3]], "is not numeric: "),
+    ("cost", "gamma", "x", "is not numeric: "),
+    ("cost", "q", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "must be square, got (2, 3)"),
+    ("cost", "q", [[1.0, 1.0]], "must be square, got (1, 2)"),
+    ("model", "sigma_w0", [[0.1, 0.2]], "must be square, got (1, 2)"),
+    ("model", "xbar0", [[1.0]], "must be a vector, got shape (1, 1)"),
+    ("cost", "gamma", [0.9], "must be a scalar, got shape (1,)"),
+], ids=["string-matrix", "ragged-covariance", "string-gamma", "nonsquare-q", "row-q",
+        "row-covariance", "matrix-mean", "list-gamma"])
+def test_malformed_spec_entry_exits_1(tmp_path, capsys, section, key, value, message):
     path = write_spec(tmp_path / "spec.json")
     doc = json.loads(path.read_text())
     doc[section][key] = value
@@ -103,7 +109,7 @@ def test_malformed_spec_entry_exits_1(tmp_path, capsys, section, key, value):
     assert run(["solve", "--model", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"spec error: {key} is not numeric: ")
+    assert err[0].startswith(f"spec error: {key} {message}")
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from lfns.finite_horizon import RiccatiError, closed_loop, discounted_backward_r
 from lfns.infinite_horizon import (
     FIXED_POINT_TOL,
     RiccatiDivergence,
+    StationarySolution,
     check_stabilizability,
     solve_stationary_riccati,
     stationary_cost,
@@ -151,6 +152,17 @@ def test_verdict_on_stable_system():
     assert verdict.inequality_holds.value is True
     assert verdict.spectral_radius < 1.0
     assert "rho" in verdict.detail
+
+
+def test_verdict_is_inconclusive_at_unit_radius():
+    # no feedback on A = I leaves both closed-loop radii at exactly 1
+    comp = assemble_compact(decoupled_unit_model())
+    cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
+    sol = StationarySolution(p=np.eye(2), h=np.zeros((2, 2)), psi=np.eye(2), l=np.zeros((2, 2)),
+                             gamma=0.9, iterations=0, residual=0.0, n=1, m1=1)
+    verdict = check_stabilizability(sol, cost, comp)
+    assert verdict.spectral_radius == 1.0
+    assert verdict.stabilizable is None
 
 
 def test_verdict_counts_divergent_estimation_error():

@@ -11,8 +11,6 @@ from lfns.model import (
     SpecFormatError,
     assemble_compact,
     eigmin,
-    is_pd,
-    is_psd,
     load_model_spec,
     make_cost,
     make_model,
@@ -187,12 +185,20 @@ def _demo_pair():
 
 
 def test_eig_helpers_tolerance_band():
-    assert is_psd(np.diag([0.0, 1.0]))
-    assert not is_pd(np.diag([0.0, 1.0]))
-    assert is_pd(np.diag([1e-6, 1.0]))
+    model = make_model(a00=[[1.0]], a10=[[0.0]], a11=[[1.0]],
+                       b00=[[1.0]], b10=[[0.0]], b11=[[1.0]])
+
+    def faults(q, r):
+        return validate(model, make_cost(q=np.diag(q), r=np.diag(r)))
+
+    # a zero eigenvalue is PSD but not PD
+    assert faults([0.0, 1.0], [1.0, 1.0]) == []
+    assert faults([1.0, 1.0], [0.0, 1.0]) == ["R not positive definite: min eigenvalue 0.000e+00"]
+    assert faults([1.0, 1.0], [1e-6, 1.0]) == []
     # a -1e-12 eigenvalue sits inside the PSD tolerance
-    assert is_psd(np.diag([-1e-12, 1.0]))
-    assert not is_psd(np.diag([-1e-6, 1.0]))
+    assert faults([-1e-12, 1.0], [1.0, 1.0]) == []
+    assert faults([-1e-6, 1.0], [1.0, 1.0]) == [
+        "Q not positive semidefinite: min eigenvalue -1.000e-06"]
     assert eigmin(np.diag([3.0, -2.0])) == pytest.approx(-2.0)
 
 
@@ -231,6 +237,50 @@ def _random_spec(rng, n, m1, m2, terminal):
 
 def _random_spec_doc(rng, n, m1, m2, terminal):
     return model_to_dict(*_random_spec(rng, n, m1, m2, terminal))
+
+
+_SQUARE_ENTRIES = [("model", "a00"), ("model", "sigma_w0"), ("model", "sigma_w1"),
+                   ("model", "sigma_x0"), ("model", "sigma_x1"),
+                   ("cost", "q"), ("cost", "r"), ("cost", "p_terminal")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), m1=st.integers(1, 2), m2=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), entry=st.sampled_from(_SQUARE_ENTRIES),
+       rows=st.integers(1, 4), cols=st.integers(1, 4))
+def test_nonsquare_entry_is_a_spec_error(n, m1, m2, seed, entry, rows, cols):
+    # symmetrizing a non-square matrix either fails inside numpy or, for one
+    # row or column, broadcasts it into a square one that validates clean
+    if rows == cols:
+        cols += 1
+    rng = np.random.default_rng(seed)
+    doc = _random_spec_doc(rng, n, m1, m2, terminal=True)
+    section, name = entry
+    doc[section][name] = rng.standard_normal((rows, cols)).tolist()
+    with pytest.raises(SpecFormatError, match=rf"^{name} must be square, got \({rows}, {cols}\)$"):
+        model_from_dict(doc)
+
+
+def test_every_fault_of_a_spec_in_table_order():
+    doc = _random_spec_doc(np.random.default_rng(5), 2, 1, 1, terminal=True)
+    doc["model"]["a10"] = [[0.0, 0.0]]
+    doc["model"]["sigma_w0"] = [[-1.0, 0.0], [0.0, 1.0]]
+    doc["model"]["xbar0"] = [1.0]
+    doc["model"]["sigma_x1"] = [[np.nan, 0.0], [0.0, 1.0]]
+    doc["cost"]["q"] = np.eye(3).tolist()
+    doc["cost"]["r"] = [[1.0, 0.0], [0.0, 0.0]]
+    doc["cost"]["p_terminal"] = (-np.eye(4)).tolist()
+    doc["cost"]["gamma"] = 1.5
+    assert validate(*model_from_dict(doc)) == [
+        "non-finite entry: sigma_x1 contains NaN or inf",
+        "dimension mismatch: a10 has shape (1, 2), expected (2, 2)",
+        "noise covariance not PSD: sigma_w0 has min eigenvalue -1.000e+00",
+        "dimension mismatch: xbar0 has shape (1,), expected (2,)",
+        "dimension mismatch: q has shape (3, 3), expected (4, 4)",
+        "R not positive definite: min eigenvalue 0.000e+00",
+        "terminal weight not positive semidefinite: min eigenvalue -1.000e+00",
+        "gamma out of range (0, 1): 1.5",
+    ]
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.oracle import StructuredPolicy, exact_cost
 from lfns.simulation import (
     CHUNK,
+    MonteCarloSummary,
     SimulationDiverged,
     _draw_chunk,
     _simulate_chunk,
@@ -229,6 +230,8 @@ def test_discounted_aggregation_hand_weights():
     weights = np.array([1.0, 0.5, 0.25])
     manual = (weights[:, None] * batch.stage_cost).sum(axis=0).mean()
     assert summary.mean_cost == pytest.approx(manual, rel=1e-12)
+    with pytest.raises(ValueError, match="discounted aggregation requires cost.gamma"):
+        combine([], make_cost(q=np.eye(2), r=np.eye(2)), discounted=True)
 
 
 def test_undiscounted_aggregation_applies_terminal():
@@ -307,6 +310,20 @@ def test_mss_flags_unstable_loop():
     assert not rep.mean_decay
     assert not rep.second_moment_plateau
     assert not rep.mss
+
+
+def test_mss_mean_ratio_from_a_negligible_initial_mean():
+    def summary(mean_norm):
+        steps = len(mean_norm)
+        return MonteCarloSummary(trials=1, mean_cost=0.0, standard_error=0.0,
+                                 mean_state=np.zeros((steps, 2)), mean_norm=np.array(mean_norm),
+                                 second_moment=np.zeros(steps), truncation_bound=None)
+
+    rep = mss_diagnostics(summary([0.0] * 5))
+    assert rep.mean_ratio == 0.0 and rep.mean_decay and rep.mss
+    rep = mss_diagnostics(summary([0.0, 1e-6, 1e-3, 1.0]))
+    assert rep.mean_ratio == np.inf
+    assert not rep.mean_decay and not rep.mss
 
 
 def test_mss_second_moment_settles_at_analytic_fixed_point():
