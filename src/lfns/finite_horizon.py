@@ -78,6 +78,14 @@ READS = {"k00": ("u0", "x0", "x0"), "k10": ("u1", "x0", "x0"),
          "k11": ("u1", "x1", "x1hat"), "k01": ("u0", "x1hat", "x1hat")}
 
 
+def controls(gains, x0, x1, x1hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u0, u1, u1hat) under gains (k00, k01, k10, k11), the values READS maps, where
+    u1hat = -(k10 x0 + k11 x1hat) is u1's conditional mean; of vectors or column-stacked trials."""
+    k00, k01, k10, k11 = gains
+    lead = k10 @ x0
+    return -(k00 @ x0 + k01 @ x1hat), -(lead + k11 @ x1), -(lead + k11 @ x1hat)
+
+
 def split_gain(k: np.ndarray, n: int, m1: int) -> tuple[np.ndarray, ...]:
     """Views (k00, k01, k10, k11) of the four blocks of a stacked (m1+m2) x 2n
     gain, or of each gain in a stack of them: u0 = -k00 x0 - k01 x1hat and
@@ -300,7 +308,7 @@ def stationarity_residuals(solution, policy: StructuredPolicy, trace) -> tuple[f
 
     The conditional-mean identity uses Uhat = (u0, u1hat) and Xhat =
     (x0, x1hat); the residual identity uses Utilde = (0, u1 - u1hat) and
-    Xtilde = (0, x1 - x1hat), where u1hat = -k10 x0 - k11 x1hat is the
+    Xtilde = (0, x1 - x1hat), where u1hat, from controls, is the
     conditional-mean follower control of the policy the trace ran.  For an
     undiscounted solution the identity matrices are Lambda(k), L(k); for a
     discounted or stationary solution they are Psi, gamma L.
@@ -321,8 +329,7 @@ def stationarity_residuals(solution, policy: StructuredPolicy, trace) -> tuple[f
     tilde = np.zeros(steps)
     for k in range(steps):
         lam, l_mat = solution.identity(k)
-        _, _, k10, k11 = policy.at(k)
-        u1hat = -k10 @ x0[k] - k11 @ x1hat[k]
+        u1hat = controls(policy.at(k), x0[k], x1[k], x1hat[k])[2]
         uhat = np.concatenate([u0[k], u1hat])
         utilde = np.concatenate([np.zeros(m1), u1[k] - u1hat])
         xhat = np.concatenate([x0[k], x1hat[k]])

@@ -84,14 +84,15 @@ class StabilizabilityVerdict:
     detail: str = ""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> StationarySolution:
     """Value-iterate P <- Q + gamma A'PA - gamma^2 L' Psi^{-1} L from P = 0.
 
     Stops when the relative Frobenius change drops below 1e-12; raises
     RiccatiError when an iteration's Psi is not positive definite (checked at
-    every iteration by check_step), RiccatiDivergence
-    when the iterate norm passes 1e12, and RiccatiError when MAX_ITERATIONS
-    iterations end before the change drops below 1e-12.
+    every iteration by check_step), RiccatiDivergence when the iterate norm
+    passes 1e12 or overflows, without numpy's warnings, and RiccatiError when
+    MAX_ITERATIONS iterations end before the change drops below 1e-12.
     """
     if cost.gamma is None or not (0.0 < cost.gamma < 1.0):
         raise ValueError(f"stationary solve requires gamma in (0, 1), got {cost.gamma}")

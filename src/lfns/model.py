@@ -28,8 +28,9 @@ class ModelValidationError(ValueError):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """0.5 (M + M'), of a matrix or of each matrix in a stack."""
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    """0.5 M + 0.5 M' of a matrix or of each in a stack; halving first cannot overflow."""
+    half = 0.5 * m
+    return half + half.swapaxes(-1, -2)
 
 
 def eigmins(m: np.ndarray) -> np.ndarray:

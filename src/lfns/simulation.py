@@ -6,9 +6,9 @@ spawn_key=(j,))), in the fixed order initial-leader z (n draws), initial
 follower z (n draws), leader noise path (horizon x n), follower noise path
 (horizon x n).  A trial's random inputs therefore depend only on (s, j),
 never on how many trials run alongside it or how they are split into
-blocks.  Each step applies the structured policy, then model.step for the
-plant and estimator.advance for the leader's estimate, the same functions
-a single trial's vectors go through.
+blocks.  Each step applies finite_horizon.controls, then model.step for the
+plant and estimator.advance, fed u1hat, for the leader's estimate, the same
+functions a single trial's vectors go through.
 
 A block's states are one stacked (horizon+1, 2n, trials) array; x0 and x1
 are its views.  One step loop serves two routes.  The stored route keeps
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import advance
-from .finite_horizon import StructuredPolicy
+from .finite_horizon import StructuredPolicy, controls
 from .model import CostSpec, LfnsModel, step
 
 CHUNK = 1024
@@ -224,15 +224,12 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     hat = np.repeat(model.xbar1[:, None], hi - lo, axis=1)
     if paths is not None:
         paths[0][0] = hat
-    gains = policy.at(0) if policy.is_constant else None
     # a non-finite state or estimate makes its step's controls and stage cost
     # non-finite, so states are checked only at the horizon, where none is read
     for k in range(horizon):
-        k00, k01, k10, k11 = gains if gains is not None else policy.at(k)
         xs = states[k]
         cur0, cur1 = xs[:n], xs[n:]
-        uk0 = -(k00 @ cur0 + k01 @ hat)
-        uk1 = -(k10 @ cur0 + k11 @ cur1)
+        uk0, uk1, u1hat = controls(policy.at(k), cur0, cur1, hat)
         us = np.vstack([uk0, uk1])
         stage[k] = (np.einsum("ib,ib->b", xs, cost.q @ xs)
                     + np.einsum("ib,ib->b", us, cost.r @ us))
@@ -241,7 +238,7 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
         wk0 = lw0 @ zw0[k]
         wk1 = lw1 @ zw1[k]
         states[k + 1, :n], states[k + 1, n:] = step(model, cur0, cur1, uk0, uk1, wk0, wk1)
-        hat = advance(model, hat, cur0, uk0, k10, k11)
+        hat = advance(model, hat, cur0, uk0, u1hat)
         if paths is not None:
             x1hat, u0, u1, w0, w1 = paths
             x1hat[k + 1], u0[k], u1[k], w0[k], w1[k] = hat, uk0, uk1, wk0, wk1

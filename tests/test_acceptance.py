@@ -197,7 +197,8 @@ def test_criterion_05_estimator_against_kalman(capsys):
         ref = kalman_oracle(model, x0_seq, u0_seq, follower_gains=(k10, k11))
         x1hat = model.xbar1
         for k in range(50):
-            x1hat = advance(model, x1hat, x0_seq[k], u0_seq[k], k10, k11)
+            u1hat = -(k10 @ x0_seq[k] + k11 @ x1hat)
+            x1hat = advance(model, x1hat, x0_seq[k], u0_seq[k], u1hat)
             worst = max(worst, float(np.max(np.abs(x1hat - ref[k + 1]))))
     ok = worst < 1e-9
     line = report(capsys, 5, ok,

@@ -28,8 +28,8 @@ def write_spec(path, **overrides):
                   sigma_x0=[[0.25]], sigma_x1=[[0.16]])
     fields.update({k: v for k, v in overrides.items() if k in fields})
     model = make_model(**fields)
-    cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=overrides.get("gamma", 0.9),
-                     p_terminal=np.eye(2))
+    cost = make_cost(q=overrides.get("q", np.eye(2)), r=np.eye(2),
+                     gamma=overrides.get("gamma", 0.9), p_terminal=np.eye(2))
     save_model_spec(path, model, cost)
     return path
 
@@ -143,7 +143,11 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, f
     (["solve", "--mode", "finite", "--horizon", "400"],
      dict(a00=[[3.0]], b00=[[0.0]], gamma=None),
      "solver failed: non-finite Riccati iterate at step 78"),
-], ids=["stationary", "finite"])
+    # a finite weight whose first iterate's norm overflows
+    (["solve"], dict(q=[[1e308, 0.0], [0.0, 1.0]]),
+     "solver diverged: stationary Riccati iteration diverged after 1 iterations "
+     "(iterate norm inf)"),
+], ids=["stationary", "finite", "huge-finite-q"])
 def test_divergent_model_exits_3(tmp_path, capsys, argv, spec, message):
     path = write_spec(tmp_path / "runaway.json", **spec)
     assert run(argv + ["--model", str(path), "--out", str(tmp_path)]) == 3

@@ -29,8 +29,8 @@ def test_init_is_prior_mean():
 
 def test_advance_hand_recursion():
     model = coupled_noisy_model()
-    nxt = advance(model, np.array([0.5]), np.array([2.0]), np.array([-1.0]),
-                  np.array([[0.1]]), np.array([[0.2]]))
+    k10, k11, x1hat, x0 = np.array([[0.1]]), np.array([[0.2]]), np.array([0.5]), np.array([2.0])
+    nxt = advance(model, x1hat, x0, np.array([-1.0]), -(k10 @ x0 + k11 @ x1hat))
     # u1hat = -0.1*2 - 0.2*0.5 = -0.3
     # x1hat = 0.8*0.5 + 1.0*(-0.3) + 0.3*2.0 + 0.2*(-1.0) = 0.5
     assert np.allclose(nxt, [0.5], atol=1e-15)
@@ -40,8 +40,8 @@ def test_advance_applies_conditional_mean_control():
     # with a11 = a10 = b10 = 0 and b11 = 1 the update is u1hat itself
     model = make_model(a00=[[1.0]], a10=[[0.0]], a11=[[0.0]],
                        b00=[[1.0]], b10=[[0.0]], b11=[[1.0]])
-    out = advance(model, np.array([-1.0]), np.array([1.0]), np.array([7.0]),
-                  np.array([[2.0]]), np.array([[3.0]]))
+    k10, k11, x1hat, x0 = np.array([[2.0]]), np.array([[3.0]]), np.array([-1.0]), np.array([1.0])
+    out = advance(model, x1hat, x0, np.array([7.0]), -(k10 @ x0 + k11 @ x1hat))
     assert np.allclose(out, [1.0], atol=1e-15)
 
 
@@ -64,16 +64,19 @@ def test_advance_affine_in_inputs():
     model = coupled_noisy_model()
     k10, k11 = np.array([[0.5]]), np.array([[0.3]])
 
-    def push(x1hat, x0_prev, u0_prev):
-        return advance(model, np.array(x1hat), np.array(x0_prev), np.array(u0_prev),
-                       k10, k11)
+    def push(x1hat, x0_prev, u0_prev, offset=0.0):
+        # the mean control the structured law gives, moved by offset
+        x1hat, x0_prev = np.array(x1hat), np.array(x0_prev)
+        u1hat = -(k10 @ x0_prev + k11 @ x1hat) + offset
+        return advance(model, x1hat, x0_prev, np.array(u0_prev), u1hat)
 
     base = push([0.0], [0.0], [0.0])
     da = push([1.0], [0.0], [0.0]) - base
     db = push([0.0], [1.0], [0.0]) - base
     dc = push([0.0], [0.0], [1.0]) - base
-    got = push([2.0], [-3.0], [0.5])
-    assert np.allclose(got, base + 2.0 * da - 3.0 * db + 0.5 * dc, atol=1e-12)
+    dd = push([0.0], [0.0], [0.0], 1.0) - base
+    got = push([2.0], [-3.0], [0.5], -1.5)
+    assert np.allclose(got, base + 2.0 * da - 3.0 * db + 0.5 * dc - 1.5 * dd, atol=1e-12)
 
 
 def test_estimate_matches_kalman_oracle_random_systems():
@@ -99,7 +102,8 @@ def test_estimate_matches_kalman_oracle_random_systems():
         ref = kalman_oracle(model, x0_seq, u0_seq, follower_gains=(k10, k11))
         got = [model.xbar1]
         for k in range(steps):
-            got.append(advance(model, got[-1], x0_seq[k], u0_seq[k], k10, k11))
+            u1hat = -(k10 @ x0_seq[k] + k11 @ got[-1])
+            got.append(advance(model, got[-1], x0_seq[k], u0_seq[k], u1hat))
         assert np.max(np.abs(np.asarray(got) - ref)) < 1e-9
 
 

@@ -59,7 +59,7 @@ def _estimates(model, x0_seq, u0_seq, k10, k11):
     """The leader-side estimate x1hat(0..len(u0_seq)) along the given leader data."""
     out = [model.xbar1]
     for x0, u0 in zip(x0_seq, u0_seq):
-        out.append(advance(model, out[-1], x0, u0, k10, k11))
+        out.append(advance(model, out[-1], x0, u0, -(k10 @ x0 + k11 @ out[-1])))
     return out
 
 

@@ -216,6 +216,12 @@ def test_validate_reports_nonfinite_entries():
     assert msgs == ["non-finite entry: a00 contains NaN or inf",
                     "non-finite entry: sigma_w0 contains NaN or inf",
                     "non-finite entry: r contains NaN or inf"]
+    # a finite entry near the float maximum stays finite through symmetrize
+    model = make_model(a00=[[1.0]], a10=[[0.0]], a11=[[1.0]],
+                       b00=[[1.0]], b10=[[0.0]], b11=[[1.0]])
+    cost = make_cost(q=[[1e308, 0.0], [0.0, 1.0]], r=np.eye(2))
+    assert cost.q[0, 0] == 1e308
+    assert validate(model, cost) == []
 
 
 def _random_spec(rng, n, m1, m2, terminal):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lfns.estimator import advance
-from lfns.finite_horizon import backward_riccati, closed_loop, split_gain
+from lfns.finite_horizon import backward_riccati, closed_loop, controls, split_gain
 from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.model import assemble_compact, make_cost, make_model, model_from_dict, step
 from lfns.oracle import (
@@ -72,10 +72,13 @@ def test_closed_loop_matches_engine_step(n, seed):
 
     z = np.vstack([x0, x1, x1hat])
     assert close(cu @ z, np.vstack([u0, u1]))
+    # the value form of the law gives the engine's controls bit for bit, and
+    # its conditional-mean control moves the estimate as F's x1hat row does
+    got0, got1, u1hat = controls(policy.at(0), x0, x1, x1hat)
+    assert np.array_equal(got0, u0) and np.array_equal(got1, u1)
     zero = np.zeros_like(x0)
-    _, _, k10, k11 = policy.at(0)
     assert close(f @ z, np.vstack([*step(model, x0, x1, u0, u1, zero, zero),
-                                   advance(model, x1hat, x0, u0, k10, k11)]))
+                                   advance(model, x1hat, x0, u0, u1hat)]))
 
 
 def test_exact_cost_terminal_only():
@@ -196,7 +199,8 @@ def test_kalman_oracle_agrees_with_recursion():
         ref = kalman_oracle(model, x0_seq, u0_seq, follower_gains=(k10, k11))
         x1hat = model.xbar1
         for k in range(steps):
-            x1hat = advance(model, x1hat, x0_seq[k], u0_seq[k], k10, k11)
+            u1hat = -(k10 @ x0_seq[k] + k11 @ x1hat)
+            x1hat = advance(model, x1hat, x0_seq[k], u0_seq[k], u1hat)
             assert np.max(np.abs(x1hat - ref[k + 1])) < 1e-9
 
 

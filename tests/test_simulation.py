@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lfns.auv import paper_model
 from lfns.estimator import advance
 from lfns.model import assemble_compact, make_cost, make_model
-from lfns.finite_horizon import backward_riccati
+from lfns.finite_horizon import backward_riccati, controls
 from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.oracle import StructuredPolicy, exact_cost
 from lfns.simulation import (
@@ -370,9 +370,14 @@ def test_information_pattern_recoverable_from_trace():
         u1 = -k10 @ trace.x0[k] - k11 @ trace.x1[k]
         assert np.array_equal(u0, trace.u0[k])
         assert np.array_equal(u1, trace.u1[k])
+    # the leader's information set lacks x1: with x1 unknown only u1 is lost
+    u0, u1, u1hat = controls(policy.at(0), trace.x0[3], np.full(model.n, np.nan), trace.x1hat[3])
+    assert np.array_equal(u0, trace.u0[3]) and np.isfinite(u1hat).all()
+    assert np.isnan(u1).all()
     # estimator replayed offline from leader-visible data only
     x1hat = trace.x1hat[0]
     assert np.array_equal(x1hat, model.xbar1)
     for k in range(1, 16):
-        x1hat = advance(model, x1hat, trace.x0[k - 1], trace.u0[k - 1], k10, k11)
+        u1hat = -(k10 @ trace.x0[k - 1] + k11 @ x1hat)
+        x1hat = advance(model, x1hat, trace.x0[k - 1], trace.u0[k - 1], u1hat)
         assert np.max(np.abs(x1hat - trace.x1hat[k])) < 1e-12
