@@ -330,8 +330,7 @@ def cmd_converge(args) -> int:
     compact = assemble_compact(model)
     top = args.horizon if args.horizon is not None else 200
     sweep = sorted(set(range(0, top + 1, 10)) | {0, top})
-    sol = discounted_backward_riccati(compact, cost, top)
-    rows = [[n, optimal_cost(sol.tail(n), model)] for n in sweep]
+    rows = [[n, optimal_cost(discounted_backward_riccati(compact, cost, n), model)] for n in sweep]
     stat = solve_stationary_riccati(compact, cost)
     stationary_value = stationary_cost(stat, model)
     out = _out_dir(args)

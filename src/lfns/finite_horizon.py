@@ -13,10 +13,19 @@ The recursion runs the bare step for k = N..0; one stacked test then decides
 whether every step passes check_step (Psi(k) positive definite, P(k) finite,
 symmetric and positive semidefinite).  If one fails, check_step runs step by
 step in recursion order, as if each step had been checked as it was computed.
+
+The iterates from a terminal weight do not depend on N: P(k) of horizon N is
+step N + 1 - k from it.  So the module keeps the last run that raised nothing
+and passed the stacked test, in step order, keyed by the bytes of everything
+the step reads (gamma, a, b, Q, R and the terminal weight).  A call with the
+same key reads its window off the stored run, and computes and checks only
+the steps the run lacks, then stores the longer run; a horizon sweep costs
+one recursion to its longest horizon.  A stored step needs no check again:
+the stacked test is stricter than check_step, so check_step would pass it
+without a warning.  The terminal weight is checked on every call.
 """
 from __future__ import annotations
 
-import dataclasses
 import sys
 import warnings
 from dataclasses import dataclass
@@ -39,7 +48,9 @@ class FiniteHorizonSolution:
 
     Stacks indexed by step: p_seq is (N+2, 2n, 2n), the last the terminal
     weight (zero in the discounted variant); k_seq and l_seq are
-    (N+1, m1+m2, 2n), lambda_seq (N+1, m1+m2, m1+m2).
+    (N+1, m1+m2, 2n), lambda_seq (N+1, m1+m2, m1+m2).  The stacks are
+    read-only reversed views of the recursion's run, which later calls with
+    the same step map share; copy one before writing to it.
     """
 
     p_seq: np.ndarray
@@ -52,14 +63,6 @@ class FiniteHorizonSolution:
     @property
     def horizon(self) -> int:
         return len(self.k_seq) - 1
-
-    def tail(self, n: int) -> "FiniteHorizonSolution":
-        """The last n + 1 steps of the window: the same recursion solved over a
-        horizon of n, since the step map does not depend on k and the
-        recursion starts from the same terminal weight."""
-        cut = self.horizon - n
-        return dataclasses.replace(self, p_seq=self.p_seq[cut:], k_seq=self.k_seq[cut:],
-                                   lambda_seq=self.lambda_seq[cut:], l_seq=self.l_seq[cut:])
 
     def identity(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(Lambda or Psi, L or gamma L) of the stationarity identity at step k."""
@@ -188,17 +191,21 @@ def check_step(k: int, psi: np.ndarray | None = None, p: np.ndarray | None = Non
         raise RiccatiError(f"Riccati iterate at step {k} lost positive semidefiniteness")
 
 
-def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> None:
-    """check_step(steps[i], psi[i], p[i]) for each i in order, if one stacked
-    test fails: every Psi and symmetrized P (hence P) finite before eigvalsh
-    sees them, skew at most half of ASYMMETRY_TOL (stacked norms round
-    differently), every smallest eigenvalue clear of PD_TOL or PSD_TOL."""
+def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> bool:
+    """Whether one stacked test passes: every Psi and symmetrized P (hence P)
+    finite before eigvalsh sees them, skew at most half of ASYMMETRY_TOL
+    (stacked norms round differently), every smallest eigenvalue clear of
+    PD_TOL or PSD_TOL.  If it fails, check_step(steps[i], psi[i], p[i]) runs
+    for each i in order."""
     sym = symmetrize(p)
     skew = np.linalg.norm(p - sym, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
-    if not (np.isfinite(psi).all() and np.isfinite(sym).all() and (skew <= 0.5 * ASYMMETRY_TOL).all()
-            and (eigmins(psi) >= PD_TOL).all() and (eigmins(sym) >= PSD_TOL).all()):
+    clean = bool(np.isfinite(psi).all() and np.isfinite(sym).all()
+                 and (skew <= 0.5 * ASYMMETRY_TOL).all()
+                 and (eigmins(psi) >= PD_TOL).all() and (eigmins(sym) >= PSD_TOL).all())
+    if not clean:
         for k, psi_k, p_k in zip(steps, psi, p):
             check_step(k, psi_k, p_k)
+    return clean
 
 
 def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamma: float,
@@ -232,34 +239,60 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
     return p, psi, l_mat, gamma * x
 
 
+# The last clean run, in step order from the terminal weight: (key, p, psi, l, h),
+# with p holding the symmetrized terminal weight and one iterate per step.
+_stored = None
+
+
+def _step_key(compact: CompactModel, cost: CostSpec, p_terminal: np.ndarray, gamma: float) -> tuple:
+    """Everything the step map reads: its gamma, and the shape, dtype and bytes of each matrix."""
+    return (gamma, *((m.shape, m.dtype.str, m.tobytes())
+                     for m in (compact.a, compact.b, cost.q, cost.r, p_terminal)))
+
+
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
                p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
+    global _stored
     dim, m = cost.q.shape[0], cost.r.shape[0]
-    p_seq = np.empty((n_horizon + 2, dim, dim))
-    raw = np.empty((n_horizon + 1, dim, dim))
-    k_seq = np.empty((n_horizon + 1, m, dim))
-    psi_seq = np.empty((n_horizon + 1, m, m))
-    l_seq = np.empty((n_horizon + 1, m, dim))
+    steps = n_horizon + 1
     step_gamma = 1.0 if gamma is None else gamma
-    lo, error = 0, None
+    key = _step_key(compact, cost, p_terminal, step_gamma)
     # the loop runs on past a non-finite iterate, which check_iterates reports;
     # numpy's warnings about it are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        check_step(n_horizon + 1, p=p_terminal)
-        p_seq[n_horizon + 1] = symmetrize(p_terminal)
-        for k in range(n_horizon, -1, -1):
-            try:
-                raw[k], psi_seq[k], l_seq[k], k_seq[k] = riccati_step(
-                    compact, cost, p_seq[k + 1], step_gamma, k)
-            except (RiccatiError, np.linalg.LinAlgError) as exc:
-                lo, error = k + 1, exc  # a failure at an earlier step comes first
-                break
-            p_seq[k] = symmetrize(raw[k])
-        check_iterates(range(n_horizon, lo - 1, -1), psi_seq[lo:][::-1], raw[lo:][::-1])
-    if error is not None:
-        raise error
-    return FiniteHorizonSolution(p_seq=p_seq, k_seq=k_seq, lambda_seq=psi_seq,
-                                 l_seq=l_seq, discounted=gamma is not None, gamma=gamma)
+        check_step(steps, p=p_terminal)
+        if _stored is not None and _stored[0] == key:
+            run = _stored[1:]
+        else:
+            run = (symmetrize(p_terminal)[None], np.empty((0, m, m)), np.empty((0, m, dim)),
+                   np.empty((0, m, dim)))
+        done = len(run[1])
+        if done < steps:
+            p, psi, l_mat, h = (np.concatenate([old, np.empty((steps - done, *old.shape[1:]))])
+                                for old in run)
+            raw = np.empty((steps - done, dim, dim))
+            stop, error = steps, None
+            for j in range(done, steps):  # step j computes P(N - j) from P(N + 1 - j)
+                try:
+                    raw[j - done], psi[j], l_mat[j], h[j] = riccati_step(
+                        compact, cost, p[j], step_gamma, n_horizon - j)
+                except (RiccatiError, np.linalg.LinAlgError) as exc:
+                    stop, error = j, exc  # a failure at an earlier step comes first
+                    break
+                p[j + 1] = symmetrize(raw[j - done])
+            clean = check_iterates(range(n_horizon - done, n_horizon - stop, -1),
+                                   psi[done:stop], raw[:stop - done])
+            if error is not None:
+                raise error
+            run = (p, psi, l_mat, h)
+            for arr in run:
+                arr.flags.writeable = False
+            if clean:
+                _stored = (key, *run)
+    p, psi, l_mat, h = run
+    return FiniteHorizonSolution(p_seq=p[:steps + 1][::-1], k_seq=h[:steps][::-1],
+                                 lambda_seq=psi[:steps][::-1], l_seq=l_mat[:steps][::-1],
+                                 discounted=gamma is not None, gamma=gamma)
 
 
 def backward_riccati(compact: CompactModel, cost: CostSpec, n_horizon: int) -> FiniteHorizonSolution:

@@ -257,14 +257,6 @@ _MODEL_FIELDS = ["a00", "a10", "a11", "b00", "b10", "b11", "sigma_w0", "sigma_w1
                  "xbar0", "xbar1", "sigma_x0", "sigma_x1"]
 
 
-def model_to_dict(model: LfnsModel, cost: CostSpec) -> dict:
-    doc = {"model": {f: getattr(model, f).tolist() for f in _MODEL_FIELDS},
-           "cost": {"q": cost.q.tolist(), "r": cost.r.tolist()}}
-    doc["cost"]["p_terminal"] = None if cost.p_terminal is None else cost.p_terminal.tolist()
-    doc["cost"]["gamma"] = cost.gamma
-    return doc
-
-
 def model_from_dict(doc: dict) -> tuple[LfnsModel, CostSpec]:
     try:
         mdoc = doc["model"]

@@ -1,0 +1,10 @@
+import pytest
+
+from lfns import finite_horizon
+
+
+@pytest.fixture(autouse=True)
+def no_stored_riccati_run(monkeypatch):
+    """Start every test with no stored Riccati run, so that the order of the
+    tests cannot hide a fault on the recursion's cold path."""
+    monkeypatch.setattr(finite_horizon, "_stored", None)

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from lfns.model import make_cost, make_model, model_to_dict
+from lfns.model import _MODEL_FIELDS, make_cost, make_model
 
 
 def decoupled_unit_model():
@@ -59,6 +59,15 @@ def random_pair(rng, n=2):
     """random_model with unit weights, a unit terminal weight and gamma 0.9."""
     cost = make_cost(q=np.eye(2 * n), r=np.eye(2 * n), p_terminal=np.eye(2 * n), gamma=0.9)
     return random_model(rng, n=n), cost
+
+
+def model_to_dict(model, cost) -> dict:
+    """(model, cost) as the JSON model-spec document that model_from_dict reads."""
+    doc = {"model": {f: getattr(model, f).tolist() for f in _MODEL_FIELDS},
+           "cost": {"q": cost.q.tolist(), "r": cost.r.tolist()}}
+    doc["cost"]["p_terminal"] = None if cost.p_terminal is None else cost.p_terminal.tolist()
+    doc["cost"]["gamma"] = cost.gamma
+    return doc
 
 
 def save_model_spec(path, model, cost):

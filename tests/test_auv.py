@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lfns import auv
-from lfns.model import model_to_dict, validate
+from lfns.model import validate
+from pairs import model_to_dict
 
 
 def lqr_gain(a, b, q, r, gamma):

@@ -17,7 +17,7 @@ from lfns.finite_horizon import (
 from lfns.model import CostSpec, assemble_compact, make_cost, make_model
 from lfns.oracle import StructuredPolicy, exact_cost
 from lfns.simulation import simulate
-from pairs import coupled_noisy_model, decoupled_unit_model, random_model
+from pairs import coupled_noisy_model, decoupled_unit_model, random_model, scalar_demo_pair
 
 
 def test_scalar_two_step_frozen_values():
@@ -128,23 +128,66 @@ def test_discounted_shift_identity():
 
 
 @pytest.mark.parametrize("name", ["auv-paper", "scalar-demo"])
-def test_tail_is_the_shorter_solve_bitwise(name):
-    # lfns converge reads every horizon of its sweep off one N = 200 recursion
+def test_sweep_equals_cold_solves_bitwise(name, monkeypatch):
+    # a horizon sweep reads its windows off the stored run, whichever way it goes
     if name == "auv-paper":
         model, cost = paper_model()
     else:
-        model = decoupled_unit_model()
-        cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2), gamma=0.9)
+        model, cost = scalar_demo_pair()
     comp = assemble_compact(model)
+    horizons = range(0, 201, 10)
     for solve in (discounted_backward_riccati, backward_riccati):
-        top = solve(comp, cost, 200)
-        for n in range(0, 201, 10):
-            tail, own = top.tail(n), solve(comp, cost, n)
-            assert optimal_cost(tail, model) == optimal_cost(own, model)
-            for got, want in ((tail.p_seq, own.p_seq), (tail.k_seq, own.k_seq),
-                              (tail.lambda_seq, own.lambda_seq), (tail.l_seq, own.l_seq)):
-                assert len(got) == len(want)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        cold = {}
+        for n in horizons:
+            monkeypatch.setattr(fh, "_stored", None)
+            cold[n] = solve(comp, cost, n)
+        monkeypatch.setattr(fh, "_stored", None)
+        for n in [*horizons, *reversed(horizons), 200, 200, 30, 30]:
+            got, want = solve(comp, cost, n), cold[n]
+            assert optimal_cost(got, model) == optimal_cost(want, model)
+            for field in ("p_seq", "k_seq", "lambda_seq", "l_seq"):
+                new, old = getattr(got, field), getattr(want, field)
+                assert len(new) == len(old)
+                assert all(np.array_equal(g, w) for g, w in zip(new, old))
+
+
+def test_sweep_computes_each_step_once(monkeypatch):
+    calls, riccati_step = [], fh.riccati_step
+
+    def counted(*args):
+        calls.append(args[-1])
+        return riccati_step(*args)
+
+    monkeypatch.setattr(fh, "riccati_step", counted)
+    model, cost = paper_model()
+    comp = assemble_compact(model)
+    for n in range(0, 201, 10):
+        discounted_backward_riccati(comp, cost, n)
+    assert len(calls) == 201
+    calls.clear()
+    discounted_backward_riccati(comp, cost, 200)
+    assert calls == []
+
+
+def test_stored_run_is_keyed_by_content(monkeypatch):
+    model, cost = scalar_demo_pair()
+    comp = assemble_compact(model)
+    before = backward_riccati(comp, cost, 20)
+    cost.q[0, 0] += 1.0  # in place: the same objects, another step map
+    warm = backward_riccati(comp, cost, 20)
+    monkeypatch.setattr(fh, "_stored", None)
+    cold = backward_riccati(comp, cost, 20)
+    assert not np.array_equal(warm.p_seq, before.p_seq)
+    for field in ("p_seq", "k_seq", "lambda_seq", "l_seq"):
+        assert np.array_equal(getattr(warm, field), getattr(cold, field))
+
+
+def test_solution_stacks_are_read_only():
+    model, cost = paper_model()
+    sol = backward_riccati(assemble_compact(model), cost, 5)
+    for field in ("p_seq", "k_seq", "lambda_seq", "l_seq"):
+        with pytest.raises(ValueError):
+            getattr(sol, field)[0, 0, 0] = 1.0
 
 
 def test_clean_recursion_checks_only_the_terminal_weight_step_by_step(monkeypatch):
@@ -180,13 +223,14 @@ def test_asymmetry_warning_points_at_the_recursions_caller(solve, where):
     skewed = np.array([[1.0, 1e-3], [-1e-3, 1.0]])
     q, p_terminal = (np.eye(2), skewed) if where == "terminal" else (skewed, np.eye(2))
     cost = CostSpec(q=q, r=np.eye(2), p_terminal=p_terminal, gamma=0.9)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solve(assemble_compact(decoupled_unit_model()), cost, 3)
     steps = [4] if where == "terminal" else [3, 2, 1, 0]
-    assert [str(w.message) for w in caught] == [
-        f"Riccati iterate at step {k} asymmetric beyond tolerance" for k in steps]
-    assert all(w.filename == __file__ for w in caught)
+    for _ in range(2):  # a run that warned is not stored, so the second call warns again
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(assemble_compact(decoupled_unit_model()), cost, 3)
+        assert [str(w.message) for w in caught] == [
+            f"Riccati iterate at step {k} asymmetric beyond tolerance" for k in steps]
+        assert all(w.filename == __file__ for w in caught)
 
 
 def test_discount_limit_matches_undiscounted():

@@ -15,11 +15,10 @@ from lfns.model import (
     make_cost,
     make_model,
     model_from_dict,
-    model_to_dict,
     step,
     validate,
 )
-from pairs import save_model_spec
+from pairs import model_to_dict, save_model_spec
 
 
 def two_state_model():

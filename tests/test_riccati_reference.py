@@ -1,6 +1,7 @@
 """The backward recursion with its checks stacked after the loop against the
 per-step reference in riccati_reference.py: the same bits, and on failing
-inputs the same exception, message and warnings."""
+inputs the same exception, message and warnings, on every call of a sequence
+that reads or extends the stored run."""
 import warnings
 
 import numpy as np
@@ -132,6 +133,27 @@ def test_failing_inputs_raise_and_warn_as_the_reference(kind, n, gamma, horizon,
         assert failure == (fh.RiccatiError, f"Psi({horizon}) not positive definite")
     if kind == "asymmetric":
         assert failure is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["clean", "singular-psi", "indefinite-r", "psd-loss", "asymmetric",
+                             "asymmetric-psd-loss"]),
+       n=st.integers(1, 3), gamma=st.floats(0.5, 0.99),
+       horizons=st.lists(st.integers(0, 60), min_size=1, max_size=5),
+       mode=st.sampled_from(sorted(SOLVERS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_horizon_sequences_equal_the_reference(kind, n, gamma, horizons, mode, seed):
+    # every call of a sequence, whether it reads the stored run, extends it or
+    # starts cold, gives the reference's bits, exception and warnings
+    rng = np.random.default_rng(seed)
+    if kind == "clean":
+        model, pair_cost = random_pair(rng, n=n)
+        cost = make_cost(pair_cost.q, pair_cost.r, pair_cost.p_terminal, gamma)
+    else:
+        model, cost = _failing_input(kind, rng, n, gamma)
+    compact = assemble_compact(model)
+    fh._stored = None
+    for horizon in horizons:
+        assert_same(model, compact, cost, mode, horizon)
 
 
 def test_overflowing_pair_raises_as_the_reference():
