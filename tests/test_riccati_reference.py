@@ -156,6 +156,21 @@ def test_horizon_sequences_equal_the_reference(kind, n, gamma, horizons, mode, s
         assert_same(model, compact, cost, mode, horizon)
 
 
+@pytest.mark.parametrize("a, q, r, message", [
+    (0.0, (0.0, 1.0), (1.0, -1.0), "Psi(2) not positive definite"),
+    (1.0, (1.0, -0.5), (1.0, 1.0), "Riccati iterate at step 2 lost positive semidefiniteness")])
+def test_failure_past_the_stored_run_raises_as_the_reference(a, q, r, message):
+    # horizon 0 stores one clean step from P(N+1) = 20 I; horizon 3 fails at its
+    # second step, the first the stored run lacks: with a = 0 and b = I, Psi(2)
+    # = R + Q is singular; with a = b = 1, P(2) = Q + P(3)(I + P(3))^-1 loses PSD
+    one = [[1.0]]
+    model = make_model(a00=[[a]], a10=[[0.0]], a11=[[a]], b00=one, b10=[[0.0]], b11=one)
+    cost = CostSpec(q=np.diag(q), r=np.diag(r), p_terminal=20.0 * np.eye(2), gamma=None)
+    compact = assemble_compact(model)
+    assert assert_same(model, compact, cost, "finite", 0) is None
+    assert assert_same(model, compact, cost, "finite", 3) == (fh.RiccatiError, message)
+
+
 def test_overflowing_pair_raises_as_the_reference():
     # the CLI's divergent finite model: P grows like 9^k until step 78 overflows
     model = make_model(a00=[[3.0]], a10=[[0.3]], a11=[[0.8]], b00=[[0.0]], b10=[[0.2]],
