@@ -261,8 +261,9 @@ def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
     # numpy's warnings about it are redundant
     with np.errstate(over="ignore", invalid="ignore"):
         check_step(steps, p=p_terminal)
-        if _stored is not None and _stored[0] == key:
-            run = _stored[1:]
+        stored = _stored  # read once: another thread may replace it
+        if stored is not None and stored[0] == key:
+            run = stored[1:]
         else:
             run = (symmetrize(p_terminal)[None], np.empty((0, m, m)), np.empty((0, m, dim)),
                    np.empty((0, m, dim)))
