@@ -5,17 +5,21 @@ entry, a wrong number of dimensions, or a non-square a00, covariance or
 weight), 2 validation or usage failure (a dimension mismatch between blocks
 among them), 3 solver or simulation divergence, 4 verification checks failed.
 Same flags plus same seed produce byte-identical output files; every file
-embeds the requested configuration and the package version.
+embeds the requested configuration and the package version.  A command's
+files appear in the output directory together, once it succeeds; a command
+that fails leaves no file and no directory behind.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +78,22 @@ def _out_path(args) -> Path:
     return Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
 
 
-def _out_dir(args) -> Path:
-    path = _out_path(args)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+@contextlib.contextmanager
+def _staged(args):
+    """Yield a directory to write a command's files in; on a clean exit, create
+    the output directory and move each file into it.
+
+    The stage is a temporary directory in the output directory's nearest
+    existing ancestor, so the moves stay on one filesystem, and it goes on any
+    exit: a command that raises leaves no file and no directory behind.
+    """
+    out = _out_path(args)
+    base = next(level for level in (out, *out.parents) if level.exists())
+    with tempfile.TemporaryDirectory(prefix=".lfns-", dir=base) as stage:
+        yield Path(stage)
+        out.mkdir(parents=True, exist_ok=True)
+        for path in Path(stage).iterdir():
+            os.replace(path, out / path.name)
 
 
 def _config_echo(args) -> dict:
@@ -126,17 +142,16 @@ def _policy_for(model, cost, args):
     return StructuredPolicy.from_stationary(sol), sol, True
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, stage: Path) -> int:
     model, cost, name = _load(args)
     compact = assemble_compact(model)
     _, sol, _ = _policy_for(model, cost, args)
-    out = _out_dir(args)
     if args.mode == "finite":
         doc = _doc(args, mode="finite", horizon=sol.horizon,
                    p0=sol.p_seq[0], k0=sol.k_seq[0],
                    gain_sequence=sol.k_seq,
                    analytic_cost=optimal_cost(sol, model))
-        _write_json(out / f"solve-{name}-finite.json", doc)
+        _write_json(stage / f"solve-{name}-finite.json", doc)
         return 0
     verdict = check_stabilizability(sol, cost, compact)
     mean_term, trace_term = stationary_cost_terms(sol, model)
@@ -156,7 +171,7 @@ def cmd_solve(args) -> int:
                    "detail": verdict.detail},
                analytic_cost=mean_term + trace_term,
                mean_term=mean_term, trace_term=trace_term)
-    _write_json(out / f"solve-{name}-stationary.json", doc)
+    _write_json(stage / f"solve-{name}-stationary.json", doc)
     return 0
 
 
@@ -237,67 +252,44 @@ def _run_blocks(tasks) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _new_dirs(path: Path) -> list[Path]:
-    """Create the directory path; return the levels this created, deepest first."""
-    missing = [level for level in (path, *path.parents) if not level.exists()]
-    path.mkdir(parents=True, exist_ok=True)
-    return missing
-
-
 def _write_traces(traces: Path, meta: dict, model, policy, cost, horizon: int, seed: int,
                   trials: int, discounted: bool) -> simulation.MonteCarloSummary:
     """Write the meta record, then every trial's records, to traces and
     return the run's summary.
 
-    Each block's records go to a part file of their own, written by the task
-    that simulated the block.  traces appears only once every trial has been
-    reduced, so a diverging run leaves none behind.
+    Each block's records go to a part file of their own beside traces,
+    written by the task that simulated the block, and are appended to traces
+    once every trial has been reduced.
     """
-    partial = traces.with_name(traces.name + ".partial")
     bounds = block_bounds(horizon, trials)
-    parts = [partial.with_name(f"{partial.name}.{j}") for j in range(len(bounds))]
-    try:
-        with open(partial, "wb") as fh:
-            fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
-            summary = combine(_run_blocks(
-                [(model, policy, cost, horizon, seed, lo, hi, discounted, part)
-                 for (lo, hi), part in zip(bounds, parts)]), cost, discounted)
-            # each part goes once it is copied, so the run holds the traces
-            # on disk about once, not twice
-            for part in parts:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh)
-                part.unlink()
-        os.replace(partial, traces)
-    finally:
-        for path in (partial, *parts):
-            path.unlink(missing_ok=True)
+    parts = [traces.with_name(f"{traces.name}.{j}") for j in range(len(bounds))]
+    summary = combine(_run_blocks(
+        [(model, policy, cost, horizon, seed, lo, hi, discounted, part)
+         for (lo, hi), part in zip(bounds, parts)]), cost, discounted)
+    with open(traces, "wb") as fh:
+        fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
+        # each part goes once it is copied, so the run holds the traces on
+        # disk about once, not twice
+        for part in parts:
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh)
+            part.unlink()
     return summary
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, stage: Path) -> int:
     model, cost, name = _load(args)
     policy, sol, discounted = _policy_for(model, cost, args)
     if args.mode == "finite":
         horizon = sol.horizon + 1
     else:
         horizon = args.horizon if args.horizon is not None else 60
-    out = _out_path(args)
-    created = _new_dirs(out)
-    try:
-        summary = _write_traces(out / f"simulate-{name}-traces.jsonl",
-                                _doc(args, kind="meta", horizon=horizon), model, policy,
-                                cost, horizon, args.seed, args.trials, discounted)
-    except BaseException:
-        for level in created:
-            try:
-                os.rmdir(level)
-            except OSError:  # not empty: it holds files this run did not write
-                break
-        raise
+    summary = _write_traces(stage / f"simulate-{name}-traces.jsonl",
+                            _doc(args, kind="meta", horizon=horizon), model, policy,
+                            cost, horizon, args.seed, args.trials, discounted)
     rho = max(closed_loop_radii(sol, assemble_compact(model))) if discounted else None
     report = mss_diagnostics(summary)
-    _write_json(out / f"simulate-{name}-summary.json", _doc(
+    _write_json(stage / f"simulate-{name}-summary.json", _doc(
         args, horizon=horizon, trials=args.trials,
         mean_cost=summary.mean_cost, standard_error=summary.standard_error,
         mean_error_norm=summary.mean_norm,
@@ -305,7 +297,7 @@ def cmd_simulate(args) -> int:
         truncation_bound=summary.truncation_bound,
         mss={**dataclasses.asdict(report), "spectral_radius": rho}))
 
-    csv_path = out / f"simulate-{name}-curves.csv"
+    csv_path = stage / f"simulate-{name}-curves.csv"
     n = model.n
     cols = {"k": np.arange(horizon + 1)}
     for j in range(n):
@@ -323,7 +315,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args, stage: Path) -> int:
     model, cost, name = _load(args)
     if cost.gamma is None:
         raise ModelValidationError(["convergence sweep needs a discount factor"])
@@ -333,13 +325,12 @@ def cmd_converge(args) -> int:
     rows = [[n, optimal_cost(discounted_backward_riccati(compact, cost, n), model)] for n in sweep]
     stat = solve_stationary_riccati(compact, cost)
     stationary_value = stationary_cost(stat, model)
-    out = _out_dir(args)
     if args.format == "csv":
-        _write_csv(out / f"converge-{name}.csv", args, ["horizon", "cost"],
+        _write_csv(stage / f"converge-{name}.csv", args, ["horizon", "cost"],
                    [[n, repr(val)] for n, val in rows],
                    notes=[f"stationary_cost={stationary_value!r}"])
     else:
-        _write_json(out / f"converge-{name}.json",
+        _write_json(stage / f"converge-{name}.json",
                     _doc(args, rows=rows, stationary_cost=stationary_value))
     return 0
 
@@ -415,12 +406,11 @@ def _verify_checks(model, cost, args):
     return checks
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, stage: Path) -> int:
     model, cost, name = _load(args)
     checks = _verify_checks(model, cost, args)
     all_passed = all(c["passed"] for c in checks)
-    out = _out_dir(args)
-    _write_json(out / f"verify-{name}.json",
+    _write_json(stage / f"verify-{name}.json",
                 _doc(args, checks=checks, all_passed=all_passed))
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
@@ -495,7 +485,8 @@ def main(argv=None) -> int:
         print(problem, file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        with _staged(args) as stage:
+            return args.fn(args, stage)
     except SpecFormatError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1

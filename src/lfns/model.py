@@ -105,7 +105,6 @@ class CompactModel:
 
     a: np.ndarray
     b: np.ndarray
-    sigma_w: np.ndarray
     n: int
     m1: int
 
@@ -223,8 +222,7 @@ def assemble_compact(model: LfnsModel) -> CompactModel:
     b[:n, :m1] = model.b00
     b[n:, :m1] = model.b10
     b[n:, m1:] = model.b11
-    _, _, sigma_w = stacked_moments(model)
-    return CompactModel(a=a, b=b, sigma_w=sigma_w, n=n, m1=m1)
+    return CompactModel(a=a, b=b, n=n, m1=m1)
 
 
 def stacked_moments(model: LfnsModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

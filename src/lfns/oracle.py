@@ -34,13 +34,13 @@ def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon
     (1.0, None, M_T, None, mu, Sigma) at step horizon, with M_T the terminal
     stage matrix, or None when no terminal term applies.
     """
-    xbar, sigma_x, _ = stacked_moments(model)
+    xbar, sigma_x, sigma_w = stacked_moments(model)
     # x1hat(0) = xbar1 exactly, so its block of the covariance is zero
     mu, sigma = np.concatenate([xbar, model.xbar1]), np.pad(sigma_x, (0, model.n))
     compact = assemble_compact(model)
     cx = np.eye(2 * model.n, 3 * model.n)  # picks (x0, x1) out of (x0, x1, x1hat)
     # the estimator is driven by leader data only, so x1hat gets no noise
-    gw = np.pad(compact.sigma_w, (0, model.n))
+    gw = np.pad(sigma_w, (0, model.n))
     weight = 1.0
 
     def build(gains):

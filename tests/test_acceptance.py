@@ -33,7 +33,7 @@ from lfns.finite_horizon import backward_riccati, discounted_backward_riccati, \
     optimal_cost, stationarity_residuals
 from lfns.infinite_horizon import check_stabilizability, closed_loop_radii, \
     solve_stationary_riccati, stationary_cost
-from lfns.model import assemble_compact, make_cost, model_from_dict
+from lfns.model import assemble_compact, make_cost, model_from_dict, stacked_moments
 from lfns.oracle import StructuredPolicy, gain_gradient, kalman_oracle, \
     perturbation_sweep
 from lfns.simulation import monte_carlo, mss_diagnostics, simulate, \
@@ -150,7 +150,7 @@ def test_criterion_03_cost_trace_term(bundled, bundled_solution, capsys):
     sol = bundled_solution
     gamma = cost.gamma
     trace_term = gamma / (1.0 - gamma) * float(
-        np.trace(assemble_compact(model).sigma_w @ sol.p))
+        np.trace(stacked_moments(model)[2] @ sol.p))
     total = stationary_cost(sol, model)
     gap_pct = 100.0 * abs(total - TOTAL_COST_REF) / TOTAL_COST_REF
     ok = abs(trace_term - 1607.6) <= 0.5

@@ -194,6 +194,30 @@ def test_diverging_simulation_exits_3(tmp_path, capfd, monkeypatch, a11, argv, o
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error-diverges.json"]
 
 
+def test_simulate_that_raises_while_writing_leaves_nothing(tmp_path, monkeypatch):
+    def failing_csv(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_csv", failing_csv)
+    with pytest.raises(OSError, match="disk full"):
+        run(["simulate", "--model", "scalar-demo", "--trials", "4", "--horizon", "5",
+             "--out", str(tmp_path / "new")])
+    # the traces and the summary were written before the curves raised
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_whose_write_is_torn_leaves_nothing(tmp_path, monkeypatch):
+    def torn_json(path, doc):
+        with open(path, "w") as fh:
+            fh.write('{"ver')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_json", torn_json)
+    with pytest.raises(OSError, match="disk full"):
+        run(["solve", "--model", "scalar-demo", "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_usage_exits_2(tmp_path):
     assert run(["simulate", "--model", "scalar-demo", "--trials", "0",
                 "--out", str(tmp_path)]) == 2

@@ -66,15 +66,28 @@ def _fixture() -> dict:
     return json.loads(FIXTURE.read_text())
 
 
+def artifacts(argv) -> list[str]:
+    """The names of the files a command writes."""
+    command, name = argv[0], argv[2]
+    mode = "finite" if "finite" in argv else "stationary"
+    return {"solve": [f"solve-{name}-{mode}.json"],
+            "converge": [f"converge-{name}.{'csv' if 'csv' in argv else 'json'}"],
+            "simulate": [f"simulate-{name}-{kind}"
+                         for kind in ("curves.csv", "summary.json", "traces.jsonl")],
+            "verify": [f"verify-{name}.json"]}[command]
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(c) for c in COMMANDS])
 def test_cli_output_matches_golden(argv, tmp_path, monkeypatch):
     fixture = _fixture()
+    monkeypatch.chdir(tmp_path)
+    code, digest = run_digest(argv, tmp_path)
+    # the command's own files, and no stage directory or part file left
+    assert sorted(p.name for p in tmp_path.iterdir()) == artifacts(argv)
     if fixture["numpy"] != np.__version__:
         pytest.skip(f"digests recorded with numpy {fixture['numpy']}, "
                     f"running {np.__version__}")
     want = {tuple(entry["argv"]): entry for entry in fixture["commands"]}[tuple(argv)]
-    monkeypatch.chdir(tmp_path)
-    code, digest = run_digest(argv, tmp_path)
     assert code == want["exit"]
     assert digest == want["sha256"]
 

@@ -188,3 +188,17 @@ def test_verdict_counts_divergent_estimation_error():
     policy = StructuredPolicy.from_stationary(sol)
     assert error_covariances(model, policy, 60)[-1][0, 0] > 1e8
     assert "estimation error" in verdict.detail
+
+
+@pytest.mark.parametrize("gamma", [None, 0.0, 1.0])
+def test_discount_outside_the_open_unit_interval_is_refused(gamma):
+    compact = assemble_compact(decoupled_unit_model())
+    cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=gamma)
+    with pytest.raises(ValueError) as stationary:
+        solve_stationary_riccati(compact, cost)
+    assert type(stationary.value) is ValueError
+    assert str(stationary.value) == f"stationary solve requires gamma in (0, 1), got {gamma}"
+    with pytest.raises(RiccatiError) as recursion:
+        discounted_backward_riccati(compact, cost, 3)
+    assert type(recursion.value) is RiccatiError
+    assert str(recursion.value) == f"discounted recursion requires gamma in (0, 1), got {gamma}"

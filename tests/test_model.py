@@ -15,6 +15,7 @@ from lfns.model import (
     make_cost,
     make_model,
     model_from_dict,
+    stacked_moments,
     step,
     validate,
 )
@@ -107,8 +108,9 @@ def test_assemble_compact_zero_blocks_exact():
     assert np.array_equal(comp.a[:n, :n], model.a00)
     assert np.array_equal(comp.a[n:, :n], model.a10)
     assert np.array_equal(comp.b[n:, m1:], model.b11)
-    assert np.array_equal(comp.sigma_w[:n, :n], model.sigma_w0)
-    assert np.all(comp.sigma_w[:n, n:] == 0.0)
+    sigma_w = stacked_moments(model)[2]
+    assert np.array_equal(sigma_w[:n, :n], model.sigma_w0)
+    assert np.all(sigma_w[:n, n:] == 0.0)
 
 
 def test_step_leader_independent_of_follower():
