@@ -389,10 +389,9 @@ def _verify_checks(model, cost, args):
     add("costate_hat_residual", max_hat < 1e-9, max_hat, 1e-9)
     add("costate_tilde_residual", max_tilde < 1e-9, max_tilde, 1e-9)
 
-    trials = args.trials if args.trials > 1 else 2000
     horizon = 200 if discounted else probe_horizon
     mc = monte_carlo(model, policy, cost, horizon, seed=args.seed,
-                     trials=trials, discounted=discounted)
+                     trials=args.trials, discounted=discounted)
     analytic = (stationary_cost(sol, model) if discounted
                 else optimal_cost(sol, model))
     gap = abs(mc.mean_cost - analytic)
@@ -442,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         # a command is given only the flags it reads, so it rejects the others
         # rather than ignore them; these defaults, which the flags added below
         # take as theirs, fill the config echo of every command
-        p.set_defaults(fn=fn, trials=1, seed=0, format="json")
+        p.set_defaults(fn=fn, trials=2000 if name == "verify" else 1, seed=0, format="json")
         if name in ("simulate", "verify"):
             p.add_argument("--trials", type=int)
             p.add_argument("--seed", type=int)

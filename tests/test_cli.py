@@ -218,6 +218,19 @@ def test_solve_whose_write_is_torn_leaves_nothing(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, trials", [([], 2000), (["--trials", "1"], 1)],
+                         ids=["default", "one"])
+def test_verify_runs_the_trials_it_echoes(tmp_path, monkeypatch, argv, trials):
+    calls = []
+    monte_carlo = cli.monte_carlo
+    monkeypatch.setattr(cli, "monte_carlo", lambda *args, **kwargs: calls.append(
+        kwargs["trials"]) or monte_carlo(*args, **kwargs))
+    run(["verify", "--model", "scalar-demo", *argv, "--out", str(tmp_path)])
+    assert calls == [trials]
+    doc = json.loads((tmp_path / "verify-scalar-demo.json").read_text())
+    assert doc["config"]["trials"] == trials
+
+
 def test_bad_usage_exits_2(tmp_path):
     assert run(["simulate", "--model", "scalar-demo", "--trials", "0",
                 "--out", str(tmp_path)]) == 2
