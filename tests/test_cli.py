@@ -194,27 +194,26 @@ def test_diverging_simulation_exits_3(tmp_path, capfd, monkeypatch, a11, argv, o
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error-diverges.json"]
 
 
-def test_simulate_that_raises_while_writing_leaves_nothing(tmp_path, monkeypatch):
-    def failing_csv(*args, **kwargs):
-        raise OSError("disk full")
+def _fail(*args, **kwargs):
+    raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "_write_csv", failing_csv)
+
+def _torn_json(path, doc):
+    with open(path, "w") as fh:
+        fh.write('{"ver')
+    _fail()
+
+
+@pytest.mark.parametrize("writer, fake, argv", [
+    # the traces and the summary are written before the curves raise
+    ("_write_csv", _fail, ["simulate", "--trials", "4", "--horizon", "5"]),
+    ("_write_json", _torn_json, ["solve"]),
+], ids=["simulate-curves-raise", "solve-json-torn"])
+def test_command_that_raises_while_writing_leaves_nothing(tmp_path, monkeypatch, writer,
+                                                          fake, argv):
+    monkeypatch.setattr(cli, writer, fake)
     with pytest.raises(OSError, match="disk full"):
-        run(["simulate", "--model", "scalar-demo", "--trials", "4", "--horizon", "5",
-             "--out", str(tmp_path / "new")])
-    # the traces and the summary were written before the curves raised
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_solve_whose_write_is_torn_leaves_nothing(tmp_path, monkeypatch):
-    def torn_json(path, doc):
-        with open(path, "w") as fh:
-            fh.write('{"ver')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(cli, "_write_json", torn_json)
-    with pytest.raises(OSError, match="disk full"):
-        run(["solve", "--model", "scalar-demo", "--out", str(tmp_path)])
+        run(argv + ["--model", "scalar-demo", "--out", str(tmp_path / "new")])
     assert list(tmp_path.iterdir()) == []
 
 
