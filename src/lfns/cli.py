@@ -196,7 +196,7 @@ _LAST_RECORD = ('{"k": %d, "stage_cost": null, "trial": %d, "u0": null, "u1": nu
 
 def _trace_block(model, policy, cost, horizon, seed, lo, hi, discounted, part):
     """Simulate trials lo..hi-1, write their trace records to the file part
-    and return the block's share of the summary: one task of _run_blocks."""
+    and return the block's share of the summary: one task of simulation._run_blocks."""
     batch = simulation._simulate_chunk(model, policy, cost, horizon, seed, lo, hi)
     with open(part, "w") as fh:
         # tolist() one trial at a time: a whole block's Python floats would
@@ -212,46 +212,6 @@ def _trace_block(model, policy, cost, horizon, seed, lo, hi, discounted, part):
     return simulation.block_sums(batch.states, batch.stage_cost, cost, discounted)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _spawn_can_import_main() -> bool:
-    """Whether a spawned worker can re-import this process's __main__.
-
-    A worker imports it by module name, or runs it from its file; a script
-    read from stdin (python -) has neither, and its workers would die.
-    """
-    main = sys.modules["__main__"]
-    path = getattr(main, "__file__", None)
-    return (getattr(main.__spec__, "name", None) is not None or path is None
-            or os.path.isfile(path))
-
-
-def _run_blocks(tasks) -> list:
-    """_trace_block's result for each task, in task order.
-
-    The tasks run in spawned worker processes, at most one per CPU; with one
-    worker, or a __main__ that a worker cannot import, they run in this
-    process and no process is started.
-    """
-    workers = min(_cpus(), len(tasks)) if _spawn_can_import_main() else 1
-    if workers == 1:
-        return [_trace_block(*task) for task in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    try:
-        futures = [pool.submit(_trace_block, *task) for task in tasks]
-        # in trial order, so a diverging run reports its first diverging block
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _write_traces(traces: Path, meta: dict, model, policy, cost, horizon: int, seed: int,
                   trials: int, discounted: bool) -> simulation.MonteCarloSummary:
     """Write the meta record, then every trial's records, to traces and
@@ -263,9 +223,11 @@ def _write_traces(traces: Path, meta: dict, model, policy, cost, horizon: int, s
     """
     bounds = block_bounds(horizon, trials)
     parts = [traces.with_name(f"{traces.name}.{j}") for j in range(len(bounds))]
-    summary = combine(_run_blocks(
-        [(model, policy, cost, horizon, seed, lo, hi, discounted, part)
-         for (lo, hi), part in zip(bounds, parts)]), cost, discounted)
+    # no caller: formatting a block here would raise this process's peak
+    # memory to a worker's
+    summary = combine(simulation._run_blocks(
+        _trace_block, [(model, policy, cost, horizon, seed, lo, hi, discounted, part)
+                       for (lo, hi), part in zip(bounds, parts)]), cost, discounted)
     with open(traces, "wb") as fh:
         fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
         # each part goes once it is copied, so the run holds the traces on
@@ -460,6 +422,8 @@ def _usage_error(args) -> str | None:
         return "trials must be >= 1 and horizon >= 0"
     if args.trials > 2 ** 32:
         return "trials must be <= 2**32, one 32-bit spawn-key word per trial"
+    if args.command == "verify" and args.trials < 2:
+        return "verify needs at least 2 trials: one trial has no standard error"
     if args.seed < 0:
         return "seed must be >= 0"
     if args.command == "simulate" and stationary and args.horizon == 0:

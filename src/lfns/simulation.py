@@ -16,10 +16,19 @@ every path: simulate_batch runs all its trials as one block, simulate is
 its first trial, and the CLI's traces store one CHUNK-wide block at a time.
 The reduce-only route keeps only the states and stage costs that
 block_sums reads: monte_carlo steps CHUNK-wide blocks in one workspace
-allocated for the run and reused by every block, so its memory is
+allocated for the run and reused by every block, so a process's memory is
 8*CHUNK*(4n(horizon+1) + horizon) bytes of buffers whatever the number of
 trials.  Both monte_carlo and the CLI's traces reduce by combine over
-block_sums.
+block_sums, in trial order.
+
+One fan-out, _run_blocks, spreads a run's blocks over spawned worker
+processes, at most one process per CPU.  The CLI's traces always go
+through it.  monte_carlo goes through it when its blocks times its horizon
+exceeds FAN_OUT_BLOCK_STEPS; the calling process then steps blocks from
+the back in its workspace while the workers take them from the front,
+each worker one block at a time in a workspace of its own.  Below that
+size monte_carlo steps its blocks one after another in the calling process.
+The block partition is the same either way, so no summary changes by a bit.
 
 The streams are produced without building a SeedSequence and a Generator
 per trial: a chunk's spawn keys are hashed together in uint32 arithmetic,
@@ -31,6 +40,8 @@ tests compare against.  A spawn key is one 32-bit word, so trial < 2**32.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +51,12 @@ from .finite_horizon import StructuredPolicy, controls
 from .model import CostSpec, LfnsModel, step
 
 CHUNK = 1024
+# monte_carlo fans out above this many block-steps, len(block_bounds) x horizon.
+# A spawned worker's first result comes 0.22-0.36 s after the pool starts, and
+# a CHUNK-wide block-step costs 0.55-0.62 ms at n = 6, 0.17-0.31 ms at n = 1
+# (2-core Xeon VM, one BLAS thread).  A run gains once its serial time exceeds
+# the start-up: above about 600 block-steps at n = 6, near this size at n = 1.
+FAN_OUT_BLOCK_STEPS = 1000
 # mss_diagnostics' mean test: the final mean norm at most this share of the initial one
 MEAN_DECAY_FRACTION = 0.05
 
@@ -363,29 +380,155 @@ def combine(sums, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
                              truncation_bound=truncation_bound)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spawn_can_import_main() -> bool:
+    """Whether a spawned worker can re-import this process's __main__.
+
+    A worker imports it by module name, or runs it from its file; a script
+    read from stdin (python -) has neither, and its workers would die.
+    """
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    return (getattr(main.__spec__, "name", None) is not None or path is None
+            or os.path.isfile(path))
+
+
+def _serve(task, conn) -> None:
+    """A worker's loop: for each block received on conn, send back
+    task(*block) and None, or None and the exception it raised; stop at None."""
+    while (block := conn.recv()) is not None:
+        try:
+            conn.send((task(*block), None))
+        except Exception as exc:
+            conn.send((None, exc))
+
+
+def _run_blocks(task, blocks, caller=None) -> list:
+    """[task(*block) for block in blocks], computed in spawned worker processes.
+
+    Workers take blocks from the front, one block in flight per worker.
+    caller, if given, computes task(*block)'s result in this process
+    meanwhile, on blocks from the back, and takes one CPU's share: so
+    min(cpus, blocks) - 1 workers start with a caller and min(cpus, blocks)
+    without.  With a share of one, or a __main__ that a worker cannot
+    import, every block runs in this process, in order, and no process is
+    started.
+
+    The exception of the first failing block in block order is raised; the
+    blocks before it all run, the ones after it may not.  Every worker is
+    gone when the call returns or raises.
+    """
+    share = min(_cpus(), len(blocks)) if _spawn_can_import_main() else 1
+    if share == 1:
+        return [(caller or task)(*block) for block in blocks]
+    # imported here, so that a run that starts no process does not pay for
+    # them; pipes and one feeding thread per worker, not a process pool,
+    # whose imports and threads would cost this process another 1 MB or so
+    import contextlib
+    import multiprocessing
+    import threading
+    from collections import deque
+
+    results, errors = [None] * len(blocks), {}
+    todo = deque(range(len(blocks)))
+    lock = threading.Lock()
+
+    def drain(take, run):
+        while True:
+            with lock:
+                if not todo:
+                    return
+                j = take()
+            try:
+                results[j] = run(*blocks[j])
+            except Exception as exc:
+                errors[j] = exc
+                with lock:  # a block after a failed one is no longer needed
+                    while todo and todo[-1] > j:
+                        todo.pop()
+
+    def in_worker(conn):
+        def run(*block):
+            conn.send(block)
+            try:
+                result, exc = conn.recv()
+            except EOFError:
+                raise RuntimeError("a spawned worker exited before it returned its "
+                                   "block") from None
+            if exc is not None:
+                raise exc
+            return result
+        return run
+
+    ctx = multiprocessing.get_context("spawn")
+    workers, feeders = [], []
+    try:
+        for _ in range(share - (caller is not None)):
+            conn, far = ctx.Pipe()
+            with far:  # the worker holds its own end, so its exit ends conn
+                proc = ctx.Process(target=_serve, args=(task, far))
+                proc.start()
+            workers.append((proc, conn))
+            feeders.append(threading.Thread(target=drain, args=(todo.popleft, in_worker(conn))))
+            feeders[-1].start()
+        if caller is not None:
+            drain(todo.pop, caller)
+    except BaseException:
+        with lock:  # an interrupted caller: the workers finish their blocks only
+            todo.clear()
+        raise
+    finally:
+        for feeder in feeders:
+            feeder.join()
+        for proc, conn in workers:
+            with contextlib.suppress(OSError):  # a worker that died has no pipe left
+                conn.send(None)
+            proc.join()
+            conn.close()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _reduce_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
+                  seed: int, lo: int, hi: int, discounted: bool, workspace=None) -> BlockSums:
+    """block_sums of trials lo..hi-1, stepped in new arrays or in workspace's,
+    which must be as wide as the block: the reduce-only route's block."""
+    arrays = _block_arrays(model.n, horizon, hi - lo, workspace)
+    _step_block(model, policy, cost, horizon, seed, lo, hi, arrays)
+    return block_sums(arrays[1], arrays[2], cost, discounted)
+
+
 def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                 horizon: int, seed: int, trials: int,
                 discounted: bool = False) -> MonteCarloSummary:
     """Streaming Monte Carlo: keeps accumulators, never the paths.
 
-    The reduce-only route: every block draws and steps in one workspace,
-    allocated for the first and widest block, and stores only what
-    block_sums reads.  The summary equals combine over the block_sums of
-    the stored route's CHUNK-wide blocks bit for bit, and aggregation is a
-    deterministic reduction in trial order, so the result for a given
-    (seed, trials) pair is reproducible.
+    The reduce-only route: every block this process steps draws and steps
+    in one workspace, allocated for the first and widest block, and stores
+    only what block_sums reads.  Above FAN_OUT_BLOCK_STEPS, spawned workers
+    step blocks from the front meanwhile.  The summary equals combine over
+    the block_sums of the stored route's CHUNK-wide blocks bit for bit, and
+    aggregation is a deterministic reduction in trial order, so the result
+    for a given (seed, trials) pair is reproducible.
     """
     bounds = block_bounds(horizon, trials)
-    pool = [a.reshape(-1) for a in _block_arrays(model.n, horizon, bounds[0][1])]
+    workspace = [a.reshape(-1) for a in _block_arrays(model.n, horizon, bounds[0][1])]
+    blocks = [(model, policy, cost, horizon, seed, lo, hi, discounted) for lo, hi in bounds]
 
-    def sums():
-        for lo, hi in bounds:
-            arrays = _block_arrays(model.n, horizon, hi - lo, pool)
-            _step_block(model, policy, cost, horizon, seed, lo, hi, arrays)
-            # consumed here, before the next block overwrites the workspace
-            yield block_sums(arrays[1], arrays[2], cost, discounted)
+    def here(*block):
+        # block_sums copies what it reads, so the next block may overwrite the workspace
+        return _reduce_block(*block, workspace)
 
-    return combine(sums(), cost, discounted)
+    if len(bounds) * horizon <= FAN_OUT_BLOCK_STEPS:
+        return combine((here(*block) for block in blocks), cost, discounted)
+    return combine(_run_blocks(_reduce_block, blocks, here), cost, discounted)
 
 
 def mss_diagnostics(summary: MonteCarloSummary) -> MssReport:

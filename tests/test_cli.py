@@ -179,7 +179,7 @@ def test_divergent_model_exits_3(tmp_path, capsys, argv, spec, message):
 ], ids=["error-1.2-simulate", "error-3-verify", "error-3-simulate", "error-10-simulate",
         "error-10-verify", "error-1.2-simulate-new-out", "error-10-simulate-workers"])
 def test_diverging_simulation_exits_3(tmp_path, capfd, monkeypatch, a11, argv, out, message):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_cpus", lambda: 2)
     # A - BH is stable, but the follower's estimation error grows like a11^k
     path = tmp_path / "error-diverges.json"
     write_spec(path, a00=[[0.5]], a10=[[0.0]], a11=[[a11]], b00=[[1.0]], b10=[[1.0]],
@@ -217,8 +217,8 @@ def test_command_that_raises_while_writing_leaves_nothing(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv, trials", [([], 2000), (["--trials", "1"], 1)],
-                         ids=["default", "one"])
+@pytest.mark.parametrize("argv, trials", [([], 2000), (["--trials", "2"], 2)],
+                         ids=["default", "two"])
 def test_verify_runs_the_trials_it_echoes(tmp_path, monkeypatch, argv, trials):
     calls = []
     monte_carlo = cli.monte_carlo
@@ -230,12 +230,17 @@ def test_verify_runs_the_trials_it_echoes(tmp_path, monkeypatch, argv, trials):
     assert doc["config"]["trials"] == trials
 
 
-def test_bad_usage_exits_2(tmp_path):
+def test_bad_usage_exits_2(tmp_path, capsys):
     assert run(["simulate", "--model", "scalar-demo", "--trials", "0",
                 "--out", str(tmp_path)]) == 2
     # the bundled marine model carries no terminal weight
     assert run(["solve", "--model", "auv-paper", "--mode", "finite",
                 "--out", str(tmp_path)]) == 2
+    # one trial has no standard error to bound the Monte Carlo check with
+    assert run(["verify", "--model", "scalar-demo", "--trials", "1",
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "verify needs at least 2 trials: one trial has no standard error")
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])
@@ -368,7 +373,7 @@ def reference_traces(batch, horizon):
     ["--model", "auv-paper", "--trials", "1030", "--horizon", "3", "--seed", "7"],
 ], ids=["scalar-stationary", "scalar-finite", "auv"])
 def test_traces_equal_json_dumps_reference(tmp_path, monkeypatch, argv, cpus):
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(simulation, "_cpus", lambda: cpus)
     assert run(["simulate", *argv, "--out", str(tmp_path)]) == 0
     args = cli.build_parser().parse_args(["simulate", *argv])
     model, cost, name = cli._load(args)
@@ -383,22 +388,48 @@ def test_traces_equal_json_dumps_reference(tmp_path, monkeypatch, argv, cpus):
         f"simulate-{name}-{kind}" for kind in ("curves.csv", "summary.json", "traces.jsonl")]
 
 
+def _run_stdin_script(cwd, script):
+    """Run script as python - in cwd and return its stdout."""
+    cwd.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-"], input=script, text=True, capture_output=True,
+                          cwd=cwd, env=env, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
 def test_simulate_from_a_script_on_stdin(tmp_path, monkeypatch):
     # a spawned worker cannot re-import a __main__ read from stdin, so the
     # two blocks run in the script's own process, even with two CPUs
     argv = ["simulate", "--model", "scalar-demo", "--trials", "1100", "--horizon", "4",
             "--out", "out"]
-    script = f"from lfns import cli\ncli._cpus = lambda: 2\nraise SystemExit(cli.main({argv!r}))\n"
-    (tmp_path / "stdin").mkdir()
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-"], input=script, text=True, capture_output=True,
-                          cwd=tmp_path / "stdin", env=env, timeout=300)
-    assert (done.returncode, done.stderr) == (0, "")
+    _run_stdin_script(tmp_path / "stdin", "from lfns import cli, simulation\n"
+                      "simulation._cpus = lambda: 2\n"
+                      f"raise SystemExit(cli.main({argv!r}))\n")
     (tmp_path / "inproc").mkdir()
     monkeypatch.chdir(tmp_path / "inproc")
     assert run(argv) == 0
     traces = "out/simulate-scalar-demo-traces.jsonl"
     assert (tmp_path / "stdin" / traces).read_bytes() == (tmp_path / "inproc" / traces).read_bytes()
+
+
+def test_monte_carlo_from_a_script_on_stdin(tmp_path):
+    # likewise a library run above the fan-out threshold: its three blocks
+    # run in the script's process and sum to the serial route's summary
+    run_mc = ("model, cost = cli._scalar_demo()\n"
+              "sol = infinite_horizon.solve_stationary_riccati(assemble_compact(model), cost)\n"
+              "summary = simulation.monte_carlo(model, StructuredPolicy.from_stationary(sol),\n"
+              "                                 cost, 4, seed=3, trials=2100, discounted=True)\n"
+              "for field in dataclasses.fields(summary):\n"
+              "    print(np.asarray(getattr(summary, field.name)).tobytes().hex())\n")
+    imports = ("import dataclasses\n"
+               "import numpy as np\n"
+               "from lfns import cli, infinite_horizon, simulation\n"
+               "from lfns.model import assemble_compact\n"
+               "from lfns.oracle import StructuredPolicy\n")
+    fanned = _run_stdin_script(tmp_path / "stdin", imports + "simulation._cpus = lambda: 2\n"
+                               "simulation.FAN_OUT_BLOCK_STEPS = 0\n" + run_mc)
+    assert fanned == _run_stdin_script(tmp_path / "serial", imports + run_mc)
 
 
 # finite floats, and the ones whose repr is easy to get wrong

@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfns import simulation
 from lfns.auv import paper_model
 from lfns.estimator import advance
 from lfns.model import assemble_compact, make_cost, make_model
@@ -192,6 +195,57 @@ def test_monte_carlo_equals_combined_block_sums():
                 assert np.array_equal(got, want), (case, field.name)
             else:
                 assert got == want, (case, field.name)
+
+
+def _summary_bytes(summary):
+    return [np.asarray(getattr(summary, field.name)).tobytes()
+            for field in dataclasses.fields(summary)]
+
+
+# three blocks: two workers, one, or none beside this process
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("case, trials", [
+    ("auv-paper", 3 * CHUNK), ("scalar-finite", 3 * CHUNK), ("scalar-stationary", 2 * CHUNK + 5),
+], ids=["auv-constant", "per-step", "narrow-last"])
+def test_fanned_out_monte_carlo_equals_serial(monkeypatch, case, trials, cpus):
+    model, policy, cost, discounted = route_case(case, 5)
+    serial = monte_carlo(model, policy, cost, 5, seed=4, trials=trials, discounted=discounted)
+    monkeypatch.setattr(simulation, "FAN_OUT_BLOCK_STEPS", 0)
+    monkeypatch.setattr(simulation, "_cpus", lambda: cpus)
+    fanned = monte_carlo(model, policy, cost, 5, seed=4, trials=trials, discounted=discounted)
+    assert _summary_bytes(fanned) == _summary_bytes(serial)
+
+
+def test_fanned_out_divergence_reports_the_first_block(monkeypatch):
+    # with two CPUs the one worker steps block 0..1023 and this process block
+    # 1024..1099; both diverge at step 154, and the first block is reported
+    monkeypatch.setattr(simulation, "FAN_OUT_BLOCK_STEPS", 0)
+    monkeypatch.setattr(simulation, "_cpus", lambda: 2)
+    stepped_here = []
+    step_block = simulation._step_block
+    monkeypatch.setattr(simulation, "_step_block", lambda *args: stepped_here.append(
+        args[5:7]) or step_block(*args))
+    model, policy, cost = error_diverges()
+    with pytest.raises(SimulationDiverged,
+                       match=r"^trial block 0\.\.1023 truncated at step 154; closed loop"):
+        monte_carlo(model, policy, cost, 200, 0, 1100, discounted=True)
+    assert stepped_here == [(1024, 1100)]
+
+
+def _interrupt(*block):
+    raise SystemExit("interrupted")
+
+
+def test_fan_out_leaves_no_worker_on_any_exit(monkeypatch):
+    monkeypatch.setattr(simulation, "_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="^a spawned worker exited before it returned its block$"):
+        simulation._run_blocks(os._exit, [(3,), (3,)])
+    assert multiprocessing.active_children() == []
+    # the worker finishes the block it has, then stops
+    with pytest.raises(SystemExit, match="interrupted"):
+        simulation._run_blocks(abs, [(-1,), (-2,), (-3,)], caller=_interrupt)
+    assert multiprocessing.active_children() == []
+    assert simulation._run_blocks(abs, [(-1,), (-2,), (-3,)], caller=abs) == [1, 2, 3]
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
