@@ -39,6 +39,7 @@ tests compare against.  A spawn key is one 32-bit word, so trial < 2**32.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -401,12 +402,16 @@ def _spawn_can_import_main() -> bool:
 
 def _serve(task, conn) -> None:
     """A worker's loop: for each block received on conn, send back
-    task(*block) and None, or None and the exception it raised; stop at None."""
-    while (block := conn.recv()) is not None:
-        try:
-            conn.send((task(*block), None))
-        except Exception as exc:
-            conn.send((None, exc))
+    task(*block) and None, or None and the exception it raised, until conn
+    is closed at the other end."""
+    with contextlib.suppress(EOFError):
+        while True:
+            block = conn.recv()
+            try:
+                reply = task(*block), None
+            except Exception as exc:
+                reply = None, exc
+            conn.send(reply)
 
 
 def _run_blocks(task, blocks, caller=None) -> list:
@@ -430,7 +435,6 @@ def _run_blocks(task, blocks, caller=None) -> list:
     # imported here, so that a run that starts no process does not pay for
     # them; pipes and one feeding thread per worker, not a process pool,
     # whose imports and threads would cost this process another 1 MB or so
-    import contextlib
     import multiprocessing
     import threading
     from collections import deque
@@ -453,18 +457,20 @@ def _run_blocks(task, blocks, caller=None) -> list:
                     while todo and todo[-1] > j:
                         todo.pop()
 
-    def in_worker(conn):
+    def feed(conn):
         def run(*block):
-            conn.send(block)
             try:
+                conn.send(block)
                 result, exc = conn.recv()
-            except EOFError:
+            except (EOFError, OSError):
                 raise RuntimeError("a spawned worker exited before it returned its "
                                    "block") from None
             if exc is not None:
                 raise exc
             return result
-        return run
+
+        drain(todo.popleft, run)
+        conn.close()  # the worker exits now, while other blocks may still run
 
     ctx = multiprocessing.get_context("spawn")
     workers, feeders = [], []
@@ -475,7 +481,7 @@ def _run_blocks(task, blocks, caller=None) -> list:
                 proc = ctx.Process(target=_serve, args=(task, far))
                 proc.start()
             workers.append((proc, conn))
-            feeders.append(threading.Thread(target=drain, args=(todo.popleft, in_worker(conn))))
+            feeders.append(threading.Thread(target=feed, args=(conn,)))
             feeders[-1].start()
         if caller is not None:
             drain(todo.pop, caller)
@@ -487,10 +493,8 @@ def _run_blocks(task, blocks, caller=None) -> list:
         for feeder in feeders:
             feeder.join()
         for proc, conn in workers:
-            with contextlib.suppress(OSError):  # a worker that died has no pipe left
-                conn.send(None)
-            proc.join()
             conn.close()
+            proc.join()
     if errors:
         raise errors[min(errors)]
     return results
