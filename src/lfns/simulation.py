@@ -53,10 +53,10 @@ from .model import CostSpec, LfnsModel, step
 
 CHUNK = 1024
 # monte_carlo fans out above this many block-steps, len(block_bounds) x horizon.
-# A spawned worker's first result comes 0.22-0.36 s after the pool starts, and
+# A spawned worker's first result comes 0.22-0.36 s after it is started, and
 # a CHUNK-wide block-step costs 0.55-0.62 ms at n = 6, 0.17-0.31 ms at n = 1
 # (2-core Xeon VM, one BLAS thread).  A run gains once its serial time exceeds
-# the start-up: above about 600 block-steps at n = 6, near this size at n = 1.
+# the start-up: above about 600 block-steps at n = 6, 1000-2000 at n = 1.
 FAN_OUT_BLOCK_STEPS = 1000
 # mss_diagnostics' mean test: the final mean norm at most this share of the initial one
 MEAN_DECAY_FRACTION = 0.05
@@ -503,7 +503,7 @@ def _run_blocks(task, blocks, caller=None) -> list:
 def _reduce_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
                   seed: int, lo: int, hi: int, discounted: bool, workspace=None) -> BlockSums:
     """block_sums of trials lo..hi-1, stepped in new arrays or in workspace's,
-    which must be as wide as the block: the reduce-only route's block."""
+    which must be at least as wide as the block: the reduce-only route's block."""
     arrays = _block_arrays(model.n, horizon, hi - lo, workspace)
     _step_block(model, policy, cost, horizon, seed, lo, hi, arrays)
     return block_sums(arrays[1], arrays[2], cost, discounted)
