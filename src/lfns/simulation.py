@@ -21,14 +21,13 @@ allocated for the run and reused by every block, so a process's memory is
 trials.  Both monte_carlo and the CLI's traces reduce by combine over
 block_sums, in trial order.
 
-One fan-out, _run_blocks, spreads a run's blocks over spawned worker
-processes, at most one process per CPU.  The CLI's traces always go
-through it.  monte_carlo goes through it when its blocks times its horizon
-exceeds FAN_OUT_BLOCK_STEPS; the calling process then steps blocks from
-the back in its workspace while the workers take them from the front,
-each worker one block at a time in a workspace of its own.  Below that
-size monte_carlo steps its blocks one after another in the calling process.
-The block partition is the same either way, so no summary changes by a bit.
+One fan-out, _run_blocks, spreads a run's blocks over forked worker
+processes, at most one process per CPU; off Linux every block runs in the
+calling process.  The CLI's traces and monte_carlo both go through it.
+monte_carlo's calling process steps blocks from the back in its workspace
+while the workers take them from the front, each worker one block at a
+time in arrays of its own.  The block partition is the same however many
+processes run it, so no summary changes by a bit.
 
 The streams are produced without building a SeedSequence and a Generator
 per trial: a chunk's spawn keys are hashed together in uint32 arithmetic,
@@ -52,12 +51,6 @@ from .finite_horizon import StructuredPolicy, controls
 from .model import CostSpec, LfnsModel, step
 
 CHUNK = 1024
-# monte_carlo fans out above this many block-steps, len(block_bounds) x horizon.
-# A spawned worker's first result comes 0.22-0.36 s after it is started, and
-# a CHUNK-wide block-step costs 0.55-0.62 ms at n = 6, 0.17-0.31 ms at n = 1
-# (2-core Xeon VM, one BLAS thread).  A run gains once its serial time exceeds
-# the start-up: above about 600 block-steps at n = 6, 1000-2000 at n = 1.
-FAN_OUT_BLOCK_STEPS = 1000
 # mss_diagnostics' mean test: the final mean norm at most this share of the initial one
 MEAN_DECAY_FRACTION = 0.05
 
@@ -388,22 +381,16 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _spawn_can_import_main() -> bool:
-    """Whether a spawned worker can re-import this process's __main__.
-
-    A worker imports it by module name, or runs it from its file; a script
-    read from stdin (python -) has neither, and its workers would die.
-    """
-    main = sys.modules["__main__"]
-    path = getattr(main, "__file__", None)
-    return (getattr(main.__spec__, "name", None) is not None or path is None
-            or os.path.isfile(path))
-
-
-def _serve(task, conn) -> None:
+def _serve(task, conn, parent_ends) -> None:
     """A worker's loop: for each block received on conn, send back
     task(*block) and None, or None and the exception it raised, until conn
-    is closed at the other end."""
+    is closed at the other end.
+
+    A forked worker inherits the calling process's ends of the pipes open,
+    its own among them; they are closed first, or conn would never see EOF.
+    """
+    for end in parent_ends:
+        end.close()
     with contextlib.suppress(EOFError):
         while True:
             block = conn.recv()
@@ -415,21 +402,21 @@ def _serve(task, conn) -> None:
 
 
 def _run_blocks(task, blocks, caller=None) -> list:
-    """[task(*block) for block in blocks], computed in spawned worker processes.
+    """[task(*block) for block in blocks], computed in forked worker processes.
 
     Workers take blocks from the front, one block in flight per worker.
     caller, if given, computes task(*block)'s result in this process
     meanwhile, on blocks from the back, and takes one CPU's share: so
     min(cpus, blocks) - 1 workers start with a caller and min(cpus, blocks)
-    without.  With a share of one, or a __main__ that a worker cannot
-    import, every block runs in this process, in order, and no process is
+    without.  With a share of one, or off Linux, where fork is not safe to
+    use, every block runs in this process, in order, and no process is
     started.
 
     The exception of the first failing block in block order is raised; the
     blocks before it all run, the ones after it may not.  Every worker is
     gone when the call returns or raises.
     """
-    share = min(_cpus(), len(blocks)) if _spawn_can_import_main() else 1
+    share = min(_cpus(), len(blocks)) if sys.platform == "linux" else 1
     if share == 1:
         return [(caller or task)(*block) for block in blocks]
     # imported here, so that a run that starts no process does not pay for
@@ -463,8 +450,7 @@ def _run_blocks(task, blocks, caller=None) -> list:
                 conn.send(block)
                 result, exc = conn.recv()
             except (EOFError, OSError):
-                raise RuntimeError("a spawned worker exited before it returned its "
-                                   "block") from None
+                raise RuntimeError("a worker exited before it returned its block") from None
             if exc is not None:
                 raise exc
             return result
@@ -472,15 +458,18 @@ def _run_blocks(task, blocks, caller=None) -> list:
         drain(todo.popleft, run)
         conn.close()  # the worker exits now, while other blocks may still run
 
-    ctx = multiprocessing.get_context("spawn")
-    workers, feeders = [], []
+    ctx = multiprocessing.get_context("fork")
+    workers, ends, feeders = [], [], []
     try:
+        # every worker is forked before the first feeding thread starts, so
+        # no thread of this call is running at a fork
         for _ in range(share - (caller is not None)):
             conn, far = ctx.Pipe()
+            ends.append(conn)
             with far:  # the worker holds its own end, so its exit ends conn
-                proc = ctx.Process(target=_serve, args=(task, far))
-                proc.start()
-            workers.append((proc, conn))
+                workers.append(ctx.Process(target=_serve, args=(task, far, ends)))
+                workers[-1].start()
+        for conn in ends:
             feeders.append(threading.Thread(target=feed, args=(conn,)))
             feeders[-1].start()
         if caller is not None:
@@ -492,8 +481,9 @@ def _run_blocks(task, blocks, caller=None) -> list:
     finally:
         for feeder in feeders:
             feeder.join()
-        for proc, conn in workers:
+        for conn in ends:
             conn.close()
+        for proc in workers:
             proc.join()
     if errors:
         raise errors[min(errors)]
@@ -516,11 +506,11 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
 
     The reduce-only route: every block this process steps draws and steps
     in one workspace, allocated for the first and widest block, and stores
-    only what block_sums reads.  Above FAN_OUT_BLOCK_STEPS, spawned workers
-    step blocks from the front meanwhile.  The summary equals combine over
-    the block_sums of the stored route's CHUNK-wide blocks bit for bit, and
-    aggregation is a deterministic reduction in trial order, so the result
-    for a given (seed, trials) pair is reproducible.
+    only what block_sums reads.  Forked workers step blocks from the front
+    meanwhile.  The summary equals combine over the block_sums of the stored
+    route's CHUNK-wide blocks bit for bit, and aggregation is a
+    deterministic reduction in trial order, so the result for a given
+    (seed, trials) pair is reproducible.
     """
     bounds = block_bounds(horizon, trials)
     workspace = [a.reshape(-1) for a in _block_arrays(model.n, horizon, bounds[0][1])]
@@ -530,8 +520,6 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
         # block_sums copies what it reads, so the next block may overwrite the workspace
         return _reduce_block(*block, workspace)
 
-    if len(bounds) * horizon <= FAN_OUT_BLOCK_STEPS:
-        return combine((here(*block) for block in blocks), cost, discounted)
     return combine(_run_blocks(_reduce_block, blocks, here), cost, discounted)
 
 

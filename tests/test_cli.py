@@ -398,24 +398,31 @@ def _run_stdin_script(cwd, script):
     return done.stdout
 
 
+# the script's last line: whether it waited for a child process
+_FORKED = ("import resource\n"
+           "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0)\n")
+
+
 def test_simulate_from_a_script_on_stdin(tmp_path, monkeypatch):
-    # a spawned worker cannot re-import a __main__ read from stdin, so the
-    # two blocks run in the script's own process, even with two CPUs
+    # forked workers re-import nothing, so a __main__ read from stdin fans
+    # its two blocks out too, and writes what one process does
     argv = ["simulate", "--model", "scalar-demo", "--trials", "1100", "--horizon", "4",
             "--out", "out"]
-    _run_stdin_script(tmp_path / "stdin", "from lfns import cli, simulation\n"
-                      "simulation._cpus = lambda: 2\n"
-                      f"raise SystemExit(cli.main({argv!r}))\n")
+    out = _run_stdin_script(tmp_path / "stdin", "from lfns import cli, simulation\n"
+                            "simulation._cpus = lambda: 2\n"
+                            f"assert cli.main({argv!r}) == 0\n" + _FORKED)
+    assert out.splitlines()[-1] == "True"
     (tmp_path / "inproc").mkdir()
     monkeypatch.chdir(tmp_path / "inproc")
+    monkeypatch.setattr(simulation, "_cpus", lambda: 1)
     assert run(argv) == 0
     traces = "out/simulate-scalar-demo-traces.jsonl"
     assert (tmp_path / "stdin" / traces).read_bytes() == (tmp_path / "inproc" / traces).read_bytes()
 
 
 def test_monte_carlo_from_a_script_on_stdin(tmp_path):
-    # likewise a library run above the fan-out threshold: its three blocks
-    # run in the script's process and sum to the serial route's summary
+    # likewise a library run: its three blocks, stepped by a forked worker
+    # and the script's process, sum to the one-process summary
     run_mc = ("model, cost = cli._scalar_demo()\n"
               "sol = infinite_horizon.solve_stationary_riccati(assemble_compact(model), cost)\n"
               "summary = simulation.monte_carlo(model, StructuredPolicy.from_stationary(sol),\n"
@@ -428,8 +435,11 @@ def test_monte_carlo_from_a_script_on_stdin(tmp_path):
                "from lfns.model import assemble_compact\n"
                "from lfns.oracle import StructuredPolicy\n")
     fanned = _run_stdin_script(tmp_path / "stdin", imports + "simulation._cpus = lambda: 2\n"
-                               "simulation.FAN_OUT_BLOCK_STEPS = 0\n" + run_mc)
-    assert fanned == _run_stdin_script(tmp_path / "serial", imports + run_mc)
+                               + run_mc + _FORKED).splitlines()
+    serial = _run_stdin_script(tmp_path / "serial", imports + "simulation._cpus = lambda: 1\n"
+                               + run_mc + _FORKED).splitlines()
+    assert (fanned[-1], serial[-1]) == ("True", "False")
+    assert fanned[:-1] == serial[:-1]
 
 
 # finite floats, and the ones whose repr is easy to get wrong

@@ -1,7 +1,11 @@
 import dataclasses
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,8 +213,8 @@ def _summary_bytes(summary):
 ], ids=["auv-constant", "per-step", "narrow-last"])
 def test_fanned_out_monte_carlo_equals_serial(monkeypatch, case, trials, cpus):
     model, policy, cost, discounted = route_case(case, 5)
+    monkeypatch.setattr(simulation, "_cpus", lambda: 1)
     serial = monte_carlo(model, policy, cost, 5, seed=4, trials=trials, discounted=discounted)
-    monkeypatch.setattr(simulation, "FAN_OUT_BLOCK_STEPS", 0)
     monkeypatch.setattr(simulation, "_cpus", lambda: cpus)
     fanned = monte_carlo(model, policy, cost, 5, seed=4, trials=trials, discounted=discounted)
     assert _summary_bytes(fanned) == _summary_bytes(serial)
@@ -219,7 +223,6 @@ def test_fanned_out_monte_carlo_equals_serial(monkeypatch, case, trials, cpus):
 def test_fanned_out_divergence_reports_the_first_block(monkeypatch):
     # with two CPUs the one worker steps block 0..1023 and this process block
     # 1024..1099; both diverge at step 154, and the first block is reported
-    monkeypatch.setattr(simulation, "FAN_OUT_BLOCK_STEPS", 0)
     monkeypatch.setattr(simulation, "_cpus", lambda: 2)
     stepped_here = []
     step_block = simulation._step_block
@@ -238,7 +241,7 @@ def _interrupt(*block):
 
 def test_fan_out_leaves_no_worker_on_any_exit(monkeypatch):
     monkeypatch.setattr(simulation, "_cpus", lambda: 2)
-    with pytest.raises(RuntimeError, match="^a spawned worker exited before it returned its block$"):
+    with pytest.raises(RuntimeError, match="^a worker exited before it returned its block$"):
         simulation._run_blocks(os._exit, [(3,), (3,)])
     assert multiprocessing.active_children() == []
     # the worker finishes the block it has, then stops
@@ -246,6 +249,27 @@ def test_fan_out_leaves_no_worker_on_any_exit(monkeypatch):
         simulation._run_blocks(abs, [(-1,), (-2,), (-3,)], caller=_interrupt)
     assert multiprocessing.active_children() == []
     assert simulation._run_blocks(abs, [(-1,), (-2,), (-3,)], caller=abs) == [1, 2, 3]
+
+
+def test_forked_workers_stop_when_their_blocks_run_out():
+    # a worker that kept the caller's end of a pipe open would never see its
+    # end and the call would hang, so it runs in a process with a time limit
+    script = ("import os\n"
+              "from lfns import simulation\n"
+              "simulation._cpus = lambda: 3\n"
+              "print(os.getpid(), *simulation._run_blocks(os.getpid, [()] * 3))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(simulation.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # its workers too
+            raise
+    assert (proc.returncode, err) == (0, "")
+    caller, *pids = map(int, out.split())
+    assert len(pids) == 3 and caller not in pids
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
