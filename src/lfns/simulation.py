@@ -221,10 +221,20 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     The states and stage costs are written in place.  paths is None, or the
     (x1hat, u0, u1, w0, w1) arrays to store those paths in as well; without
     them the running estimate is one (n, b) array.
+
+    One trial alone would take numpy's matrix-vector products, whose sums
+    can differ in the last bits from the matrix-matrix products of a wider
+    block.  So a one-trial block is stepped as two copies of its trial, in
+    arrays of its own, and its column is copied out.
     """
     n = model.n
+    if hi - lo == 1:
+        outs = (*arrays[1:], *(paths or ()))
+        arrays = _block_arrays(n, horizon, 2)
+        paths = paths and [np.empty(p.shape[:-1] + (2,)) for p in paths]
     draws, states, stage = arrays
     z0, z1, zw0, zw1 = _draw_chunk(horizon, seed, lo, hi, draws)
+    draws[hi - lo:] = draws[0]  # the copy of a one-trial block; else no row
     lx0 = psd_factor(model.sigma_x0)
     lx1 = psd_factor(model.sigma_x1)
     lw0 = psd_factor(model.sigma_w0)
@@ -232,7 +242,7 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
 
     states[0, :n] = model.xbar0[:, None] + lx0 @ z0
     states[0, n:] = model.xbar1[:, None] + lx1 @ z1
-    hat = np.repeat(model.xbar1[:, None], hi - lo, axis=1)
+    hat = np.repeat(model.xbar1[:, None], states.shape[2], axis=1)
     if paths is not None:
         paths[0][0] = hat
     # a non-finite state or estimate makes its step's controls and stage cost
@@ -258,6 +268,9 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     if k < horizon or not (np.isfinite(states[k]).all() and np.isfinite(hat).all()):
         raise SimulationDiverged(f"trial block {lo}..{hi - 1} truncated at step {k}; "
                                  f"closed loop is destabilizing")
+    if hi - lo == 1:
+        for out, full in zip(outs, (*arrays[1:], *(paths or ()))):
+            out[...] = full[..., :1]
 
 
 def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfns import simulation
@@ -171,15 +171,42 @@ def test_trials_invariant_to_batch_size():
 
 
 def test_simulate_is_trial_zero_of_the_batch():
-    # a constant and a per-step policy; at n = 6 a one-trial block takes
-    # numpy's matrix-vector products, whose sums can differ in the last bits
-    for case in ("scalar-stationary", "scalar-finite"):
+    # a constant and a per-step policy, and at n = 6 a one-trial block that
+    # would take numpy's matrix-vector products if it were not stepped twice
+    for case in ROUTE_CASES:
         model, policy, cost, _ = route_case(case, 7)
         trace = simulate(model, policy, cost, 7, seed=13)
         batch = simulate_batch(model, policy, cost, 7, seed=13, trials=3)
         for name in ("x0", "x1", "x1hat", "u0", "u1"):
             assert np.array_equal(getattr(trace, name), getattr(batch, name)[:, :, 0]), \
                 (case, name)
+
+
+def width_case(n):
+    """(model, policy, cost) of a stationary loop at n = 1, 2 or 6."""
+    if n == 6:
+        return route_case("auv-paper", 6)[:3]
+    model = coupled_noisy_model() if n == 1 else random_pair(np.random.default_rng(0), n=2)[0]
+    return model, *stationary_policy(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from((1, 2, 6)), lo=st.integers(0, 2 ** 32 - 40), width=st.integers(1, 40),
+       col=st.integers(0, 39))
+@example(n=6, lo=2 ** 32 - 40, width=40, col=39)  # the last trial there is
+def test_trial_paths_do_not_depend_on_the_block_width(n, lo, width, col):
+    model, policy, cost = width_case(n)
+    col %= width
+    trial = lo + col
+    block = _simulate_chunk(model, policy, cost, 6, 3, lo, lo + width)
+    alone = _simulate_chunk(model, policy, cost, 6, 3, trial, trial + 1)
+    for name in ("states", "x1hat", "u0", "u1", "w0", "w1", "stage_cost"):
+        assert np.array_equal(getattr(alone, name)[..., 0], getattr(block, name)[..., col]), name
+    # the reduce-only route's one-trial block, which stores no paths
+    arrays = simulation._block_arrays(n, 6, 1)
+    simulation._step_block(model, policy, cost, 6, 3, trial, trial + 1, arrays)
+    assert np.array_equal(arrays[1][..., 0], block.states[..., col])
+    assert np.array_equal(arrays[2][..., 0], block.stage_cost[..., col])
 
 
 def test_monte_carlo_equals_combined_block_sums():
