@@ -388,10 +388,8 @@ def combine(sums, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
 
 
 def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The number of CPUs this process may run on (Linux only)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _serve(task, conn, parent_ends) -> None:
