@@ -21,13 +21,12 @@ allocated for the run and reused by every block, so a process's memory is
 trials.  Both monte_carlo and the CLI's traces reduce by combine over
 block_sums, in trial order.
 
-One fan-out, _run_blocks, spreads a run's blocks over forked worker
-processes, at most one process per CPU; off Linux every block runs in the
-calling process.  The CLI's traces and monte_carlo both go through it.
-monte_carlo's calling process steps blocks from the back in its workspace
-while the workers take them from the front, each worker one block at a
-time in arrays of its own.  The block partition is the same however many
-processes run it, so no summary changes by a bit.
+One fan-out, _run_blocks, spreads the blocks of monte_carlo and of the
+CLI's traces over forked worker processes, at most one per CPU, or off
+Linux over none.  monte_carlo's calling process steps blocks from the back
+in its workspace while each worker takes one block at a time from the
+front, in arrays of its own.  The partition does not depend on the number
+of processes, so no summary changes by a bit.
 
 The streams are produced without building a SeedSequence and a Generator
 per trial: a chunk's spawn keys are hashed together in uint32 arithmetic,
@@ -42,6 +41,7 @@ import contextlib
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +53,8 @@ from .model import CostSpec, LfnsModel, step
 CHUNK = 1024
 # mss_diagnostics' mean test: the final mean norm at most this share of the initial one
 MEAN_DECAY_FRACTION = 0.05
+# taken by the one fan-out a process runs at a time, so no worker inherits another's pipes
+_FAN_OUT = threading.Lock()
 
 
 class SimulationDiverged(ValueError):
@@ -222,10 +224,9 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     (x1hat, u0, u1, w0, w1) arrays to store those paths in as well; without
     them the running estimate is one (n, b) array.
 
-    One trial alone would take numpy's matrix-vector products, whose sums
-    can differ in the last bits from the matrix-matrix products of a wider
-    block.  So a one-trial block is stepped as two copies of its trial, in
-    arrays of its own, and its column is copied out.
+    A one-trial block is stepped as two copies of its trial, in arrays of
+    its own: one trial alone would take numpy's matrix-vector products,
+    whose sums can differ in the last bits from a wider block's.
     """
     n = model.n
     if hi - lo == 1:
@@ -394,17 +395,17 @@ def _cpus() -> int:
 
 def _serve(task, conn, parent_ends) -> None:
     """A worker's loop: for each block received on conn, send back
-    task(*block) and None, or None and the exception it raised, until conn
-    is closed at the other end.
+    task(*block) and None, or None and the exception it raised, until it
+    receives None or conn's other end closes.
 
-    A forked worker inherits the calling process's ends of the pipes open,
-    its own among them; they are closed first, or conn would never see EOF.
+    It first closes the calling process's pipe ends it inherited, its own
+    among them, or conn would never see EOF.  None still comes first: a
+    process that another thread of the caller forks meanwhile holds copies.
     """
     for end in parent_ends:
         end.close()
     with contextlib.suppress(EOFError):
-        while True:
-            block = conn.recv()
+        while (block := conn.recv()) is not None:
             try:
                 reply = task(*block), None
             except Exception as exc:
@@ -419,22 +420,21 @@ def _run_blocks(task, blocks, caller=None) -> list:
     caller, if given, computes task(*block)'s result in this process
     meanwhile, on blocks from the back, and takes one CPU's share: so
     min(cpus, blocks) - 1 workers start with a caller and min(cpus, blocks)
-    without.  With a share of one, or off Linux, where fork is not safe to
-    use, every block runs in this process, in order, and no process is
-    started.
+    without.  With a share of one, off Linux, where fork is not safe to use,
+    or while another thread's fan-out runs, every block runs in this
+    process, in order, and no process is started.
 
     The exception of the first failing block in block order is raised; the
     blocks before it all run, the ones after it may not.  Every worker is
     gone when the call returns or raises.
     """
     share = min(_cpus(), len(blocks)) if sys.platform == "linux" else 1
-    if share == 1:
+    if share == 1 or not _FAN_OUT.acquire(blocking=False):
         return [(caller or task)(*block) for block in blocks]
     # imported here, so that a run that starts no process does not pay for
     # them; pipes and one feeding thread per worker, not a process pool,
     # whose imports and threads would cost this process another 1 MB or so
     import multiprocessing
-    import threading
     from collections import deque
 
     results, errors = [None] * len(blocks), {}
@@ -467,13 +467,14 @@ def _run_blocks(task, blocks, caller=None) -> list:
             return result
 
         drain(todo.popleft, run)
-        conn.close()  # the worker exits now, while other blocks may still run
+        with contextlib.suppress(OSError), conn:  # a worker that exited needs no None
+            conn.send(None)  # the worker exits now, while other blocks may still run
 
     ctx = multiprocessing.get_context("fork")
     workers, ends, feeders = [], [], []
     try:
-        # every worker is forked before the first feeding thread starts, so
-        # no thread of this call is running at a fork
+        # every worker is forked before the first feeding thread starts, so,
+        # with _FAN_OUT held, no thread of any fan-out is running at a fork
         for _ in range(share - (caller is not None)):
             conn, far = ctx.Pipe()
             ends.append(conn)
@@ -496,6 +497,7 @@ def _run_blocks(task, blocks, caller=None) -> list:
             conn.close()
         for proc in workers:
             proc.join()
+        _FAN_OUT.release()
     if errors:
         raise errors[min(errors)]
     return results

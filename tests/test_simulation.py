@@ -4,6 +4,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -278,13 +280,10 @@ def test_fan_out_leaves_no_worker_on_any_exit(monkeypatch):
     assert simulation._run_blocks(abs, [(-1,), (-2,), (-3,)], caller=abs) == [1, 2, 3]
 
 
-def test_forked_workers_stop_when_their_blocks_run_out():
-    # a worker that kept the caller's end of a pipe open would never see its
-    # end and the call would hang, so it runs in a process with a time limit
-    script = ("import os\n"
-              "from lfns import simulation\n"
-              "simulation._cpus = lambda: 3\n"
-              "print(os.getpid(), *simulation._run_blocks(os.getpid, [()] * 3))\n")
+def _run_with_time_limit(script):
+    """Run script as python -c in a process group of its own, kill the group
+    if it takes over 30 s, and return its stdout.  For fan-outs whose fault
+    would be a hang."""
     env = {**os.environ, "PYTHONPATH": str(Path(simulation.__file__).parents[1])}
     with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, env=env,
@@ -295,8 +294,83 @@ def test_forked_workers_stop_when_their_blocks_run_out():
             os.killpg(proc.pid, signal.SIGKILL)  # its workers too
             raise
     assert (proc.returncode, err) == (0, "")
+    return out
+
+
+def test_forked_workers_stop_when_their_blocks_run_out():
+    # a worker that kept the caller's end of a pipe open would never see its
+    # end and the call would hang
+    out = _run_with_time_limit("import os\n"
+                               "from lfns import simulation\n"
+                               "simulation._cpus = lambda: 3\n"
+                               "print(os.getpid(), *simulation._run_blocks(os.getpid, [()] * 3))\n")
     caller, *pids = map(int, out.split())
     assert len(pids) == 3 and caller not in pids
+
+
+def test_monte_carlo_from_two_threads_at_once():
+    # a worker forked for one thread's fan-out must not hold the other's pipe
+    # ends, or each call's workers wait for the other's to exit, for ever
+    out = _run_with_time_limit(
+        "import dataclasses, threading\n"
+        "import numpy as np\n"
+        "from lfns import cli, infinite_horizon, simulation\n"
+        "from lfns.model import assemble_compact\n"
+        "from lfns.oracle import StructuredPolicy\n"
+        "model, cost = cli._scalar_demo()\n"
+        "policy = StructuredPolicy.from_stationary(\n"
+        "    infinite_horizon.solve_stationary_riccati(assemble_compact(model), cost))\n"
+        "def run(seed):\n"
+        "    summary = simulation.monte_carlo(model, policy, cost, 4, seed, 3000, True)\n"
+        "    return [np.asarray(getattr(summary, f.name)).tobytes()\n"
+        "            for f in dataclasses.fields(summary)]\n"
+        "simulation._cpus = lambda: 1\n"
+        "serial = [run(seed) for seed in (0, 1)]\n"
+        "simulation._cpus = lambda: 2\n"
+        "def loop(seed):\n"
+        "    for _ in range(20):\n"
+        "        assert run(seed) == serial[seed]\n"
+        "threads = [threading.Thread(target=loop, args=(seed,)) for seed in (0, 1)]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join()\n"
+        "print('done')\n")
+    assert out == "done\n"
+
+
+def test_a_second_fan_out_runs_in_process_while_one_runs(monkeypatch):
+    monkeypatch.setattr(simulation, "_cpus", lambda: 2)
+    first = threading.Thread(target=simulation._run_blocks, args=(time.sleep, [(1,), (1,)]))
+    first.start()
+    try:
+        deadline = time.monotonic() + 10
+        while not simulation._FAN_OUT.locked():  # the first fan-out has started
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert simulation._run_blocks(os.getpid, [()] * 2) == [os.getpid()] * 2
+    finally:
+        first.join()
+    assert os.getpid() not in simulation._run_blocks(os.getpid, [()] * 2)
+
+
+def test_a_fork_elsewhere_does_not_hold_up_the_fan_out():
+    # a process that another thread forks during the fan-out holds a copy of
+    # each worker's pipe end, so a worker stopped only by EOF would wait for
+    # that process's exit, here 60 s away
+    out = _run_with_time_limit(
+        "import multiprocessing, threading, time\n"
+        "from lfns import simulation\n"
+        "simulation._cpus = lambda: 2\n"
+        "def fork():\n"
+        "    time.sleep(0.3)\n"
+        "    multiprocessing.get_context('fork').Process(target=time.sleep, args=(60,),\n"
+        "                                                daemon=True).start()\n"
+        "threading.Thread(target=fork).start()\n"
+        "start = time.monotonic()\n"
+        "simulation._run_blocks(time.sleep, [(1,), (1,)])\n"
+        "print(len(multiprocessing.active_children()), time.monotonic() - start < 10)\n")
+    assert out == "1 True\n"
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
