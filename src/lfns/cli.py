@@ -197,7 +197,8 @@ _LAST_RECORD = ('{"k": %d, "stage_cost": null, "trial": %d, "u0": null, "u1": nu
 def _trace_block(model, policy, cost, horizon, seed, lo, hi, discounted, part):
     """Simulate trials lo..hi-1, write their trace records to the file part
     and return the block's share of the summary: one task of simulation._run_blocks."""
-    batch = simulation._simulate_chunk(model, policy, cost, horizon, seed, lo, hi)
+    batch, sums = simulation._simulate_chunk(model, policy, cost, horizon, seed, lo, hi,
+                                             discounted)
     with open(part, "w") as fh:
         # tolist() one trial at a time: a whole block's Python floats would
         # raise the worker's peak memory by more than half
@@ -209,7 +210,7 @@ def _trace_block(model, policy, cost, horizon, seed, lo, hi, discounted, part):
             fh.writelines([_STEP_RECORD % (k, stage[k], trial, u0[k], u1[k], x0[k], x1[k],
                                            x1hat[k]) for k in range(horizon)])
             fh.write(_LAST_RECORD % (horizon, trial, x0[horizon], x1[horizon], x1hat[horizon]))
-    return simulation.block_sums(batch.states, batch.stage_cost, cost, discounted)
+    return sums
 
 
 def _write_traces(traces: Path, meta: dict, model, policy, cost, horizon: int, seed: int,

@@ -10,16 +10,17 @@ blocks.  Each step applies finite_horizon.controls, then model.step for the
 plant and estimator.advance, fed u1hat, for the leader's estimate, the same
 functions a single trial's vectors go through.
 
-A block's states are one stacked (horizon+1, 2n, trials) array; x0 and x1
-are its views.  One step loop serves two routes.  The stored route keeps
-every path: simulate_batch runs all its trials as one block, simulate is
-its first trial, and the CLI's traces store one CHUNK-wide block at a time.
-The reduce-only route keeps only the states and stage costs that
-block_sums reads: monte_carlo steps CHUNK-wide blocks in one workspace
-allocated for the run and reused by every block, so a process's memory is
-8*CHUNK*(4n(horizon+1) + horizon) bytes of buffers whatever the number of
-trials.  Both monte_carlo and the CLI's traces reduce by combine over
-block_sums, in trial order.
+One step loop serves two routes.  The stored route keeps every path in a
+stacked (horizon+1, 2n, trials) states array, of which x0 and x1 are
+views: simulate_batch runs all its trials as one block, simulate is its
+first trial, and the CLI's traces store one CHUNK-wide block at a time.
+The reduce-only route keeps the draws, the stage costs and the last two
+states: monte_carlo steps CHUNK-wide blocks in one workspace allocated for
+the run and reused by every block, so a process's memory is
+8*CHUNK*(2n(horizon+1) + 4n + horizon) bytes of buffers whatever the
+number of trials.  On both routes the loop sums each block's states and
+their squares as it steps, and monte_carlo and the CLI's traces combine
+those BlockSums in trial order.
 
 One fan-out, _run_blocks, spreads the blocks of monte_carlo and of the
 CLI's traces over forked worker processes, at most one per CPU, or off
@@ -121,7 +122,7 @@ class SimulationTrace:
 class MonteCarloSummary:
     trials: int
     mean_cost: float
-    standard_error: float
+    standard_error: float | None
     mean_state: np.ndarray
     mean_norm: np.ndarray
     second_moment: np.ndarray
@@ -201,45 +202,54 @@ def _draw_chunk(horizon: int, seed: int, lo: int, hi: int, buf: np.ndarray):
     return z0, z1, zw0, zw1
 
 
-def _block_arrays(n: int, horizon: int, b: int, pool=None) -> list[np.ndarray]:
+def _block_arrays(n: int, horizon: int, b: int, rows: int, pool=None) -> list[np.ndarray]:
     """A b-trial block's draw buffer (b, 2*horizon+2, n), stacked states
-    (horizon+1, 2n, b) and stage costs (horizon, b).
+    (rows, 2n, b) and stage costs (horizon, b).
 
     New arrays, or C-contiguous prefixes of pool's three flat arrays: a
     narrower last block then hands every matmul the layout a full one does.
     """
-    shapes = ((b, 2 * horizon + 2, n), (horizon + 1, 2 * n, b), (horizon, b))
+    shapes = ((b, 2 * horizon + 2, n), (rows, 2 * n, b), (horizon, b))
     if pool is None:
         return [np.empty(shape) for shape in shapes]
     return [flat[:math.prod(shape)].reshape(shape) for flat, shape in zip(pool, shapes)]
 
 
-# the loop raises at its first overflow, so numpy's warnings about it are redundant
+# the loop raises at its first overflow, so numpy's warnings about it are
+# redundant; finite paths can still overflow the sums, and combine raises on those
 @np.errstate(over="ignore", invalid="ignore")
-def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
-                horizon: int, seed: int, lo: int, hi: int, arrays, paths=None) -> None:
-    """Draw and step trials lo..hi-1 in arrays, _block_arrays' three for b = hi-lo.
+def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
+                seed: int, lo: int, hi: int, discounted: bool, arrays, paths=None) -> BlockSums:
+    """Draw and step trials lo..hi-1 in arrays, _block_arrays' three for
+    b = hi-lo, and return their BlockSums.
 
-    The states and stage costs are written in place.  paths is None, or the
-    (x1hat, u0, u1, w0, w1) arrays to store those paths in as well; without
-    them the running estimate is one (n, b) array.
+    State k goes to row k % rows of the states: all of them with horizon+1
+    rows, the last two with 2.  The stage costs are written in place.  paths
+    is None, or the (x1hat, u0, u1, w0, w1) arrays to store those paths in
+    as well; without them the running estimate is one (n, b) array.  The
+    loop sums states k and k+1, for k even and at the horizon, as the two
+    contiguous rows that hold them: einsum gives a state the same bits in
+    any contiguous stack of two or more rows, but not in a single row.
 
     A one-trial block is stepped as two copies of its trial, in arrays of
     its own: one trial alone would take numpy's matrix-vector products,
-    whose sums can differ in the last bits from a wider block's.
+    whose sums can differ in the last bits from a wider block's.  It sums a
+    contiguous copy of its column, as a strided one differs too.
     """
-    n = model.n
-    if hi - lo == 1:
+    n, b = model.n, hi - lo
+    rows = arrays[1].shape[0]
+    if b == 1:
         outs = (*arrays[1:], *(paths or ()))
-        arrays = _block_arrays(n, horizon, 2)
+        arrays = _block_arrays(n, horizon, 2, rows)
         paths = paths and [np.empty(p.shape[:-1] + (2,)) for p in paths]
     draws, states, stage = arrays
     z0, z1, zw0, zw1 = _draw_chunk(horizon, seed, lo, hi, draws)
-    draws[hi - lo:] = draws[0]  # the copy of a one-trial block; else no row
+    draws[b:] = draws[0]  # the copy of a one-trial block; else no row
     lx0 = psd_factor(model.sigma_x0)
     lx1 = psd_factor(model.sigma_x1)
     lw0 = psd_factor(model.sigma_w0)
     lw1 = psd_factor(model.sigma_w1)
+    sum_state, sum_sq = np.empty((horizon + 1, 2 * n)), np.empty(horizon + 1)
 
     states[0, :n] = model.xbar0[:, None] + lx0 @ z0
     states[0, n:] = model.xbar1[:, None] + lx1 @ z1
@@ -249,7 +259,7 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     # a non-finite state or estimate makes its step's controls and stage cost
     # non-finite, so states are checked only at the horizon, where none is read
     for k in range(horizon):
-        xs = states[k]
+        xs, nxt = states[k % rows], states[(k + 1) % rows]
         cur0, cur1 = xs[:n], xs[n:]
         uk0, uk1, u1hat = controls(policy.at(k), cur0, cur1, hat)
         us = np.vstack([uk0, uk1])
@@ -259,31 +269,43 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
             break
         wk0 = lw0 @ zw0[k]
         wk1 = lw1 @ zw1[k]
-        states[k + 1, :n], states[k + 1, n:] = step(model, cur0, cur1, uk0, uk1, wk0, wk1)
+        nxt[:n], nxt[n:] = step(model, cur0, cur1, uk0, uk1, wk0, wk1)
         hat = advance(model, hat, cur0, uk0, u1hat)
         if paths is not None:
             x1hat, u0, u1, w0, w1 = paths
             x1hat[k + 1], u0[k], u1[k], w0[k], w1[k] = hat, uk0, uk1, wk0, wk1
+        if k % 2 == 0 or k + 1 == horizon:
+            held = sorted((k, k + 1), key=lambda j: j % rows)  # in row order
+            top = held[0] % rows
+            pair = np.ascontiguousarray(states[top:top + 2, :, :b])
+            sum_state[held] = pair.sum(axis=2)
+            sum_sq[held] = np.einsum("kib,kib->k", pair, pair)
     else:
         k = horizon
-    if k < horizon or not (np.isfinite(states[k]).all() and np.isfinite(hat).all()):
+    if k < horizon or not (np.isfinite(states[k % rows]).all() and np.isfinite(hat).all()):
         raise SimulationDiverged(f"trial block {lo}..{hi - 1} truncated at step {k}; "
                                  f"closed loop is destabilizing")
-    if hi - lo == 1:
+    if b == 1:
         for out, full in zip(outs, (*arrays[1:], *(paths or ()))):
             out[...] = full[..., :1]
+        states, stage = outs[:2]
+    tail = max(1, horizon // 10)
+    return BlockSums(costs=_pathwise_costs(stage, states[horizon % rows], cost, discounted),
+                     sum_state=sum_state, sum_sq=sum_sq,
+                     stage_tail=float(stage[-tail:].mean(axis=1).max()))
 
 
-def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
-                    horizon: int, seed: int, lo: int, hi: int) -> BatchResult:
-    """Trials lo..hi-1 with every path stored: the stored route's block."""
+def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
+                    seed: int, lo: int, hi: int,
+                    discounted: bool = False) -> tuple[BatchResult, BlockSums]:
+    """Trials lo..hi-1 with every path stored, and their BlockSums: the stored route's block."""
     n, b = model.n, hi - lo
-    arrays = _block_arrays(n, horizon, b)
+    arrays = _block_arrays(n, horizon, b, horizon + 1)
     paths = (np.empty((horizon + 1, n, b)), np.empty((horizon, model.m1, b)),
              np.empty((horizon, model.m2, b)), np.empty((horizon, n, b)),
              np.empty((horizon, n, b)))
-    _step_block(model, policy, cost, horizon, seed, lo, hi, arrays, paths)
-    return BatchResult(arrays[1], *paths, stage_cost=arrays[2], trial_offset=lo)
+    sums = _step_block(model, policy, cost, horizon, seed, lo, hi, discounted, arrays, paths)
+    return BatchResult(arrays[1], *paths, stage_cost=arrays[2], trial_offset=lo), sums
 
 
 def block_bounds(horizon: int, trials: int) -> list[tuple[int, int]]:
@@ -301,7 +323,7 @@ def simulate_batch(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                    horizon: int, seed: int, trials: int) -> BatchResult:
     """Trials 0..trials-1 as one stored block."""
     block_bounds(horizon, trials)  # raises on a run it cannot simulate
-    return _simulate_chunk(model, policy, cost, horizon, seed, 0, trials)
+    return _simulate_chunk(model, policy, cost, horizon, seed, 0, trials)[0]
 
 
 def simulate(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -334,20 +356,6 @@ class BlockSums:
     stage_tail: float
 
 
-# finite paths can still overflow these sums; combine raises on what overflowed
-@np.errstate(over="ignore", invalid="ignore")
-def block_sums(states: np.ndarray, stage: np.ndarray, cost: CostSpec,
-               discounted: bool) -> BlockSums:
-    """Per-trial path costs, state sums and the stage-cost tail mean of one
-    block, from its stacked states and its stage costs."""
-    window = max(1, stage.shape[0] // 10)
-    return BlockSums(
-        costs=_pathwise_costs(stage, states[-1], cost, discounted),
-        sum_state=states.sum(axis=2),
-        sum_sq=np.einsum("kib,kib->k", states, states),
-        stage_tail=float(stage[-window:].mean(axis=1).max()))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def combine(sums, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     """Add consecutive blocks' BlockSums, in trial order, into a summary.
@@ -371,14 +379,16 @@ def combine(sums, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     costs = np.concatenate(cost_parts)
     trials = costs.size
     mean_cost = float(costs.mean())
-    se = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    # one trial has no sample spread to estimate the error from
+    se = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     mean_state = sum_state / trials
     mean_norm = np.linalg.norm(mean_state, axis=1)
     second_moment = sum_sq / trials
     truncation_bound = None
     if discounted:
         truncation_bound = cost.gamma ** horizon / (1.0 - cost.gamma) * stage_tail
-    numbers = (mean_cost, se, mean_state, mean_norm, second_moment, truncation_bound or 0.0)
+    numbers = (mean_cost, se or 0.0, mean_state, mean_norm, second_moment,
+               truncation_bound or 0.0)
     if not all(np.isfinite(x).all() for x in numbers):
         raise SimulationDiverged(f"summary of trials 0..{trials - 1} is not finite; "
                                  f"closed loop is destabilizing")
@@ -505,11 +515,10 @@ def _run_blocks(task, blocks, caller=None) -> list:
 
 def _reduce_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
                   seed: int, lo: int, hi: int, discounted: bool, workspace=None) -> BlockSums:
-    """block_sums of trials lo..hi-1, stepped in new arrays or in workspace's,
-    which must be at least as wide as the block: the reduce-only route's block."""
-    arrays = _block_arrays(model.n, horizon, hi - lo, workspace)
-    _step_block(model, policy, cost, horizon, seed, lo, hi, arrays)
-    return block_sums(arrays[1], arrays[2], cost, discounted)
+    """BlockSums of trials lo..hi-1, stepped with two state rows in new arrays
+    or in workspace's, at least as wide: the reduce-only route's block."""
+    arrays = _block_arrays(model.n, horizon, hi - lo, 2, workspace)
+    return _step_block(model, policy, cost, horizon, seed, lo, hi, discounted, arrays)
 
 
 def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -518,19 +527,19 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     """Streaming Monte Carlo: keeps accumulators, never the paths.
 
     The reduce-only route: every block this process steps draws and steps
-    in one workspace, allocated for the first and widest block, and stores
-    only what block_sums reads.  Forked workers step blocks from the front
-    meanwhile.  The summary equals combine over the block_sums of the stored
-    route's CHUNK-wide blocks bit for bit, and aggregation is a
+    in one workspace, allocated for the first and widest block, with two
+    state rows.  Forked workers step blocks from the front meanwhile.  The
+    step loop reduces on both routes, so the summary equals combine over
+    the stored route's CHUNK-wide blocks bit for bit, and aggregation is a
     deterministic reduction in trial order, so the result for a given
     (seed, trials) pair is reproducible.
     """
     bounds = block_bounds(horizon, trials)
-    workspace = [a.reshape(-1) for a in _block_arrays(model.n, horizon, bounds[0][1])]
+    workspace = [a.reshape(-1) for a in _block_arrays(model.n, horizon, bounds[0][1], 2)]
     blocks = [(model, policy, cost, horizon, seed, lo, hi, discounted) for lo, hi in bounds]
 
     def here(*block):
-        # block_sums copies what it reads, so the next block may overwrite the workspace
+        # a block's sums are arrays of their own, so the next block may overwrite the workspace
         return _reduce_block(*block, workspace)
 
     return combine(_run_blocks(_reduce_block, blocks, here), cost, discounted)

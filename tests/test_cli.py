@@ -304,7 +304,7 @@ def test_simulate_outputs_self_describing(tmp_path, monkeypatch):
     blocks = []
     simulate_chunk = simulation._simulate_chunk
     monkeypatch.setattr(simulation, "_simulate_chunk",
-                        lambda *args: blocks.append(args[-2:]) or simulate_chunk(*args))
+                        lambda *args: blocks.append(args[5:7]) or simulate_chunk(*args))
     assert run(["simulate", "--model", "scalar-demo", "--horizon", "20",
                 "--trials", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
     # each trial runs once, for the traces and the summary alike
@@ -334,6 +334,19 @@ def test_simulate_outputs_self_describing(tmp_path, monkeypatch):
     assert header[0] == "k"
     assert "mean_err_leader_0" in header
     assert len(content) == 3 + 21
+
+
+def test_one_trial_simulate_reports_no_standard_error(tmp_path):
+    # --trials defaults to 1, and one trial has no spread to estimate it from
+    for trials in ([], ["--trials", "2"]):
+        out = tmp_path / str(len(trials))
+        assert run(["simulate", "--model", "scalar-demo", "--horizon", "5", *trials,
+                    "--out", str(out)]) == 0
+        summary = json.loads((out / "simulate-scalar-demo-summary.json").read_text())
+        if trials:
+            assert summary["trials"] == 2 and summary["standard_error"] > 0.0
+        else:
+            assert summary["trials"] == 1 and summary["standard_error"] is None
 
 
 def test_simulate_auv_curves_include_references(tmp_path):

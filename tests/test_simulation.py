@@ -28,7 +28,6 @@ from lfns.simulation import (
     _draw_chunk,
     _simulate_chunk,
     block_bounds,
-    block_sums,
     combine,
     monte_carlo,
     mss_diagnostics,
@@ -37,6 +36,7 @@ from lfns.simulation import (
     simulate_batch,
 )
 from pairs import coupled_noisy_model, random_pair
+from reduction_reference import block_sums
 from test_oracle import forward_means
 
 
@@ -166,7 +166,7 @@ def test_trials_invariant_to_batch_size():
         small = simulate_batch(model, policy, cost, 6, seed=11, trials=100)
         assert np.array_equal(big.x0[:, :, :100], small.x0), case
         assert np.array_equal(big.u1[:, :, :100], small.u1), case
-        straddle = _simulate_chunk(model, policy, cost, 6, 11, CHUNK - 4, CHUNK + 6)
+        straddle = _simulate_chunk(model, policy, cost, 6, 11, CHUNK - 4, CHUNK + 6)[0]
         for name in ("x0", "x1", "x1hat", "u0", "u1", "w0", "w1", "stage_cost"):
             assert np.array_equal(getattr(big, name)[..., CHUNK - 4:CHUNK + 6],
                                   getattr(straddle, name)), (case, name)
@@ -185,10 +185,10 @@ def test_simulate_is_trial_zero_of_the_batch():
 
 
 def width_case(n):
-    """(model, policy, cost) of a stationary loop at n = 1, 2 or 6."""
+    """(model, policy, cost) of a stationary loop at n = 1, 2, 3, 5 or 6."""
     if n == 6:
         return route_case("auv-paper", 6)[:3]
-    model = coupled_noisy_model() if n == 1 else random_pair(np.random.default_rng(0), n=2)[0]
+    model = coupled_noisy_model() if n == 1 else random_pair(np.random.default_rng(0), n=n)[0]
     return model, *stationary_policy(model)
 
 
@@ -200,26 +200,36 @@ def test_trial_paths_do_not_depend_on_the_block_width(n, lo, width, col):
     model, policy, cost = width_case(n)
     col %= width
     trial = lo + col
-    block = _simulate_chunk(model, policy, cost, 6, 3, lo, lo + width)
-    alone = _simulate_chunk(model, policy, cost, 6, 3, trial, trial + 1)
+    block = _simulate_chunk(model, policy, cost, 6, 3, lo, lo + width)[0]
+    alone, alone_sums = _simulate_chunk(model, policy, cost, 6, 3, trial, trial + 1, True)
     for name in ("states", "x1hat", "u0", "u1", "w0", "w1", "stage_cost"):
         assert np.array_equal(getattr(alone, name)[..., 0], getattr(block, name)[..., col]), name
-    # the reduce-only route's one-trial block, which stores no paths
-    arrays = simulation._block_arrays(n, 6, 1)
-    simulation._step_block(model, policy, cost, 6, 3, trial, trial + 1, arrays)
-    assert np.array_equal(arrays[1][..., 0], block.states[..., col])
+    # the reduce-only route's one-trial block, which keeps the last two states
+    # and stores no paths; both routes' one-trial sums are the whole path's
+    arrays = simulation._block_arrays(n, 6, 1, 2)
+    sums = simulation._step_block(model, policy, cost, 6, 3, trial, trial + 1, True, arrays)
+    assert np.array_equal(arrays[1][::-1, :, 0], block.states[-2:, :, col])  # states 6, 5
     assert np.array_equal(arrays[2][..., 0], block.stage_cost[..., col])
+    want = block_sums(alone.states, alone.stage_cost, cost, True)
+    for field in dataclasses.fields(want):
+        for got in (sums, alone_sums):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
 def test_monte_carlo_equals_combined_block_sums():
-    # the CLI's trace writer reduces the stored route's blocks this way;
-    # monte_carlo's narrower last block steps in a prefix of its workspace
+    # the CLI's trace writer combines the sums the stored route's blocks
+    # return; monte_carlo's narrower last block steps in a prefix of its
+    # workspace, with two state rows
     for case in ROUTE_CASES:
         model, policy, cost, discounted = route_case(case, 5)
-        blocks = (_simulate_chunk(model, policy, cost, 5, 4, lo, hi)
-                  for lo, hi in block_bounds(5, 2 * CHUNK + 5))
-        summary = combine((block_sums(batch.states, batch.stage_cost, cost, discounted)
-                           for batch in blocks), cost, discounted)
+        blocks = [_simulate_chunk(model, policy, cost, 5, 4, lo, hi, discounted)
+                  for lo, hi in block_bounds(5, 2 * CHUNK + 5)]
+        for batch, sums in blocks:
+            want = block_sums(batch.states, batch.stage_cost, cost, discounted)
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(sums, field.name), getattr(want, field.name)), \
+                    (case, field.name)
+        summary = combine((sums for _, sums in blocks), cost, discounted)
         stream = monte_carlo(model, policy, cost, 5, seed=4, trials=2 * CHUNK + 5,
                              discounted=discounted)
         for field in dataclasses.fields(summary):
@@ -228,6 +238,30 @@ def test_monte_carlo_equals_combined_block_sums():
                 assert np.array_equal(got, want), (case, field.name)
             else:
                 assert got == want, (case, field.name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from((1, 2, 3, 5, 6)), horizon=st.integers(1, 13),
+       trials=st.sampled_from((1, 2, CHUNK + 1, 2 * CHUNK + 5)), discounted=st.booleans(),
+       cpus=st.sampled_from((1, 2)))
+def test_monte_carlo_equals_the_whole_path_reduction(n, horizon, trials, discounted, cpus):
+    # the loop's two-row sums, at either parity of the horizon and for a
+    # one-trial block, against the sums of every block's whole stored path
+    model, policy, cost = width_case(n)
+    batches = (_simulate_chunk(model, policy, cost, horizon, 9, lo, hi)[0]
+               for lo, hi in block_bounds(horizon, trials))
+    want = combine((block_sums(batch.states, batch.stage_cost, cost, discounted)
+                    for batch in batches), cost, discounted)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_cpus", lambda: cpus)
+        got = monte_carlo(model, policy, cost, horizon, seed=9, trials=trials,
+                          discounted=discounted)
+    for field in dataclasses.fields(want):
+        if isinstance(getattr(want, field.name), np.ndarray):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+        else:
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+    assert (got.standard_error is None) == (trials == 1)
 
 
 def _summary_bytes(summary):
@@ -390,6 +424,23 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
     assert abs(peak(10 * CHUNK + 7) / one_block - 1.0) <= 0.05
 
 
+def test_monte_carlo_memory_is_one_block_with_two_state_rows(monkeypatch):
+    # the workspace holds a CHUNK-wide block's draws, its stage costs and two
+    # state rows; the whole path's states would take the bound to 1.9 times
+    horizon = 200
+    model, policy, cost, _ = route_case("auv-paper", horizon)
+    n = model.n
+    monkeypatch.setattr(simulation, "_cpus", lambda: 1)
+    monte_carlo(model, policy, cost, 1, seed=0, trials=1, discounted=True)  # numpy's set-up
+    tracemalloc.start()
+    try:
+        monte_carlo(model, policy, cost, horizon, seed=0, trials=2 * CHUNK, discounted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * 8 * CHUNK * (2 * n * (horizon + 1) + 4 * n + horizon)
+
+
 def test_monte_carlo_matches_exact_cost():
     model = coupled_noisy_model()
     cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2))
@@ -494,7 +545,7 @@ def test_mss_flags_unstable_loop():
 def test_mss_mean_ratio_from_a_negligible_initial_mean():
     def summary(mean_norm):
         steps = len(mean_norm)
-        return MonteCarloSummary(trials=1, mean_cost=0.0, standard_error=0.0,
+        return MonteCarloSummary(trials=1, mean_cost=0.0, standard_error=None,
                                  mean_state=np.zeros((steps, 2)), mean_norm=np.array(mean_norm),
                                  second_moment=np.zeros(steps), truncation_bound=None)
 
