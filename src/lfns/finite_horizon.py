@@ -14,6 +14,12 @@ whether every step passes check_step (Psi(k) positive definite, P(k) finite,
 symmetric and positive semidefinite).  If one fails, check_step runs step by
 step in recursion order, as if each step had been checked as it was computed.
 
+A run keeps only what the decoupled recursion is: the iterates P and the
+gains H.  Psi(k) and L(k) enter only the stationarity identities, and both
+are a function of P(k+1) alone, so the step takes them from psi_and_l and a
+solution rebuilds them from its P through the same function when they are
+read: the same operations on the same operands, the same bits.
+
 The iterates from a terminal weight do not depend on N: P(k) of horizon N is
 step N + 1 - k from it.  So the module keeps the last run that raised nothing
 and passed the stacked test, in step order, keyed by the bytes of everything
@@ -29,6 +35,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,28 +53,56 @@ class RiccatiError(RuntimeError):
 class FiniteHorizonSolution:
     """Backward-recursion output over the control window k = 0..N.
 
-    Stacks indexed by step: p_seq is (N+2, 2n, 2n), the last the terminal
-    weight (zero in the discounted variant); k_seq and l_seq are
-    (N+1, m1+m2, 2n), lambda_seq (N+1, m1+m2, m1+m2).  The stacks are
-    read-only reversed views of the recursion's run, which later calls with
-    the same step map share; copy one before writing to it.
+    p_seq is (N+2, 2n, 2n), the last the terminal weight (zero in the
+    discounted variant), and k_seq is (N+1, m1+m2, 2n): read-only reversed
+    views of the recursion's run, which later calls with the same step map
+    share; copy one before writing to it.  a, b and r are read-only copies of
+    the step map's matrices, taken when the solution was made, so editing
+    the model or cost in place afterwards moves nothing here.
+
+    lambda_seq (N+1, m1+m2, m1+m2) and l_seq (N+1, m1+m2, 2n) are not kept
+    by the run: on first read both are rebuilt from p_seq[1:] by psi_and_l,
+    the function the step itself calls, so they have the step's bits; they
+    are read-only.  identity(k) rebuilds step k's pair alone.
     """
 
     p_seq: np.ndarray
     k_seq: np.ndarray
-    lambda_seq: np.ndarray
-    l_seq: np.ndarray
     discounted: bool
     gamma: float | None
+    a: np.ndarray
+    b: np.ndarray
+    r: np.ndarray
 
     @property
     def horizon(self) -> int:
         return len(self.k_seq) - 1
 
+    def _psi_and_l(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        return psi_and_l(self.a, self.b, self.r, self.p_seq[k + 1],
+                         1.0 if self.gamma is None else self.gamma)
+
+    @cached_property
+    def _rebuilt(self) -> tuple[np.ndarray, np.ndarray]:
+        steps, (dim, m) = len(self.k_seq), self.b.shape
+        psi, l_mat = np.empty((steps, m, m)), np.empty((steps, m, dim))
+        for k in range(steps):
+            psi[k], l_mat[k] = self._psi_and_l(k)
+        psi.flags.writeable = l_mat.flags.writeable = False
+        return psi, l_mat
+
+    @property
+    def lambda_seq(self) -> np.ndarray:
+        return self._rebuilt[0]
+
+    @property
+    def l_seq(self) -> np.ndarray:
+        return self._rebuilt[1]
+
     def identity(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(Lambda or Psi, L or gamma L) of the stationarity identity at step k."""
-        l_mat = self.l_seq[k] if self.gamma is None else self.gamma * self.l_seq[k]
-        return self.lambda_seq[k], l_mat
+        psi, l_mat = self._psi_and_l(k)
+        return psi, l_mat if self.gamma is None else self.gamma * l_mat
 
 
 GAIN_BLOCKS = ("k00", "k01", "k10", "k11")
@@ -208,6 +243,14 @@ def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> bool:
     return clean
 
 
+def psi_and_l(a: np.ndarray, b: np.ndarray, r: np.ndarray, p_next: np.ndarray,
+              gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi(k), L(k)) from P(k+1): Psi = R + gamma B' P(k+1) B, symmetrized,
+    and L = B' P(k+1) A, both through the one product B' P(k+1)."""
+    bp = b.T @ p_next
+    return symmetrize(r + gamma * (bp @ b)), bp @ a
+
+
 def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamma: float,
                  k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One step of the gamma-discounted Riccati map from P(k+1).
@@ -227,9 +270,7 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
     RiccatiError at step k; k only labels it.
     """
     a, b = compact.a, compact.b
-    bp = b.T @ p_next
-    psi = symmetrize(cost.r + gamma * (bp @ b))
-    l_mat = bp @ a
+    psi, l_mat = psi_and_l(a, b, cost.r, p_next, gamma)
     try:
         x = np.linalg.solve(psi, l_mat)
     except np.linalg.LinAlgError:
@@ -239,7 +280,7 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
     return p, psi, l_mat, gamma * x
 
 
-# The last clean run, in step order from the terminal weight: (key, p, psi, l, h),
+# The last clean run, in step order from the terminal weight: (key, p, h),
 # with p holding the symmetrized terminal weight and one iterate per step.
 _stored = None
 
@@ -248,6 +289,12 @@ def _step_key(compact: CompactModel, cost: CostSpec, p_terminal: np.ndarray, gam
     """Everything the step map reads: its gamma, and the shape, dtype and bytes of each matrix."""
     return (gamma, *((m.shape, m.dtype.str, m.tobytes())
                      for m in (compact.a, compact.b, cost.q, cost.r, p_terminal)))
+
+
+def _frozen_copy(m: np.ndarray) -> np.ndarray:
+    out = np.array(m)
+    out.flags.writeable = False
+    return out
 
 
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
@@ -263,37 +310,36 @@ def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
         check_step(steps, p=p_terminal)
         stored = _stored  # read once: another thread may replace it
         if stored is not None and stored[0] == key:
-            run = stored[1:]
+            p, h = stored[1:]
         else:
-            run = (symmetrize(p_terminal)[None], np.empty((0, m, m)), np.empty((0, m, dim)),
-                   np.empty((0, m, dim)))
-        done = len(run[1])
+            p, h = symmetrize(p_terminal)[None], np.empty((0, m, dim))
+        done = len(h)
         if done < steps:
-            p, psi, l_mat, h = (np.concatenate([old, np.empty((steps - done, *old.shape[1:]))])
-                                for old in run)
+            p, h = (np.concatenate([old, np.empty((steps - done, *old.shape[1:]))])
+                    for old in (p, h))
+            # the new steps' Psi and raw P, kept only for check_iterates
+            psi = np.empty((steps - done, m, m))
             raw = np.empty((steps - done, dim, dim))
             stop, error = steps, None
             for j in range(done, steps):  # step j computes P(N - j) from P(N + 1 - j)
                 try:
-                    raw[j - done], psi[j], l_mat[j], h[j] = riccati_step(
+                    raw[j - done], psi[j - done], _, h[j] = riccati_step(
                         compact, cost, p[j], step_gamma, n_horizon - j)
                 except (RiccatiError, np.linalg.LinAlgError) as exc:
                     stop, error = j, exc  # a failure at an earlier step comes first
                     break
                 p[j + 1] = symmetrize(raw[j - done])
             clean = check_iterates(range(n_horizon - done, n_horizon - stop, -1),
-                                   psi[done:stop], raw[:stop - done])
+                                   psi[:stop - done], raw[:stop - done])
             if error is not None:
                 raise error
-            run = (p, psi, l_mat, h)
-            for arr in run:
-                arr.flags.writeable = False
+            p.flags.writeable = h.flags.writeable = False
             if clean:
-                _stored = (key, *run)
-    p, psi, l_mat, h = run
+                _stored = (key, p, h)
     return FiniteHorizonSolution(p_seq=p[:steps + 1][::-1], k_seq=h[:steps][::-1],
-                                 lambda_seq=psi[:steps][::-1], l_seq=l_mat[:steps][::-1],
-                                 discounted=gamma is not None, gamma=gamma)
+                                 discounted=gamma is not None, gamma=gamma,
+                                 a=_frozen_copy(compact.a), b=_frozen_copy(compact.b),
+                                 r=_frozen_copy(cost.r))
 
 
 def backward_riccati(compact: CompactModel, cost: CostSpec, n_horizon: int) -> FiniteHorizonSolution:

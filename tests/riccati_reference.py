@@ -4,16 +4,35 @@ checked as it is computed, Psi(k) before the solve and P(k) after it.
 A reference for test_riccati_reference.py, which asserts that the library's
 recursion, with its checks run as one stack after the loop, gives the same
 bits, the same exception and the same warnings.  The bodies are kept as they
-were, with the two model helpers they used.
+were, with the two model helpers they used.  The recursion returns its own
+record, with all four stacks as it computed them, since the library's
+solution keeps only P and H and rebuilds Lambda and L on read.
 """
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from lfns.finite_horizon import ASYMMETRY_TOL, FiniteHorizonSolution, RiccatiError
+from lfns.finite_horizon import ASYMMETRY_TOL, RiccatiError
 from lfns.infinite_horizon import (DIVERGENCE_NORM, FIXED_POINT_TOL, MAX_ITERATIONS,
                                    RiccatiDivergence, StationarySolution)
 from lfns.model import PD_TOL, PSD_TOL, CompactModel, CostSpec, LfnsModel, stacked_moments
+
+
+@dataclass(frozen=True)
+class Solution:
+    """The per-step lists of the recursion, indexed by step."""
+
+    p_seq: list
+    k_seq: list
+    lambda_seq: list
+    l_seq: list
+    discounted: bool
+    gamma: float | None
+
+    @property
+    def horizon(self) -> int:
+        return len(self.k_seq) - 1
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -66,7 +85,7 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
 # _check_step raises at the first non-finite iterate, so numpy's warnings about it are redundant
 @np.errstate(over="ignore", invalid="ignore")
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
-               p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
+               p_terminal: np.ndarray, gamma: float | None) -> Solution:
     dim = cost.q.shape[0]
     p_seq: list[np.ndarray] = [np.zeros((dim, dim))] * (n_horizon + 2)
     k_seq: list[np.ndarray] = [np.zeros((cost.r.shape[0], dim))] * (n_horizon + 1)
@@ -78,11 +97,11 @@ def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
         p, psi_seq[k], l_seq[k], k_seq[k] = riccati_step(compact, cost, p_seq[k + 1],
                                                          step_gamma, k)
         p_seq[k] = _check_step(p, k)
-    return FiniteHorizonSolution(p_seq=p_seq, k_seq=k_seq, lambda_seq=psi_seq,
-                                 l_seq=l_seq, discounted=gamma is not None, gamma=gamma)
+    return Solution(p_seq=p_seq, k_seq=k_seq, lambda_seq=psi_seq, l_seq=l_seq,
+                    discounted=gamma is not None, gamma=gamma)
 
 
-def backward_riccati(compact: CompactModel, cost: CostSpec, n_horizon: int) -> FiniteHorizonSolution:
+def backward_riccati(compact: CompactModel, cost: CostSpec, n_horizon: int) -> Solution:
     """Undiscounted backward recursion from the terminal weight: riccati_step
     with gamma = 1 for k = N..0, so Lambda(k) = R + B' P(k+1) B takes Psi's
     place and K(k) = Lambda(k)^{-1} L(k) takes H's."""
@@ -91,7 +110,7 @@ def backward_riccati(compact: CompactModel, cost: CostSpec, n_horizon: int) -> F
 
 
 def discounted_backward_riccati(compact: CompactModel, cost: CostSpec,
-                                n_horizon: int) -> FiniteHorizonSolution:
+                                n_horizon: int) -> Solution:
     """Discounted recursion with terminal weight forced to zero: the Riccati
     step with the cost's gamma for k = N..0 (see riccati_step)."""
     if cost.gamma is None or not (0.0 < cost.gamma < 1.0):
@@ -99,7 +118,7 @@ def discounted_backward_riccati(compact: CompactModel, cost: CostSpec,
     return _recursion(compact, cost, n_horizon, np.zeros_like(cost.q), cost.gamma)
 
 
-def optimal_cost(solution: FiniteHorizonSolution, model: LfnsModel) -> float:
+def optimal_cost(solution: Solution, model: LfnsModel) -> float:
     """Analytic optimal cost of the solved horizon.
 
     Undiscounted:  J = E[X(0)' P(0) X(0)] + sum_{k=0}^{N} tr(Sigma_W P(k+1))

@@ -1,13 +1,15 @@
 import dataclasses
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lfns.estimator import advance
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.infinite_horizon import solve_stationary_riccati
 from lfns.oracle import StructuredPolicy, _forward, kalman_oracle
-from lfns.simulation import simulate_batch
-from pairs import coupled_noisy_model
+from lfns.simulation import simulate, simulate_batch
+from pairs import coupled_noisy_model, random_pair
 
 
 def error_covariances(model, policy, horizon):
@@ -105,6 +107,22 @@ def test_estimate_matches_kalman_oracle_random_systems():
             u1hat = -(k10 @ x0_seq[k] + k11 @ got[-1])
             got.append(advance(model, got[-1], x0_seq[k], u0_seq[k], u1hat))
         assert np.max(np.abs(np.asarray(got) - ref)) < 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), horizon=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_simulated_estimate_is_the_kalman_oracles(n, horizon, seed):
+    # the engine's estimate, driven by leader data and u1hat, is the
+    # conditional mean that a joint Gaussian filter computes from x0 and u0
+    rng = np.random.default_rng(seed)
+    model, cost = random_pair(rng, n=n)
+    k00, k01, k10, k11 = (0.5 * rng.standard_normal((n, n)) for _ in range(4))
+    trace = simulate(model, StructuredPolicy.constant(k00, k01, k10, k11), cost, horizon,
+                     seed=int(rng.integers(2 ** 31)))
+    scale = np.max(np.abs(trace.x1hat))
+    assume(np.isfinite(scale) and scale < 1e12)  # a divergent trial says nothing
+    ref = kalman_oracle(model, trace.x0, trace.u0, follower_gains=(k10, k11))
+    assert np.max(np.abs(trace.x1hat - ref)) <= 1e-9 * max(1.0, scale)
 
 
 def test_error_moments_zero_without_uncertainty():

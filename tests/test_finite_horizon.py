@@ -190,6 +190,45 @@ def test_solution_stacks_are_read_only():
             getattr(sol, field)[0, 0, 0] = 1.0
 
 
+def test_run_keeps_p_and_h_and_rebuilds_lambda_and_l_when_read(monkeypatch):
+    calls, psi_and_l = [], fh.psi_and_l
+
+    def counted(*args):
+        calls.append(args)
+        return psi_and_l(*args)
+
+    monkeypatch.setattr(fh, "psi_and_l", counted)
+    model, cost = paper_model()
+    comp = assemble_compact(model)
+    sol = discounted_backward_riccati(comp, cost, 200)
+    (dim, m), steps = comp.b.shape, 201
+    _, p, h = fh._stored
+    assert (p.shape, h.shape) == ((steps + 1, dim, dim), (steps, m, dim))
+    assert len(calls) == steps  # one per step, from riccati_step
+    calls.clear()
+    assert len(sol.lambda_seq) == steps and len(calls) == steps
+    assert len(sol.l_seq) == steps and len(calls) == steps  # built together, once
+
+
+@pytest.mark.parametrize("solve", [backward_riccati, discounted_backward_riccati])
+def test_rebuilt_stacks_ignore_later_edits_to_the_inputs(solve, monkeypatch):
+    # the solution rebuilds Lambda and L from copies of a, b and R taken when
+    # it was made, not from the caller's arrays
+    model, cost = paper_model()
+    comp = assemble_compact(model)
+    sol = solve(comp, cost, 30)
+    cost.r[:] *= 2.0
+    comp.a[0, 0] += 1.0
+    comp.b[:] *= 3.0
+    monkeypatch.setattr(fh, "_stored", None)
+    model, cost = paper_model()
+    cold = solve(assemble_compact(model), cost, 30)
+    assert np.array_equal(sol.lambda_seq, cold.lambda_seq)
+    assert np.array_equal(sol.l_seq, cold.l_seq)
+    for k in range(31):
+        assert all(np.array_equal(g, w) for g, w in zip(sol.identity(k), cold.identity(k)))
+
+
 def test_clean_recursion_checks_only_the_terminal_weight_step_by_step(monkeypatch):
     # the stacked test passes every iterate at once, so check_step runs only
     # for P(N+1); a fallback on clean iterates would still give equal results
