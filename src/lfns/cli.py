@@ -224,8 +224,6 @@ def _write_traces(traces: Path, meta: dict, model, policy, cost, horizon: int, s
     """
     bounds = block_bounds(horizon, trials)
     parts = [traces.with_name(f"{traces.name}.{j}") for j in range(len(bounds))]
-    # no caller: formatting a block here would raise this process's peak
-    # memory to a worker's
     summary = combine(simulation._run_blocks(
         _trace_block, [(model, policy, cost, horizon, seed, lo, hi, discounted, part)
                        for (lo, hi), part in zip(bounds, parts)]), cost, discounted)

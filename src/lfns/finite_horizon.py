@@ -68,11 +68,14 @@ class FiniteHorizonSolution:
 
     p_seq: np.ndarray
     k_seq: np.ndarray
-    discounted: bool
     gamma: float | None
     a: np.ndarray
     b: np.ndarray
     r: np.ndarray
+
+    @property
+    def discounted(self) -> bool:
+        return self.gamma is not None
 
     @property
     def horizon(self) -> int:
@@ -336,8 +339,7 @@ def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
             p.flags.writeable = h.flags.writeable = False
             if clean:
                 _stored = (key, p, h)
-    return FiniteHorizonSolution(p_seq=p[:steps + 1][::-1], k_seq=h[:steps][::-1],
-                                 discounted=gamma is not None, gamma=gamma,
+    return FiniteHorizonSolution(p_seq=p[:steps + 1][::-1], k_seq=h[:steps][::-1], gamma=gamma,
                                  a=_frozen_copy(compact.a), b=_frozen_copy(compact.b),
                                  r=_frozen_copy(cost.r))
 

@@ -15,19 +15,18 @@ stacked (horizon+1, 2n, trials) states array, of which x0 and x1 are
 views: simulate_batch runs all its trials as one block, simulate is its
 first trial, and the CLI's traces store one CHUNK-wide block at a time.
 The reduce-only route keeps the draws, the stage costs and the last two
-states: monte_carlo steps CHUNK-wide blocks in one workspace allocated for
-the run and reused by every block, so a process's memory is
-8*CHUNK*(2n(horizon+1) + 4n + horizon) bytes of buffers whatever the
-number of trials.  On both routes the loop sums each block's states and
-their squares as it steps, and monte_carlo and the CLI's traces combine
-those BlockSums in trial order.
+states: monte_carlo steps CHUNK-wide blocks in arrays of their own, freed
+after each block, so a process's memory is 8*CHUNK*(2n(horizon+1) + 4n +
+horizon) bytes of buffers whatever the number of trials.  On both routes
+the loop sums each block's states and their squares as it steps, and
+monte_carlo and the CLI's traces combine those BlockSums in trial order.
 
 One fan-out, _run_blocks, spreads the blocks of monte_carlo and of the
 CLI's traces over forked worker processes, at most one per CPU, or off
-Linux over none.  monte_carlo's calling process steps blocks from the back
-in its workspace while each worker takes one block at a time from the
-front, in arrays of its own.  The partition does not depend on the number
-of processes, so no summary changes by a bit.
+Linux over none.  The blocks are cut into one contiguous run per worker,
+each worker steps its run in order and replies once, and the calling
+process only waits.  The partition into blocks does not depend on the
+number of processes, so no summary changes by a bit.
 
 The streams are produced without building a SeedSequence and a Generator
 per trial: a chunk's spawn keys are hashed together in uint32 arithmetic,
@@ -38,8 +37,6 @@ tests compare against.  A spawn key is one 32-bit word, so trial < 2**32.
 """
 from __future__ import annotations
 
-import contextlib
-import math
 import os
 import sys
 import threading
@@ -202,17 +199,11 @@ def _draw_chunk(horizon: int, seed: int, lo: int, hi: int, buf: np.ndarray):
     return z0, z1, zw0, zw1
 
 
-def _block_arrays(n: int, horizon: int, b: int, rows: int, pool=None) -> list[np.ndarray]:
-    """A b-trial block's draw buffer (b, 2*horizon+2, n), stacked states
-    (rows, 2n, b) and stage costs (horizon, b).
-
-    New arrays, or C-contiguous prefixes of pool's three flat arrays: a
-    narrower last block then hands every matmul the layout a full one does.
-    """
+def _block_arrays(n: int, horizon: int, b: int, rows: int) -> list[np.ndarray]:
+    """A b-trial block's new draw buffer (b, 2*horizon+2, n), stacked states
+    (rows, 2n, b) and stage costs (horizon, b)."""
     shapes = ((b, 2 * horizon + 2, n), (rows, 2 * n, b), (horizon, b))
-    if pool is None:
-        return [np.empty(shape) for shape in shapes]
-    return [flat[:math.prod(shape)].reshape(shape) for flat, shape in zip(pool, shapes)]
+    return [np.empty(shape) for shape in shapes]
 
 
 # the loop raises at its first overflow, so numpy's warnings about it are
@@ -403,36 +394,27 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _serve(task, conn, parent_ends) -> None:
-    """A worker's loop: for each block received on conn, send back
-    task(*block) and None, or None and the exception it raised, until it
-    receives None or conn's other end closes.
-
-    It first closes the calling process's pipe ends it inherited, its own
-    among them, or conn would never see EOF.  None still comes first: a
-    process that another thread of the caller forks meanwhile holds copies.
-    """
-    for end in parent_ends:
-        end.close()
-    with contextlib.suppress(EOFError):
-        while (block := conn.recv()) is not None:
-            try:
-                reply = task(*block), None
-            except Exception as exc:
-                reply = None, exc
-            conn.send(reply)
+def _serve(task, blocks, conn) -> None:
+    """A worker: run task(*block) for its blocks in order, up to the first
+    exception, and send (results, that exception or None) once on conn."""
+    results, exc = [], None
+    try:
+        for block in blocks:
+            results.append(task(*block))
+    except Exception as error:
+        exc = error
+    conn.send((results, exc))
 
 
-def _run_blocks(task, blocks, caller=None) -> list:
+def _run_blocks(task, blocks) -> list:
     """[task(*block) for block in blocks], computed in forked worker processes.
 
-    Workers take blocks from the front, one block in flight per worker.
-    caller, if given, computes task(*block)'s result in this process
-    meanwhile, on blocks from the back, and takes one CPU's share: so
-    min(cpus, blocks) - 1 workers start with a caller and min(cpus, blocks)
-    without.  With a share of one, off Linux, where fork is not safe to use,
-    or while another thread's fan-out runs, every block runs in this
-    process, in order, and no process is started.
+    The blocks are cut into share = min(cpus, blocks) contiguous runs of
+    near-equal length, and one worker is forked per run.  It steps its run
+    in order and sends its results once, and this process only waits.  With
+    a share of one, off Linux, where fork is not safe to use, or while
+    another thread's fan-out runs, every block runs in this process, in
+    order, and no process is started.
 
     The exception of the first failing block in block order is raised; the
     blocks before it all run, the ones after it may not.  Every worker is
@@ -440,84 +422,49 @@ def _run_blocks(task, blocks, caller=None) -> list:
     """
     share = min(_cpus(), len(blocks)) if sys.platform == "linux" else 1
     if share == 1 or not _FAN_OUT.acquire(blocking=False):
-        return [(caller or task)(*block) for block in blocks]
-    # imported here, so that a run that starts no process does not pay for
-    # them; pipes and one feeding thread per worker, not a process pool,
-    # whose imports and threads would cost this process another 1 MB or so
+        return [task(*block) for block in blocks]
+    # imported here, so that a run that starts no process does not pay for it
     import multiprocessing
-    from collections import deque
 
-    results, errors = [None] * len(blocks), {}
-    todo = deque(range(len(blocks)))
-    lock = threading.Lock()
-
-    def drain(take, run):
-        while True:
-            with lock:
-                if not todo:
-                    return
-                j = take()
+    ctx = multiprocessing.get_context("fork")
+    cuts = [len(blocks) * i // share for i in range(share + 1)]
+    workers, ends, results = [], [], []
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            conn, far = ctx.Pipe(duplex=False)
+            ends.append(conn)
+            # closed here once the worker holds it, so a later worker does
+            # not, and a worker's exit ends its conn
+            with far:
+                proc = ctx.Process(target=_serve, args=(task, blocks[lo:hi], far))
+                proc.start()
+            workers.append(proc)
+        for conn in ends:
             try:
-                results[j] = run(*blocks[j])
-            except Exception as exc:
-                errors[j] = exc
-                with lock:  # a block after a failed one is no longer needed
-                    while todo and todo[-1] > j:
-                        todo.pop()
-
-    def feed(conn):
-        def run(*block):
-            try:
-                conn.send(block)
-                result, exc = conn.recv()
-            except (EOFError, OSError):
+                run, exc = conn.recv()
+            except EOFError:
                 raise RuntimeError("a worker exited before it returned its block") from None
             if exc is not None:
                 raise exc
-            return result
-
-        drain(todo.popleft, run)
-        with contextlib.suppress(OSError), conn:  # a worker that exited needs no None
-            conn.send(None)  # the worker exits now, while other blocks may still run
-
-    ctx = multiprocessing.get_context("fork")
-    workers, ends, feeders = [], [], []
-    try:
-        # every worker is forked before the first feeding thread starts, so,
-        # with _FAN_OUT held, no thread of any fan-out is running at a fork
-        for _ in range(share - (caller is not None)):
-            conn, far = ctx.Pipe()
-            ends.append(conn)
-            with far:  # the worker holds its own end, so its exit ends conn
-                workers.append(ctx.Process(target=_serve, args=(task, far, ends)))
-                workers[-1].start()
-        for conn in ends:
-            feeders.append(threading.Thread(target=feed, args=(conn,)))
-            feeders[-1].start()
-        if caller is not None:
-            drain(todo.pop, caller)
+            results += run
     except BaseException:
-        with lock:  # an interrupted caller: the workers finish their blocks only
-            todo.clear()
+        for proc in workers:
+            proc.terminate()
         raise
     finally:
-        for feeder in feeders:
-            feeder.join()
         for conn in ends:
             conn.close()
         for proc in workers:
             proc.join()
         _FAN_OUT.release()
-    if errors:
-        raise errors[min(errors)]
     return results
 
 
 def _reduce_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
-                  seed: int, lo: int, hi: int, discounted: bool, workspace=None) -> BlockSums:
-    """BlockSums of trials lo..hi-1, stepped with two state rows in new arrays
-    or in workspace's, at least as wide: the reduce-only route's block."""
-    arrays = _block_arrays(model.n, horizon, hi - lo, 2, workspace)
+                  seed: int, lo: int, hi: int, discounted: bool) -> BlockSums:
+    """BlockSums of trials lo..hi-1, stepped with two state rows in new
+    arrays: the reduce-only route's block."""
+    arrays = _block_arrays(model.n, horizon, hi - lo, 2)
     return _step_block(model, policy, cost, horizon, seed, lo, hi, discounted, arrays)
 
 
@@ -526,23 +473,16 @@ def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                 discounted: bool = False) -> MonteCarloSummary:
     """Streaming Monte Carlo: keeps accumulators, never the paths.
 
-    The reduce-only route: every block this process steps draws and steps
-    in one workspace, allocated for the first and widest block, with two
-    state rows.  Forked workers step blocks from the front meanwhile.  The
-    step loop reduces on both routes, so the summary equals combine over
-    the stored route's CHUNK-wide blocks bit for bit, and aggregation is a
-    deterministic reduction in trial order, so the result for a given
-    (seed, trials) pair is reproducible.
+    The reduce-only route: each CHUNK-wide block draws and steps in arrays
+    of its own with two state rows, in a forked worker or, with one run,
+    in this process.  The step loop reduces on both routes, so the summary
+    equals combine over the stored route's CHUNK-wide blocks bit for bit,
+    and aggregation is a deterministic reduction in trial order, so the
+    result for a given (seed, trials) pair is reproducible.
     """
-    bounds = block_bounds(horizon, trials)
-    workspace = [a.reshape(-1) for a in _block_arrays(model.n, horizon, bounds[0][1], 2)]
-    blocks = [(model, policy, cost, horizon, seed, lo, hi, discounted) for lo, hi in bounds]
-
-    def here(*block):
-        # a block's sums are arrays of their own, so the next block may overwrite the workspace
-        return _reduce_block(*block, workspace)
-
-    return combine(_run_blocks(_reduce_block, blocks, here), cost, discounted)
+    blocks = [(model, policy, cost, horizon, seed, lo, hi, discounted)
+              for lo, hi in block_bounds(horizon, trials)]
+    return combine(_run_blocks(_reduce_block, blocks), cost, discounted)
 
 
 def mss_diagnostics(summary: MonteCarloSummary) -> MssReport:

@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -218,8 +219,8 @@ def test_trial_paths_do_not_depend_on_the_block_width(n, lo, width, col):
 
 def test_monte_carlo_equals_combined_block_sums():
     # the CLI's trace writer combines the sums the stored route's blocks
-    # return; monte_carlo's narrower last block steps in a prefix of its
-    # workspace, with two state rows
+    # return; monte_carlo's blocks, the narrower last one too, step with two
+    # state rows
     for case in ROUTE_CASES:
         model, policy, cost, discounted = route_case(case, 5)
         blocks = [_simulate_chunk(model, policy, cost, 5, 4, lo, hi, discounted)
@@ -284,8 +285,9 @@ def test_fanned_out_monte_carlo_equals_serial(monkeypatch, case, trials, cpus):
 
 
 def test_fanned_out_divergence_reports_the_first_block(monkeypatch):
-    # with two CPUs the one worker steps block 0..1023 and this process block
-    # 1024..1099; both diverge at step 154, and the first block is reported
+    # with two CPUs one worker steps block 0..1023 and the other block
+    # 1024..1099, and this process none; both diverge at step 154, and the
+    # first block is reported
     monkeypatch.setattr(simulation, "_cpus", lambda: 2)
     stepped_here = []
     step_block = simulation._step_block
@@ -295,10 +297,10 @@ def test_fanned_out_divergence_reports_the_first_block(monkeypatch):
     with pytest.raises(SimulationDiverged,
                        match=r"^trial block 0\.\.1023 truncated at step 154; closed loop"):
         monte_carlo(model, policy, cost, 200, 0, 1100, discounted=True)
-    assert stepped_here == [(1024, 1100)]
+    assert stepped_here == []
 
 
-def _interrupt(*block):
+def _interrupt(*args):
     raise SystemExit("interrupted")
 
 
@@ -307,11 +309,36 @@ def test_fan_out_leaves_no_worker_on_any_exit(monkeypatch):
     with pytest.raises(RuntimeError, match="^a worker exited before it returned its block$"):
         simulation._run_blocks(os._exit, [(3,), (3,)])
     assert multiprocessing.active_children() == []
-    # the worker finishes the block it has, then stops
-    with pytest.raises(SystemExit, match="interrupted"):
-        simulation._run_blocks(abs, [(-1,), (-2,), (-3,)], caller=_interrupt)
+    # interrupted while it waits, this process stops the workers mid-block
+    with monkeypatch.context() as patch:
+        patch.setattr(multiprocessing.connection.Connection, "recv", _interrupt)
+        start = time.monotonic()
+        with pytest.raises(SystemExit, match="interrupted"):
+            simulation._run_blocks(time.sleep, [(30,), (30,)])
+    assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
-    assert simulation._run_blocks(abs, [(-1,), (-2,), (-3,)], caller=abs) == [1, 2, 3]
+    assert simulation._run_blocks(abs, [(-1,), (-2,), (-3,)]) == [1, 2, 3]
+
+
+def _fail_on_2_and_4(j):
+    if j in (2, 4):
+        raise ValueError(f"block {j}")
+    return -j
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_static_split_keeps_block_order_and_the_first_error(monkeypatch, cpus):
+    # contiguous runs of near-equal length, one per worker: every split of
+    # 1..9 blocks returns them in order, and block 2's error wins over
+    # block 4's, in the same run or in a later one
+    monkeypatch.setattr(simulation, "_cpus", lambda: cpus)
+    for count in range(1, 10):
+        blocks = [(-j,) for j in range(count)]
+        assert simulation._run_blocks(abs, blocks) == [abs(*block) for block in blocks]
+        if count > 2:
+            with pytest.raises(ValueError, match="^block 2$"):
+                simulation._run_blocks(_fail_on_2_and_4, [(j,) for j in range(count)])
+    assert multiprocessing.active_children() == []
 
 
 def _run_with_time_limit(script):
@@ -332,8 +359,8 @@ def _run_with_time_limit(script):
 
 
 def test_forked_workers_stop_when_their_blocks_run_out():
-    # a worker that kept the caller's end of a pipe open would never see its
-    # end and the call would hang
+    # each worker replies once and exits; a call that waited for anything
+    # more would hang
     out = _run_with_time_limit("import os\n"
                                "from lfns import simulation\n"
                                "simulation._cpus = lambda: 3\n"
@@ -407,8 +434,10 @@ def test_a_fork_elsewhere_does_not_hold_up_the_fan_out():
     assert out == "1 True\n"
 
 
-def test_monte_carlo_memory_does_not_grow_with_trials():
+def test_monte_carlo_memory_does_not_grow_with_trials(monkeypatch):
+    # one process's blocks: each is stepped in arrays freed before the next
     model, policy, cost, _ = route_case("auv-paper", 100)
+    monkeypatch.setattr(simulation, "_cpus", lambda: 1)
 
     def peak(trials):
         tracemalloc.start()
@@ -422,11 +451,14 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
     monte_carlo(model, policy, cost, 1, seed=0, trials=1, discounted=True)
     one_block = peak(CHUNK)
     assert abs(peak(10 * CHUNK + 7) / one_block - 1.0) <= 0.05
+    # fanned out, this process steps no block and holds only their sums
+    monkeypatch.setattr(simulation, "_cpus", lambda: 2)
+    assert peak(10 * CHUNK + 7) < one_block / 10
 
 
 def test_monte_carlo_memory_is_one_block_with_two_state_rows(monkeypatch):
-    # the workspace holds a CHUNK-wide block's draws, its stage costs and two
-    # state rows; the whole path's states would take the bound to 1.9 times
+    # a block's arrays hold a CHUNK-wide block's draws, its stage costs and
+    # two state rows; the whole path's states would take the bound to 1.9 times
     horizon = 200
     model, policy, cost, _ = route_case("auv-paper", horizon)
     n = model.n
