@@ -197,8 +197,8 @@ _LAST_RECORD = ('{"k": %d, "stage_cost": null, "trial": %d, "u0": null, "u1": nu
 def _trace_block(model, policy, cost, horizon, seed, lo, hi, discounted, part):
     """Simulate trials lo..hi-1, write their trace records to the file part
     and return the block's share of the summary: one task of simulation._run_blocks."""
-    batch, sums = simulation._simulate_chunk(model, policy, cost, horizon, seed, lo, hi,
-                                             discounted)
+    batch, sums = simulation._step_block(model, policy, cost, horizon, seed, lo, hi,
+                                         discounted, True)
     with open(part, "w") as fh:
         # tolist() one trial at a time: a whole block's Python floats would
         # raise the worker's peak memory by more than half

@@ -119,6 +119,12 @@ class CostSpec:
     gamma: float | None
 
 
+def require_gamma(cost: CostSpec, discounted: bool) -> None:
+    """Raise ValueError if discounted is set and cost has no gamma; cost is read only then."""
+    if discounted and cost.gamma is None:
+        raise ValueError("discounted aggregation requires cost.gamma")
+
+
 def make_model(a00, a10, a11, b00, b10, b11, sigma_w0=None, sigma_w1=None,
                xbar0=None, xbar1=None, sigma_x0=None, sigma_x1=None) -> LfnsModel:
     """Build an LfnsModel from array-likes, defaulting moments to zero.

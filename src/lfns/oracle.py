@@ -17,7 +17,7 @@ import numpy as np
 
 from .finite_horizon import (GAIN_BLOCKS, READS, StructuredPolicy, block_slices, closed_loop,
                              split_gain)
-from .model import CostSpec, LfnsModel, assemble_compact, stacked_moments
+from .model import CostSpec, LfnsModel, assemble_compact, require_gamma, stacked_moments
 
 
 class OracleError(RuntimeError):
@@ -32,8 +32,10 @@ def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon
     step's weight, control map, stage matrix and closed-loop map, and the
     mean and covariance of the state entering it.  The last item is
     (1.0, None, M_T, None, mu, Sigma) at step horizon, with M_T the terminal
-    stage matrix, or None when no terminal term applies.
+    stage matrix, or None when no terminal term applies.  A discounted
+    recursion without cost.gamma raises ValueError before the first step.
     """
+    require_gamma(cost, discounted)
     xbar, sigma_x, sigma_w = stacked_moments(model)
     # x1hat(0) = xbar1 exactly, so its block of the covariance is zero
     mu, sigma = np.concatenate([xbar, model.xbar1]), np.pad(sigma_x, (0, model.n))

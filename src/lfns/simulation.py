@@ -10,16 +10,16 @@ blocks.  Each step applies finite_horizon.controls, then model.step for the
 plant and estimator.advance, fed u1hat, for the leader's estimate, the same
 functions a single trial's vectors go through.
 
-One step loop serves two routes.  The stored route keeps every path in a
-stacked (horizon+1, 2n, trials) states array, of which x0 and x1 are
-views: simulate_batch runs all its trials as one block, simulate is its
+One function, _step_block, draws, steps and reduces every block of trials
+in arrays of its own.  A stored block keeps every path in a stacked
+(horizon+1, 2n, trials) states array, of which x0 and x1 are views:
+simulate_batch runs all its trials as one stored block, simulate is its
 first trial, and the CLI's traces store one CHUNK-wide block at a time.
-The reduce-only route keeps the draws, the stage costs and the last two
-states: monte_carlo steps CHUNK-wide blocks in arrays of their own, freed
-after each block, so a process's memory is 8*CHUNK*(2n(horizon+1) + 4n +
-horizon) bytes of buffers whatever the number of trials.  On both routes
-the loop sums each block's states and their squares as it steps, and
-monte_carlo and the CLI's traces combine those BlockSums in trial order.
+Other blocks keep the draws, the stage costs and the last two states, so
+monte_carlo, whose CHUNK-wide blocks are freed one by one, holds
+8*CHUNK*(2n(horizon+1) + 4n + horizon) bytes of buffers whatever the
+number of trials.  Every block sums its states and their squares as it
+steps, and monte_carlo and the CLI's traces combine those BlockSums.
 
 One fan-out, _run_blocks, spreads the blocks of monte_carlo and of the
 CLI's traces over forked worker processes, at most one per CPU, or off
@@ -46,7 +46,7 @@ import numpy as np
 
 from .estimator import advance
 from .finite_horizon import StructuredPolicy, controls
-from .model import CostSpec, LfnsModel, step
+from .model import CostSpec, LfnsModel, require_gamma, step
 
 CHUNK = 1024
 # mss_diagnostics' mean test: the final mean norm at most this share of the initial one
@@ -199,41 +199,33 @@ def _draw_chunk(horizon: int, seed: int, lo: int, hi: int, buf: np.ndarray):
     return z0, z1, zw0, zw1
 
 
-def _block_arrays(n: int, horizon: int, b: int, rows: int) -> list[np.ndarray]:
-    """A b-trial block's new draw buffer (b, 2*horizon+2, n), stacked states
-    (rows, 2n, b) and stage costs (horizon, b)."""
-    shapes = ((b, 2 * horizon + 2, n), (rows, 2 * n, b), (horizon, b))
-    return [np.empty(shape) for shape in shapes]
-
-
 # the loop raises at its first overflow, so numpy's warnings about it are
 # redundant; finite paths can still overflow the sums, and combine raises on those
 @np.errstate(over="ignore", invalid="ignore")
 def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
-                seed: int, lo: int, hi: int, discounted: bool, arrays, paths=None) -> BlockSums:
-    """Draw and step trials lo..hi-1 in arrays, _block_arrays' three for
-    b = hi-lo, and return their BlockSums.
+                seed: int, lo: int, hi: int, discounted: bool,
+                stored: bool = False) -> tuple[BatchResult | None, BlockSums]:
+    """Draw, step and reduce trials lo..hi-1 in new arrays: return their
+    BatchResult if stored, else None, and their BlockSums.
 
-    State k goes to row k % rows of the states: all of them with horizon+1
-    rows, the last two with 2.  The stage costs are written in place.  paths
-    is None, or the (x1hat, u0, u1, w0, w1) arrays to store those paths in
-    as well; without them the running estimate is one (n, b) array.  The
-    loop sums states k and k+1, for k even and at the horizon, as the two
-    contiguous rows that hold them: einsum gives a state the same bits in
-    any contiguous stack of two or more rows, but not in a single row.
+    State k goes to row k % rows of the states: horizon+1 rows when stored,
+    else 2, beside which only the estimate and the stage costs are kept.
+    The loop sums states k and k+1, for k even and at the horizon, from a
+    contiguous copy of the pair: einsum gives a state the same bits in any
+    contiguous stack of two or more rows, but not in a single row.
 
-    A one-trial block is stepped as two copies of its trial, in arrays of
-    its own: one trial alone would take numpy's matrix-vector products,
-    whose sums can differ in the last bits from a wider block's.  It sums a
-    contiguous copy of its column, as a strided one differs too.
+    A one-trial block steps a copy of its trial beside it: alone it would
+    take numpy's matrix-vector products, whose sums can differ in the last
+    bits from a wider block's.  Its results and sums come from contiguous
+    copies of its first column, as a strided one differs too.
     """
     n, b = model.n, hi - lo
-    rows = arrays[1].shape[0]
-    if b == 1:
-        outs = (*arrays[1:], *(paths or ()))
-        arrays = _block_arrays(n, horizon, 2, rows)
-        paths = paths and [np.empty(p.shape[:-1] + (2,)) for p in paths]
-    draws, states, stage = arrays
+    width, rows = max(b, 2), horizon + 1 if stored else 2
+    draws = np.empty((width, 2 * horizon + 2, n))
+    states, stage = np.empty((rows, 2 * n, width)), np.empty((horizon, width))
+    paths = [np.empty((horizon + 1, n, width)), np.empty((horizon, model.m1, width)),
+             np.empty((horizon, model.m2, width)), np.empty((horizon, n, width)),
+             np.empty((horizon, n, width))] if stored else []
     z0, z1, zw0, zw1 = _draw_chunk(horizon, seed, lo, hi, draws)
     draws[b:] = draws[0]  # the copy of a one-trial block; else no row
     lx0 = psd_factor(model.sigma_x0)
@@ -244,8 +236,8 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, hori
 
     states[0, :n] = model.xbar0[:, None] + lx0 @ z0
     states[0, n:] = model.xbar1[:, None] + lx1 @ z1
-    hat = np.repeat(model.xbar1[:, None], states.shape[2], axis=1)
-    if paths is not None:
+    hat = np.repeat(model.xbar1[:, None], width, axis=1)
+    if stored:
         paths[0][0] = hat
     # a non-finite state or estimate makes its step's controls and stage cost
     # non-finite, so states are checked only at the horizon, where none is read
@@ -262,41 +254,23 @@ def _step_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, hori
         wk1 = lw1 @ zw1[k]
         nxt[:n], nxt[n:] = step(model, cur0, cur1, uk0, uk1, wk0, wk1)
         hat = advance(model, hat, cur0, uk0, u1hat)
-        if paths is not None:
+        if stored:
             x1hat, u0, u1, w0, w1 = paths
             x1hat[k + 1], u0[k], u1[k], w0[k], w1[k] = hat, uk0, uk1, wk0, wk1
         if k % 2 == 0 or k + 1 == horizon:
-            held = sorted((k, k + 1), key=lambda j: j % rows)  # in row order
-            top = held[0] % rows
-            pair = np.ascontiguousarray(states[top:top + 2, :, :b])
-            sum_state[held] = pair.sum(axis=2)
-            sum_sq[held] = np.einsum("kib,kib->k", pair, pair)
+            pair = states[[k % rows, (k + 1) % rows], :, :b]  # a contiguous copy
+            sum_state[k:k + 2] = pair.sum(axis=2)
+            sum_sq[k:k + 2] = np.einsum("kib,kib->k", pair, pair)
     else:
         k = horizon
     if k < horizon or not (np.isfinite(states[k % rows]).all() and np.isfinite(hat).all()):
         raise SimulationDiverged(f"trial block {lo}..{hi - 1} truncated at step {k}; "
                                  f"closed loop is destabilizing")
-    if b == 1:
-        for out, full in zip(outs, (*arrays[1:], *(paths or ()))):
-            out[...] = full[..., :1]
-        states, stage = outs[:2]
-    tail = max(1, horizon // 10)
-    return BlockSums(costs=_pathwise_costs(stage, states[horizon % rows], cost, discounted),
+    states, stage, *paths = (np.ascontiguousarray(a[..., :b]) for a in (states, stage, *paths))
+    sums = BlockSums(costs=_pathwise_costs(stage, states[horizon % rows], cost, discounted),
                      sum_state=sum_state, sum_sq=sum_sq,
-                     stage_tail=float(stage[-tail:].mean(axis=1).max()))
-
-
-def _simulate_chunk(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
-                    seed: int, lo: int, hi: int,
-                    discounted: bool = False) -> tuple[BatchResult, BlockSums]:
-    """Trials lo..hi-1 with every path stored, and their BlockSums: the stored route's block."""
-    n, b = model.n, hi - lo
-    arrays = _block_arrays(n, horizon, b, horizon + 1)
-    paths = (np.empty((horizon + 1, n, b)), np.empty((horizon, model.m1, b)),
-             np.empty((horizon, model.m2, b)), np.empty((horizon, n, b)),
-             np.empty((horizon, n, b)))
-    sums = _step_block(model, policy, cost, horizon, seed, lo, hi, discounted, arrays, paths)
-    return BatchResult(arrays[1], *paths, stage_cost=arrays[2], trial_offset=lo), sums
+                     stage_tail=float(stage[-max(1, horizon // 10):].mean(axis=1).max()))
+    return BatchResult(states, *paths, stage, lo) if stored else None, sums
 
 
 def block_bounds(horizon: int, trials: int) -> list[tuple[int, int]]:
@@ -312,9 +286,9 @@ def block_bounds(horizon: int, trials: int) -> list[tuple[int, int]]:
 
 def simulate_batch(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                    horizon: int, seed: int, trials: int) -> BatchResult:
-    """Trials 0..trials-1 as one stored block."""
+    """Trials 0..trials-1 as one stored block, with every path kept."""
     block_bounds(horizon, trials)  # raises on a run it cannot simulate
-    return _simulate_chunk(model, policy, cost, horizon, seed, 0, trials)[0]
+    return _step_block(model, policy, cost, horizon, seed, 0, trials, False, True)[0]
 
 
 def simulate(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
@@ -357,8 +331,7 @@ def combine(sums, cost: CostSpec, discounted: bool) -> MonteCarloSummary:
     Finite paths can still overflow the sums, so a summary with a non-finite
     number raises SimulationDiverged, without numpy's overflow warnings.
     """
-    if discounted and cost.gamma is None:
-        raise ValueError("discounted aggregation requires cost.gamma")
+    require_gamma(cost, discounted)
     cost_parts = []
     sum_state = sum_sq = stage_tail = 0.0
     for part in sums:
@@ -460,29 +433,23 @@ def _run_blocks(task, blocks) -> list:
     return results
 
 
-def _reduce_block(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon: int,
-                  seed: int, lo: int, hi: int, discounted: bool) -> BlockSums:
-    """BlockSums of trials lo..hi-1, stepped with two state rows in new
-    arrays: the reduce-only route's block."""
-    arrays = _block_arrays(model.n, horizon, hi - lo, 2)
-    return _step_block(model, policy, cost, horizon, seed, lo, hi, discounted, arrays)
-
-
 def monte_carlo(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
                 horizon: int, seed: int, trials: int,
                 discounted: bool = False) -> MonteCarloSummary:
     """Streaming Monte Carlo: keeps accumulators, never the paths.
 
-    The reduce-only route: each CHUNK-wide block draws and steps in arrays
-    of its own with two state rows, in a forked worker or, with one run,
-    in this process.  The step loop reduces on both routes, so the summary
-    equals combine over the stored route's CHUNK-wide blocks bit for bit,
-    and aggregation is a deterministic reduction in trial order, so the
-    result for a given (seed, trials) pair is reproducible.
+    Each CHUNK-wide block is drawn, stepped with two state rows and reduced
+    by _step_block, in a forked worker or, with one run, in this process.
+    The loop reduces stored blocks the same way, so the summary equals
+    combine over stored CHUNK-wide blocks bit for bit, and aggregation is a
+    deterministic reduction in trial order, so the result for a given
+    (seed, trials) pair is reproducible.  A discounted run without
+    cost.gamma raises ValueError before any block is drawn.
     """
+    require_gamma(cost, discounted)
     blocks = [(model, policy, cost, horizon, seed, lo, hi, discounted)
               for lo, hi in block_bounds(horizon, trials)]
-    return combine(_run_blocks(_reduce_block, blocks), cost, discounted)
+    return combine((sums for _, sums in _run_blocks(_step_block, blocks)), cost, discounted)
 
 
 def mss_diagnostics(summary: MonteCarloSummary) -> MssReport:

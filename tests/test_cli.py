@@ -302,9 +302,9 @@ def test_stationary_simulate_needs_a_step(tmp_path, capsys):
 
 def test_simulate_outputs_self_describing(tmp_path, monkeypatch):
     blocks = []
-    simulate_chunk = simulation._simulate_chunk
-    monkeypatch.setattr(simulation, "_simulate_chunk",
-                        lambda *args: blocks.append(args[5:7]) or simulate_chunk(*args))
+    step_block = simulation._step_block
+    monkeypatch.setattr(simulation, "_step_block",
+                        lambda *args: blocks.append(args[5:7]) or step_block(*args))
     assert run(["simulate", "--model", "scalar-demo", "--horizon", "20",
                 "--trials", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
     # each trial runs once, for the traces and the summary alike

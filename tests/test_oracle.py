@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lfns import oracle
 from lfns.estimator import advance
 from lfns.finite_horizon import backward_riccati, closed_loop, controls, split_gain
 from lfns.infinite_horizon import solve_stationary_riccati
@@ -235,6 +236,21 @@ def test_exact_cost_raises_on_divergence():
     # both branches stop at the same step
     assert messages[0] == messages[1]
     assert "at step " in messages[0]
+
+
+def _no_moments(*args):
+    raise AssertionError("a moment recursion started")
+
+
+@pytest.mark.parametrize("horizon", [1, 5])
+def test_discounted_moments_without_gamma_raise_before_any_step(monkeypatch, horizon):
+    model = coupled_noisy_model()
+    policy = StructuredPolicy.constant([[0.5]], [[0.0]], [[0.5]], [[0.1]])
+    cost = make_cost(q=np.eye(2), r=np.eye(2))
+    monkeypatch.setattr(oracle, "stacked_moments", _no_moments)
+    for evaluate in (exact_cost, policy_gradient, gain_gradient):
+        with pytest.raises(ValueError, match="^discounted aggregation requires cost.gamma$"):
+            evaluate(model, policy, cost, horizon, discounted=True)
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ from lfns.simulation import (
     MonteCarloSummary,
     SimulationDiverged,
     _draw_chunk,
-    _simulate_chunk,
+    _step_block,
     block_bounds,
     combine,
     monte_carlo,
@@ -167,7 +167,7 @@ def test_trials_invariant_to_batch_size():
         small = simulate_batch(model, policy, cost, 6, seed=11, trials=100)
         assert np.array_equal(big.x0[:, :, :100], small.x0), case
         assert np.array_equal(big.u1[:, :, :100], small.u1), case
-        straddle = _simulate_chunk(model, policy, cost, 6, 11, CHUNK - 4, CHUNK + 6)[0]
+        straddle = _step_block(model, policy, cost, 6, 11, CHUNK - 4, CHUNK + 6, False, True)[0]
         for name in ("x0", "x1", "x1hat", "u0", "u1", "w0", "w1", "stage_cost"):
             assert np.array_equal(getattr(big, name)[..., CHUNK - 4:CHUNK + 6],
                                   getattr(straddle, name)), (case, name)
@@ -201,16 +201,16 @@ def test_trial_paths_do_not_depend_on_the_block_width(n, lo, width, col):
     model, policy, cost = width_case(n)
     col %= width
     trial = lo + col
-    block = _simulate_chunk(model, policy, cost, 6, 3, lo, lo + width)[0]
-    alone, alone_sums = _simulate_chunk(model, policy, cost, 6, 3, trial, trial + 1, True)
+    block = _step_block(model, policy, cost, 6, 3, lo, lo + width, False, True)[0]
+    alone, alone_sums = _step_block(model, policy, cost, 6, 3, trial, trial + 1, True, True)
     for name in ("states", "x1hat", "u0", "u1", "w0", "w1", "stage_cost"):
         assert np.array_equal(getattr(alone, name)[..., 0], getattr(block, name)[..., col]), name
-    # the reduce-only route's one-trial block, which keeps the last two states
-    # and stores no paths; both routes' one-trial sums are the whole path's
-    arrays = simulation._block_arrays(n, 6, 1, 2)
-    sums = simulation._step_block(model, policy, cost, 6, 3, trial, trial + 1, True, arrays)
-    assert np.array_equal(arrays[1][::-1, :, 0], block.states[-2:, :, col])  # states 6, 5
-    assert np.array_equal(arrays[2][..., 0], block.stage_cost[..., col])
+    # the one-trial block that keeps two state rows returns only its sums; of
+    # one trial, sum_state[k] is state k itself, and both blocks' sums are the
+    # whole path's
+    unstored, sums = _step_block(model, policy, cost, 6, 3, trial, trial + 1, True)
+    assert unstored is None
+    assert np.array_equal(sums.sum_state, block.states[:, :, col])
     want = block_sums(alone.states, alone.stage_cost, cost, True)
     for field in dataclasses.fields(want):
         for got in (sums, alone_sums):
@@ -223,7 +223,7 @@ def test_monte_carlo_equals_combined_block_sums():
     # state rows
     for case in ROUTE_CASES:
         model, policy, cost, discounted = route_case(case, 5)
-        blocks = [_simulate_chunk(model, policy, cost, 5, 4, lo, hi, discounted)
+        blocks = [_step_block(model, policy, cost, 5, 4, lo, hi, discounted, True)
                   for lo, hi in block_bounds(5, 2 * CHUNK + 5)]
         for batch, sums in blocks:
             want = block_sums(batch.states, batch.stage_cost, cost, discounted)
@@ -249,7 +249,7 @@ def test_monte_carlo_equals_the_whole_path_reduction(n, horizon, trials, discoun
     # the loop's two-row sums, at either parity of the horizon and for a
     # one-trial block, against the sums of every block's whole stored path
     model, policy, cost = width_case(n)
-    batches = (_simulate_chunk(model, policy, cost, horizon, 9, lo, hi)[0]
+    batches = (_step_block(model, policy, cost, horizon, 9, lo, hi, False, True)[0]
                for lo, hi in block_bounds(horizon, trials))
     want = combine((block_sums(batch.states, batch.stage_cost, cost, discounted)
                     for batch in batches), cost, discounted)
@@ -494,6 +494,24 @@ def test_discounted_aggregation_hand_weights():
     assert summary.mean_cost == pytest.approx(manual, rel=1e-12)
     with pytest.raises(ValueError, match="discounted aggregation requires cost.gamma"):
         combine([], make_cost(q=np.eye(2), r=np.eye(2)), discounted=True)
+
+
+def _no_draw(*args):
+    raise AssertionError("a block was drawn")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("trials", [1, CHUNK + 1])
+def test_discounted_monte_carlo_without_gamma_raises_before_any_block(monkeypatch, trials,
+                                                                      cpus):
+    # a drawn block would raise AssertionError, in this process or a worker's
+    model = coupled_noisy_model()
+    policy, _ = stationary_policy(model)
+    monkeypatch.setattr(simulation, "_cpus", lambda: cpus)
+    monkeypatch.setattr(simulation, "_draw_chunk", _no_draw)
+    with pytest.raises(ValueError, match="^discounted aggregation requires cost.gamma$"):
+        monte_carlo(model, policy, make_cost(q=np.eye(2), r=np.eye(2)), 5, seed=0,
+                    trials=trials, discounted=True)
 
 
 def test_undiscounted_aggregation_applies_terminal():
