@@ -21,19 +21,23 @@ solution rebuilds them from its P through the same function when they are
 read: the same operations on the same operands, the same bits.
 
 The iterates from a terminal weight do not depend on N: P(k) of horizon N is
-step N + 1 - k from it.  So the module keeps the last run that raised nothing
-and passed the stacked test, in step order, keyed by the bytes of everything
-the step reads (gamma, a, b, Q, R and the terminal weight).  A call with the
-same key reads its window off the stored run, and computes and checks only
-the steps the run lacks, then stores the longer run; a horizon sweep costs
-one recursion to its longest horizon.  A stored step needs no check again:
-the stacked test is stricter than check_step, so check_step would pass it
-without a warning.  The terminal weight is checked on every call.
+step N + 1 - k from it.  So the module keeps the STORED_RUNS most recently
+used runs that raised nothing and passed the stacked test, in step order,
+keyed by the bytes of everything the step reads (gamma, a, b, Q, R and the
+terminal weight).  A call with a stored key reads its window off the run,
+and computes and checks only the steps the run lacks, then stores the longer
+run; a horizon sweep costs one recursion to its longest horizon, and the
+stationary solve reads and extends the discounted run from zero.  A stored
+step needs no check again: the stacked test is stricter than check_step, so
+check_step would pass it without a warning.  Nor does a stored terminal
+weight, whose bytes are in the key, but its asymmetry warning is repeated.
+The stacked test runs eigvalsh only where a Cholesky certificate fails.
 """
 from __future__ import annotations
 
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -207,6 +211,16 @@ class StructuredPolicy:
         return StructuredPolicy(np.array(solution.h, dtype=float), solution.n, solution.m1)
 
 
+def _warn_if_asymmetric(k: int, p: np.ndarray, sym: np.ndarray) -> None:
+    """Warn at the recursion's caller if P(k) is asymmetric beyond ASYMMETRY_TOL."""
+    if np.linalg.norm(p - sym) / max(1.0, float(np.linalg.norm(sym))) > ASYMMETRY_TOL:
+        frame, level = sys._getframe(), 1
+        while frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"Riccati iterate at step {k} asymmetric beyond tolerance",
+                      RuntimeWarning, stacklevel=level)
+
+
 def check_step(k: int, psi: np.ndarray | None = None, p: np.ndarray | None = None) -> None:
     """The checks of step k in order, each optional argument if given: Psi(k)
     positive definite; P(k), before symmetrization, finite, a warning if it
@@ -219,27 +233,46 @@ def check_step(k: int, psi: np.ndarray | None = None, p: np.ndarray | None = Non
     if not np.all(np.isfinite(p)):
         raise RiccatiError(f"non-finite Riccati iterate at step {k}")
     sym = symmetrize(p)
-    if np.linalg.norm(p - sym) / max(1.0, float(np.linalg.norm(sym))) > ASYMMETRY_TOL:
-        frame, level = sys._getframe(), 1
-        while frame.f_code.co_filename == __file__:  # warn at the recursion's caller
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"Riccati iterate at step {k} asymmetric beyond tolerance",
-                      RuntimeWarning, stacklevel=level)
+    _warn_if_asymmetric(k, p, sym)
     if eigmin(sym) < PSD_TOL:
         raise RiccatiError(f"Riccati iterate at step {k} lost positive semidefiniteness")
 
 
-def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> bool:
+def certified_at_least(m: np.ndarray, bound: float) -> bool:
+    """Whether every symmetric matrix M of the finite stack m certainly has
+    eigvalsh(M).min() >= bound: np.linalg.cholesky factors each
+    M - (bound + margin) I into finite numbers (a NaN pivot does not stop it).
+    The margin 2 (d + 2)^2 eps (||M||_F + |bound|) covers the backward error
+    of a completed d x d Cholesky factorization, about d (d + 1) eps times
+    the norm (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10),
+    plus the error of eigvalsh.  False certifies nothing either way."""
+    d = m.shape[-1]
+    margin = 2 * (d + 2) ** 2 * np.finfo(float).eps * (np.linalg.norm(m, axis=(-2, -1)) + abs(bound))
+    shifted = m - (bound + margin)[..., None, None] * np.eye(d)
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def iterates_clean(psi: np.ndarray, p: np.ndarray) -> bool:
     """Whether one stacked test passes: every Psi and symmetrized P (hence P)
-    finite before eigvalsh sees them, skew at most half of ASYMMETRY_TOL
-    (stacked norms round differently), every smallest eigenvalue clear of
-    PD_TOL or PSD_TOL.  If it fails, check_step(steps[i], psi[i], p[i]) runs
-    for each i in order."""
+    finite before either eigenvalue test sees them, skew at most half of
+    ASYMMETRY_TOL (stacked norms round differently), every smallest
+    eigenvalue clear of PD_TOL or PSD_TOL, by certified_at_least or else by
+    eigvalsh."""
     sym = symmetrize(p)
     skew = np.linalg.norm(p - sym, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
-    clean = bool(np.isfinite(psi).all() and np.isfinite(sym).all()
-                 and (skew <= 0.5 * ASYMMETRY_TOL).all()
-                 and (eigmins(psi) >= PD_TOL).all() and (eigmins(sym) >= PSD_TOL).all())
+    return bool(np.isfinite(psi).all() and np.isfinite(sym).all()
+                and (skew <= 0.5 * ASYMMETRY_TOL).all()
+                and (certified_at_least(psi, PD_TOL) or (eigmins(psi) >= PD_TOL).all())
+                and (certified_at_least(sym, PSD_TOL) or (eigmins(sym) >= PSD_TOL).all()))
+
+
+def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> bool:
+    """Whether iterates_clean(psi, p); if not, check_step(steps[i], psi[i],
+    p[i]) runs for each i in order."""
+    clean = iterates_clean(psi, p)
     if not clean:
         for k, psi_k, p_k in zip(steps, psi, p):
             check_step(k, psi_k, p_k)
@@ -283,15 +316,43 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
     return p, psi, l_mat, gamma * x
 
 
-# The last clean run, in step order from the terminal weight: (key, p, h),
-# with p holding the symmetrized terminal weight and one iterate per step.
-_stored = None
+# The fewest runs that let two step maps used in turn keep theirs: a sweep at
+# one gamma beside the undiscounted recursion from the terminal weight.
+STORED_RUNS = 2
+
+# Clean runs, most recently used first, each (key, p, h) in step order: p holds
+# the symmetrized terminal weight and one iterate per step.  None reads as ().
+_stored: tuple | None = ()
 
 
 def _step_key(compact: CompactModel, cost: CostSpec, p_terminal: np.ndarray, gamma: float) -> tuple:
     """Everything the step map reads: its gamma, and the shape, dtype and bytes of each matrix."""
     return (gamma, *((m.shape, m.dtype.str, m.tobytes())
                      for m in (compact.a, compact.b, cost.q, cost.r, p_terminal)))
+
+
+def stored_run(compact: CompactModel, cost: CostSpec, p_terminal: np.ndarray,
+               gamma: float) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """(p, h, keep): the stored run of the step map with this gamma from
+    p_terminal, read-only, else the symmetrized terminal weight and no steps.
+    keep(p, h) stores (p, h), a clean run of this map at least as long, as
+    the most recently used.  The store is read once here and replaced in one
+    assignment by keep, so no thread sees it half updated."""
+    key = _step_key(compact, cost, p_terminal, gamma)
+    stored = _stored or ()
+    for entry in stored:
+        if entry[0] == key:
+            p, h = entry[1:]
+            break
+    else:
+        p, h = symmetrize(p_terminal)[None], np.empty((0, cost.r.shape[0], cost.q.shape[0]))
+
+    def keep(p: np.ndarray, h: np.ndarray) -> None:
+        global _stored
+        p.flags.writeable = h.flags.writeable = False
+        _stored = ((key, p, h), *(entry for entry in stored if entry[0] != key))[:STORED_RUNS]
+
+    return p, h, keep
 
 
 def _frozen_copy(m: np.ndarray) -> np.ndarray:
@@ -302,21 +363,19 @@ def _frozen_copy(m: np.ndarray) -> np.ndarray:
 
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
                p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
-    global _stored
     dim, m = cost.q.shape[0], cost.r.shape[0]
     steps = n_horizon + 1
     step_gamma = 1.0 if gamma is None else gamma
-    key = _step_key(compact, cost, p_terminal, step_gamma)
     # the loop runs on past a non-finite iterate, which check_iterates reports;
     # numpy's warnings about it are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        check_step(steps, p=p_terminal)
-        stored = _stored  # read once: another thread may replace it
-        if stored is not None and stored[0] == key:
-            p, h = stored[1:]
-        else:
-            p, h = symmetrize(p_terminal)[None], np.empty((0, m, dim))
+        p, h, keep = stored_run(compact, cost, p_terminal, step_gamma)
         done = len(h)
+        if done:  # a stored terminal weight passed check_step when its run was made
+            _warn_if_asymmetric(steps, p_terminal, p[0])
+        else:
+            check_step(steps, p=p_terminal)
+        clean = True
         if done < steps:
             p, h = (np.concatenate([old, np.empty((steps - done, *old.shape[1:]))])
                     for old in (p, h))
@@ -337,8 +396,8 @@ def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
             if error is not None:
                 raise error
             p.flags.writeable = h.flags.writeable = False
-            if clean:
-                _stored = (key, p, h)
+        if clean:
+            keep(p, h)
     return FiniteHorizonSolution(p_seq=p[:steps + 1][::-1], k_seq=h[:steps][::-1], gamma=gamma,
                                  a=_frozen_copy(compact.a), b=_frozen_copy(compact.b),
                                  r=_frozen_copy(cost.r))
@@ -376,9 +435,10 @@ def optimal_cost(solution: FiniteHorizonSolution, model: LfnsModel) -> float:
     p0 = solution.p_seq[0]
     total = float(xbar @ p0 @ xbar + np.trace(sigma_x @ p0))
     traces = np.trace(sigma_w @ solution.p_seq[1:], axis1=1, axis2=2)
+    gamma = solution.gamma
     for k, term in enumerate(traces.tolist()):
-        if solution.discounted:
-            term *= solution.gamma ** (k + 1)
+        if gamma is not None:
+            term *= gamma ** (k + 1)
         total += term
     return total
 

@@ -9,7 +9,7 @@ from lfns import finite_horizon
 def no_stored_riccati_run(monkeypatch):
     """Start every test with no stored Riccati run, so that the order of the
     tests cannot hide a fault on the recursion's cold path."""
-    monkeypatch.setattr(finite_horizon, "_stored", None)
+    monkeypatch.setattr(finite_horizon, "_stored", ())
 
 
 @pytest.fixture(autouse=True)

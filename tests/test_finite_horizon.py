@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from lfns import finite_horizon as fh
+from lfns import infinite_horizon
 from lfns.auv import paper_model
 from lfns.finite_horizon import (
     RiccatiError,
@@ -14,10 +17,12 @@ from lfns.finite_horizon import (
     optimal_cost,
     stationarity_residuals,
 )
-from lfns.model import CostSpec, assemble_compact, make_cost, make_model
+from lfns.infinite_horizon import solve_stationary_riccati
+from lfns.model import PD_TOL, PSD_TOL, CostSpec, assemble_compact, eigmins, make_cost, make_model
 from lfns.oracle import StructuredPolicy, exact_cost
 from lfns.simulation import simulate
-from pairs import coupled_noisy_model, decoupled_unit_model, random_model, scalar_demo_pair
+from pairs import (coupled_noisy_model, decoupled_unit_model, random_model, random_pair,
+                   scalar_demo_pair)
 
 
 def test_scalar_two_step_frozen_values():
@@ -139,9 +144,9 @@ def test_sweep_equals_cold_solves_bitwise(name, monkeypatch):
     for solve in (discounted_backward_riccati, backward_riccati):
         cold = {}
         for n in horizons:
-            monkeypatch.setattr(fh, "_stored", None)
+            monkeypatch.setattr(fh, "_stored", ())
             cold[n] = solve(comp, cost, n)
-        monkeypatch.setattr(fh, "_stored", None)
+        monkeypatch.setattr(fh, "_stored", ())
         for n in [*horizons, *reversed(horizons), 200, 200, 30, 30]:
             got, want = solve(comp, cost, n), cold[n]
             assert optimal_cost(got, model) == optimal_cost(want, model)
@@ -175,11 +180,143 @@ def test_stored_run_is_keyed_by_content(monkeypatch):
     before = backward_riccati(comp, cost, 20)
     cost.q[0, 0] += 1.0  # in place: the same objects, another step map
     warm = backward_riccati(comp, cost, 20)
-    monkeypatch.setattr(fh, "_stored", None)
+    assert len(fh._stored) == 2  # another key: the first run is kept beside it
+    monkeypatch.setattr(fh, "_stored", ())
     cold = backward_riccati(comp, cost, 20)
     assert not np.array_equal(warm.p_seq, before.p_seq)
     for field in ("p_seq", "k_seq", "lambda_seq", "l_seq"):
         assert np.array_equal(getattr(warm, field), getattr(cold, field))
+
+
+def _cold(call):
+    """call() with an empty store, which it leaves empty."""
+    stored, fh._stored = fh._stored, ()
+    try:
+        return call()
+    finally:
+        fh._stored = stored
+
+
+def assert_bit_equal(got, want):
+    """Assert two finite-horizon or two stationary solutions equal, field by field, bit for bit."""
+    if isinstance(want, fh.FiniteHorizonSolution):
+        for field in ("p_seq", "k_seq", "lambda_seq", "l_seq"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    else:
+        for field in ("p", "h", "psi", "l"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+       gammas=st.lists(st.floats(0.5, 0.99), min_size=2, max_size=2, unique=True),
+       seed=st.integers(0, 2 ** 32 - 1),
+       order=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
+                                st.sampled_from(["finite", "sweep", "stationary"]),
+                                st.integers(0, 40)), min_size=1, max_size=8))
+def test_interleaved_calls_equal_cold_calls(n, gammas, seed, order):
+    # two pairs at two discounts give six step maps: the undiscounted one of
+    # each pair, which ignores gamma, and a discounted one per gamma.  Every
+    # call gives the bits of the same call on an empty store, and computes
+    # exactly the steps that a store of the STORED_RUNS most recently used
+    # runs lacks: each (map, step) once unless its run was evicted
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for size in n:
+        model, cost = random_pair(rng, n=size)
+        pairs.append((assemble_compact(model),
+                      [make_cost(cost.q, cost.r, cost.p_terminal, g) for g in gammas]))
+    computed, riccati_step = [], fh.riccati_step
+    counted = lambda *args: computed.append(args) or riccati_step(*args)  # noqa: E731
+    warm, model_store, maps = 0, [], set()  # model_store: (map, steps held), most recent first
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fh, "_stored", ())
+        patch.setattr(fh, "riccati_step", counted)
+        patch.setattr(infinite_horizon, "riccati_step", counted)
+        for pair, at, kind, horizon in order:
+            compact, cost = pairs[pair][0], pairs[pair][1][at]
+            if kind == "finite":
+                calls = [(lambda: backward_riccati(compact, cost, horizon), (pair, None),
+                          horizon + 1)]
+            elif kind == "sweep":
+                calls = [(lambda n=n: discounted_backward_riccati(compact, cost, n), (pair, at),
+                          n + 1) for n in range(0, horizon + 1, 10)]
+            else:
+                stationary = lambda: solve_stationary_riccati(compact, cost)  # noqa: E731
+                calls = [(stationary, (pair, at), _cold(stationary).iterations + 1)]
+            for call, step_map, steps in calls:
+                want, before = _cold(call), len(computed)
+                assert_bit_equal(call(), want)
+                warm += len(computed) - before
+                held = dict(model_store).get(step_map, 0)
+                assert len(computed) - before == max(0, steps - held)
+                model_store = [(step_map, max(held, steps)),
+                               *((m, s) for m, s in model_store if m != step_map)]
+                model_store = model_store[:fh.STORED_RUNS]
+                maps.add(step_map)
+    if len(maps) <= fh.STORED_RUNS:  # nothing was evicted: each (map, step) once
+        assert warm == sum(steps for _, steps in model_store)
+
+
+def test_two_maps_in_turn_compute_each_step_once(monkeypatch):
+    # synth-sweep's order at one gamma, twice: stationary solve, discounted
+    # sweep, undiscounted recursion; the second round computes nothing
+    calls, riccati_step = [], fh.riccati_step
+
+    def counted(*args):
+        calls.append(args[-1])
+        return riccati_step(*args)
+
+    monkeypatch.setattr(fh, "riccati_step", counted)
+    monkeypatch.setattr(infinite_horizon, "riccati_step", counted)
+    model, cost = paper_model()
+    comp = assemble_compact(model)
+    for _ in range(2):
+        solve_stationary_riccati(comp, cost)
+        for n in range(0, 201, 10):
+            discounted_backward_riccati(comp, cost, n)
+        backward_riccati(comp, cost, 200)
+    assert len(calls) == 2 * 201
+
+
+def _with_smallest_eigenvalue(rng, d, norm, smallest):
+    """A symmetric d x d matrix with eigenvalues spread up to norm, the smallest exactly given."""
+    eig = np.sort(rng.uniform(0.01, 1.0, d)) * norm
+    eig[0] = smallest
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return fh.symmetrize((q * eig) @ q.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 12), log_norm=st.floats(-3.0, 9.0), log_gap=st.floats(-17.0, -8.0),
+       side=st.sampled_from([-1.0, 0.0, 1.0]), bound=st.sampled_from([PD_TOL, PSD_TOL, 0.0, 1.0]),
+       stack=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_certificate_is_one_sided(d, log_norm, log_gap, side, bound, stack, seed):
+    # the smallest eigenvalue sits on the bound or within 1e-17..1e-8 of it,
+    # relative to the norm, on either side: a certified stack never reads
+    # below the bound under eigvalsh
+    rng = np.random.default_rng(seed)
+    norm = 10.0 ** log_norm
+    smallest = bound + side * 10.0 ** log_gap * norm
+    m = np.stack([_with_smallest_eigenvalue(rng, d, norm, smallest) for _ in range(stack)])
+    if fh.certified_at_least(m, bound):
+        assert (eigmins(m) >= bound).all()
+
+
+def test_certificate_refuses_a_zero_eigenvalue_at_norm_1e8(monkeypatch):
+    # a PSD P with a zero eigenvalue at norm 1e8 is within Cholesky's error
+    # of the bound: the certificate refuses it and eigvalsh decides, as before
+    eigen, eigmins_ = [], fh.eigmins
+    monkeypatch.setattr(fh, "eigmins", lambda m: eigen.append(len(m)) or eigmins_(m))
+    psi = np.eye(4)[None]
+    rotated = _with_smallest_eigenvalue(np.random.default_rng(5), 4, 1e8, 0.0)
+    for p in (np.diag([1e8, 3e7, 1e6, 0.0]), rotated):
+        assert not fh.certified_at_least(p[None], PSD_TOL)
+        eigen.clear()
+        assert fh.iterates_clean(psi, p[None]) == (eigmins_(p[None]) >= PSD_TOL).all()
+        assert eigen == [1]  # Psi certified, P by eigvalsh
+    assert fh.iterates_clean(psi, np.diag([1e8, 3e7, 1e6, 0.0])[None])
 
 
 def test_solution_stacks_are_read_only():
@@ -202,7 +339,7 @@ def test_run_keeps_p_and_h_and_rebuilds_lambda_and_l_when_read(monkeypatch):
     comp = assemble_compact(model)
     sol = discounted_backward_riccati(comp, cost, 200)
     (dim, m), steps = comp.b.shape, 201
-    _, p, h = fh._stored
+    (_, p, h), = fh._stored
     assert (p.shape, h.shape) == ((steps + 1, dim, dim), (steps, m, dim))
     assert len(calls) == steps  # one per step, from riccati_step
     calls.clear()
@@ -220,7 +357,7 @@ def test_rebuilt_stacks_ignore_later_edits_to_the_inputs(solve, monkeypatch):
     cost.r[:] *= 2.0
     comp.a[0, 0] += 1.0
     comp.b[:] *= 3.0
-    monkeypatch.setattr(fh, "_stored", None)
+    monkeypatch.setattr(fh, "_stored", ())
     model, cost = paper_model()
     cold = solve(assemble_compact(model), cost, 30)
     assert np.array_equal(sol.lambda_seq, cold.lambda_seq)
@@ -258,18 +395,25 @@ def test_policy_copies_the_solved_gains():
 @pytest.mark.parametrize("solve, where", [(backward_riccati, "terminal"),
                                           (backward_riccati, "iterate"),
                                           (discounted_backward_riccati, "iterate")])
-def test_asymmetry_warning_points_at_the_recursions_caller(solve, where):
+def test_asymmetry_warning_points_at_the_recursions_caller(solve, where, monkeypatch):
     skewed = np.array([[1.0, 1e-3], [-1e-3, 1.0]])
     q, p_terminal = (np.eye(2), skewed) if where == "terminal" else (skewed, np.eye(2))
     cost = CostSpec(q=q, r=np.eye(2), p_terminal=p_terminal, gamma=0.9)
     steps = [4] if where == "terminal" else [3, 2, 1, 0]
-    for _ in range(2):  # a run that warned is not stored, so the second call warns again
+    calls, riccati_step = [], fh.riccati_step
+    monkeypatch.setattr(fh, "riccati_step", lambda *args: calls.append(args) or riccati_step(*args))
+    for second in (False, True):
+        # the run from a skewed terminal weight is clean, so the second call
+        # reads it and warns from the key's hit; a run that warned is not
+        # stored, so the second call computes and warns again
+        calls.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             solve(assemble_compact(decoupled_unit_model()), cost, 3)
         assert [str(w.message) for w in caught] == [
             f"Riccati iterate at step {k} asymmetric beyond tolerance" for k in steps]
         assert all(w.filename == __file__ for w in caught)
+        assert (calls == []) == (second and where == "terminal")
 
 
 def test_discount_limit_matches_undiscounted():

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
+import riccati_reference as ref
+from lfns import finite_horizon as fh
 from lfns import infinite_horizon
+from lfns.auv import paper_model
 from lfns.finite_horizon import RiccatiError, closed_loop, discounted_backward_riccati, split_gain
 from lfns.infinite_horizon import (
     FIXED_POINT_TOL,
@@ -16,8 +19,9 @@ from lfns.infinite_horizon import (
 )
 from lfns.model import assemble_compact, make_cost, make_model
 from lfns.oracle import StructuredPolicy, exact_cost
-from pairs import coupled_noisy_model, decoupled_unit_model, random_model
+from pairs import coupled_noisy_model, decoupled_unit_model, random_model, random_pair
 from test_estimator import error_covariances
+from test_finite_horizon import assert_bit_equal
 
 
 def test_scalar_closed_form_fixed_point():
@@ -61,6 +65,72 @@ def test_iteration_cap_raises(monkeypatch):
     with pytest.raises(RiccatiError, match=r"hit the iteration cap after 2 iterations "
                                            r"\(relative change \d\.\d{3}e[-+]\d+, tolerance 1e-12\)"):
         solve_stationary_riccati(assemble_compact(decoupled_unit_model()), cost)
+
+
+@pytest.mark.parametrize("sweep_to", [0, 5, 200])
+def test_solve_on_a_warm_store_equals_a_cold_solve(sweep_to, monkeypatch):
+    # a sweep shorter than the solve leaves it steps to compute; one to 200
+    # holds every iterate and the final step, so the solve computes none
+    cases = [paper_model(), *(random_pair(np.random.default_rng(seed), n=n)
+                              for seed, n in ((3, 1), (4, 3)))]
+    calls, riccati_step = [], infinite_horizon.riccati_step
+    monkeypatch.setattr(infinite_horizon, "riccati_step",
+                        lambda *args: calls.append(args) or riccati_step(*args))
+    for model, pair_cost in cases:
+        compact = assemble_compact(model)
+        cost = make_cost(pair_cost.q, pair_cost.r, None, 0.9)
+        monkeypatch.setattr(fh, "_stored", ())
+        cold = solve_stationary_riccati(compact, cost)
+        monkeypatch.setattr(fh, "_stored", ())
+        discounted_backward_riccati(compact, cost, sweep_to)
+        calls.clear()
+        assert_bit_equal(solve_stationary_riccati(compact, cost), cold)
+        assert len(calls) == max(0, cold.iterations + 1 - (sweep_to + 1))
+        # the solve stored its steps: a sweep to its iterations reads them
+        assert np.array_equal(discounted_backward_riccati(compact, cost, cold.iterations - 1)
+                              .p_seq[0], cold.p)
+
+
+def _warm_failure(compact, cost, sweeps):
+    """The stationary outcome of the library and of the reference after the
+    given sweeps, each (cost, horizon), have filled the store as far as they can."""
+    for sweep_cost, horizon in sweeps:
+        try:
+            discounted_backward_riccati(compact, sweep_cost, horizon)
+        except fh.RiccatiError:
+            pass
+    outcomes = []
+    for solve in (solve_stationary_riccati, ref.solve_stationary_riccati):
+        with pytest.raises(RuntimeError) as exc:
+            solve(compact, cost)
+        outcomes.append((type(exc.value), str(exc.value)))
+    return outcomes
+
+
+def test_warm_store_raises_as_the_reference(monkeypatch):
+    # divergence after the 5 stored iterates of a clean sweep
+    model = make_model(a00=[[2.0]], a10=[[0.0]], a11=[[0.5]],
+                       b00=[[0.0]], b10=[[0.0]], b11=[[1.0]])
+    cost = make_cost(q=np.eye(2), r=np.eye(2), gamma=0.9)
+    got, want = _warm_failure(assemble_compact(model), cost, [(cost, 5)])
+    assert got == want and got[0] is RiccatiDivergence
+    assert len(fh._stored[0][2]) == 6  # the sweep's run, extended by nothing that diverged
+    # the iteration cap inside a stored run of 201 steps
+    for module in (infinite_horizon, ref):
+        monkeypatch.setattr(module, "MAX_ITERATIONS", 2)
+    compact = assemble_compact(decoupled_unit_model())
+    got, want = _warm_failure(compact, cost, [(cost, 200)])
+    assert got == want and got[1].startswith("value iteration hit the iteration cap after 2 ")
+    # Psi(1) not positive definite, with the store holding the same pair at
+    # R and at another gamma, after a failed sweep at -R
+    model, pair_cost = random_pair(np.random.default_rng(7), n=2)
+    compact = assemble_compact(model)
+    good = make_cost(pair_cost.q, pair_cost.r, None, 0.9)
+    bad = make_cost(pair_cost.q, -pair_cost.r, None, 0.9)
+    other = make_cost(pair_cost.q, pair_cost.r, None, 0.5)
+    outcomes = _warm_failure(compact, bad, [(good, 40), (other, 40), (bad, 40)])
+    assert outcomes == [(RiccatiError, "Psi(1) not positive definite")] * 2
+    assert len(fh._stored) == 2
 
 
 def test_matches_scipy_dare_on_random_systems():
