@@ -7,7 +7,7 @@ analytic optimal cost, and the per-step stationarity identities used as
 verification checks.  The undiscounted recursion starts from the terminal
 weight with gamma = 1; the discounted one starts from zero, and its iterates
 are the value-iteration sequence of the stationary problem, which iterates
-the same step.
+the same step but holds only its latest iterate.
 
 The recursion runs the bare step for k = N..0; one stacked test then decides
 whether every step passes check_step (Psi(k) positive definite, P(k) finite,
@@ -26,18 +26,18 @@ used runs that raised nothing and passed the stacked test, in step order,
 keyed by the bytes of everything the step reads (gamma, a, b, Q, R and the
 terminal weight).  A call with a stored key reads its window off the run,
 and computes and checks only the steps the run lacks, then stores the longer
-run; a horizon sweep costs one recursion to its longest horizon, and the
-stationary solve reads and extends the discounted run from zero.  A stored
-step needs no check again: the stacked test is stricter than check_step, so
-check_step would pass it without a warning.  Nor does a stored terminal
-weight, whose bytes are in the key, but its asymmetry warning is repeated.
-The stacked test runs eigvalsh only where a Cholesky certificate fails.
+run.  So a horizon sweep costs one recursion to its longest horizon, and two
+step maps used in turn keep their runs.  A stored step needs no check again:
+the stacked test is stricter than check_step, so check_step would pass it
+without a warning.  Nor does a stored terminal weight, whose bytes are in the
+key, but its asymmetry warning is repeated.  The stacked test runs eigvalsh
+only where a Cholesky certificate fails.  Only the backward recursion reads
+and writes the store.
 """
 from __future__ import annotations
 
 import sys
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -321,38 +321,14 @@ def riccati_step(compact: CompactModel, cost: CostSpec, p_next: np.ndarray, gamm
 STORED_RUNS = 2
 
 # Clean runs, most recently used first, each (key, p, h) in step order: p holds
-# the symmetrized terminal weight and one iterate per step.  None reads as ().
-_stored: tuple | None = ()
+# the symmetrized terminal weight and one iterate per step.
+_stored: tuple = ()
 
 
 def _step_key(compact: CompactModel, cost: CostSpec, p_terminal: np.ndarray, gamma: float) -> tuple:
     """Everything the step map reads: its gamma, and the shape, dtype and bytes of each matrix."""
     return (gamma, *((m.shape, m.dtype.str, m.tobytes())
                      for m in (compact.a, compact.b, cost.q, cost.r, p_terminal)))
-
-
-def stored_run(compact: CompactModel, cost: CostSpec, p_terminal: np.ndarray,
-               gamma: float) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """(p, h, keep): the stored run of the step map with this gamma from
-    p_terminal, read-only, else the symmetrized terminal weight and no steps.
-    keep(p, h) stores (p, h), a clean run of this map at least as long, as
-    the most recently used.  The store is read once here and replaced in one
-    assignment by keep, so no thread sees it half updated."""
-    key = _step_key(compact, cost, p_terminal, gamma)
-    stored = _stored or ()
-    for entry in stored:
-        if entry[0] == key:
-            p, h = entry[1:]
-            break
-    else:
-        p, h = symmetrize(p_terminal)[None], np.empty((0, cost.r.shape[0], cost.q.shape[0]))
-
-    def keep(p: np.ndarray, h: np.ndarray) -> None:
-        global _stored
-        p.flags.writeable = h.flags.writeable = False
-        _stored = ((key, p, h), *(entry for entry in stored if entry[0] != key))[:STORED_RUNS]
-
-    return p, h, keep
 
 
 def _frozen_copy(m: np.ndarray) -> np.ndarray:
@@ -363,13 +339,17 @@ def _frozen_copy(m: np.ndarray) -> np.ndarray:
 
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
                p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
+    global _stored
     dim, m = cost.q.shape[0], cost.r.shape[0]
     steps = n_horizon + 1
     step_gamma = 1.0 if gamma is None else gamma
+    key = _step_key(compact, cost, p_terminal, step_gamma)
+    stored = _stored  # read once, replaced in one assignment: no thread sees it half updated
     # the loop runs on past a non-finite iterate, which check_iterates reports;
     # numpy's warnings about it are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        p, h, keep = stored_run(compact, cost, p_terminal, step_gamma)
+        run = next((entry[1:] for entry in stored if entry[0] == key), None)
+        p, h = run or (symmetrize(p_terminal)[None], np.empty((0, m, dim)))
         done = len(h)
         if done:  # a stored terminal weight passed check_step when its run was made
             _warn_if_asymmetric(steps, p_terminal, p[0])
@@ -397,7 +377,7 @@ def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
                 raise error
             p.flags.writeable = h.flags.writeable = False
         if clean:
-            keep(p, h)
+            _stored = ((key, p, h), *(entry for entry in stored if entry[0] != key))[:STORED_RUNS]
     return FiniteHorizonSolution(p_seq=p[:steps + 1][::-1], k_seq=h[:steps][::-1], gamma=gamma,
                                  a=_frozen_copy(compact.a), b=_frozen_copy(compact.b),
                                  r=_frozen_copy(cost.r))

@@ -4,8 +4,8 @@ The fixed point is found by value iteration from zero, which mirrors the
 constructive argument behind the stationary theory: the iterates are
 exactly the finite-horizon discounted matrices with zero terminal weight,
 they are monotone in the PSD order, and their limit (when it exists) is the
-minimal fixed point.  So the solve reads the iterates that finite_horizon
-stores for that run, and computes and stores only those past them.
+minimal fixed point.  The solve holds only the latest iterate, and it
+neither reads nor extends the runs that finite_horizon stores.
 
 The stabilizability verdict is decided on the loop the package runs.  Under
 the structured policy the augmented state (x0, x1, x1hat) splits into the
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_horizon import (RiccatiError, check_step, closed_loop, iterates_clean, psi_and_l,
-                             riccati_step, split_gain, stored_run)
+from .finite_horizon import RiccatiError, check_step, closed_loop, riccati_step, split_gain
 from .model import (PD_TOL, CompactModel, CostSpec, LfnsModel, eigmin, stacked_moments,
                     symmetrize)
 
@@ -95,30 +94,17 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
     every iteration by check_step), RiccatiDivergence when the iterate norm
     passes 1e12 or overflows, without numpy's warnings, and RiccatiError when
     MAX_ITERATIONS iterations end before the change drops below 1e-12.
-
-    Iterate i is step i - 1 of the discounted run from zero (stored_run):
-    stored iterates are read, with no Psi check, since they passed the
-    stricter stacked test, and the divergence and fixed-point tests run on
-    every iterate.  The solve holds the P and H of the steps it computes, the
-    final one included, as discounted_backward_riccati to that horizon does,
-    and stores them with the run if they pass iterates_clean.
+    One last step gives H, Psi and L.  Only the latest iterate is held, and
+    no finite_horizon run is read or stored: iterations + 1 riccati_step calls.
     """
     if cost.gamma is None or not (0.0 < cost.gamma < 1.0):
         raise ValueError(f"stationary solve requires gamma in (0, 1), got {cost.gamma}")
     gamma = cost.gamma
-    run_p, run_h, keep = stored_run(compact, cost, np.zeros_like(cost.q), gamma)
-    stored = len(run_h)
-    new = []  # (symmetrized P, H, Psi, raw P) of each step past the stored run
-
-    def step(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        p_step, psi, l_mat, h = riccati_step(compact, cost, p, gamma, k)
-        check_step(k, psi=psi)
-        new.append((symmetrize(p_step), h, psi, p_step))
-        return new[-1][0], psi, l_mat, h
-
-    p = run_p[0]
+    p = np.zeros_like(cost.q)
     for iterations in range(1, MAX_ITERATIONS + 1):
-        p_new = run_p[iterations] if iterations <= stored else step(p, iterations)[0]
+        p_step, psi = riccati_step(compact, cost, p, gamma, iterations)[:2]
+        check_step(iterations, psi=psi)
+        p_new = symmetrize(p_step)
         norm = float(np.linalg.norm(p_new))
         if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise RiccatiDivergence(iterations, norm)
@@ -129,17 +115,9 @@ def solve_stationary_riccati(compact: CompactModel, cost: CostSpec) -> Stationar
     else:
         raise RiccatiError(f"value iteration hit the iteration cap after {iterations} iterations "
                            f"(relative change {residual:.3e}, tolerance {FIXED_POINT_TOL:.0e})")
-    if iterations < stored:
-        (psi, l_mat), h = psi_and_l(compact.a, compact.b, cost.r, p, gamma), run_h[iterations]
-    else:
-        _, psi, l_mat, h = step(p, iterations)
-    if not new:
-        keep(run_p, run_h)
-    else:
-        p_new, h_new, psi_new, raw = (np.stack(part) for part in zip(*new))
-        if iterates_clean(psi_new, raw):
-            keep(np.concatenate([run_p, p_new]), np.concatenate([run_h, h_new]))
-    return StationarySolution(p=np.array(p), h=np.array(h), psi=psi, l=l_mat, gamma=gamma,
+    _, psi, l_mat, h = riccati_step(compact, cost, p, gamma, iterations)
+    check_step(iterations, psi=psi)
+    return StationarySolution(p=p, h=h, psi=psi, l=l_mat, gamma=gamma,
                               iterations=iterations, residual=residual,
                               n=compact.n, m1=compact.m1)
 

@@ -218,9 +218,11 @@ def assert_bit_equal(got, want):
 def test_interleaved_calls_equal_cold_calls(n, gammas, seed, order):
     # two pairs at two discounts give six step maps: the undiscounted one of
     # each pair, which ignores gamma, and a discounted one per gamma.  Every
-    # call gives the bits of the same call on an empty store, and computes
-    # exactly the steps that a store of the STORED_RUNS most recently used
-    # runs lacks: each (map, step) once unless its run was evicted
+    # call gives the bits of the same call on an empty store.  A recursion
+    # computes exactly the steps that a store of the STORED_RUNS most
+    # recently used runs lacks: each (map, step) once unless its run was
+    # evicted.  A stationary solve computes its own iterations + 1 steps and
+    # leaves the store as it was
     rng = np.random.default_rng(seed)
     pairs = []
     for size in n:
@@ -244,10 +246,14 @@ def test_interleaved_calls_equal_cold_calls(n, gammas, seed, order):
                           n + 1) for n in range(0, horizon + 1, 10)]
             else:
                 stationary = lambda: solve_stationary_riccati(compact, cost)  # noqa: E731
-                calls = [(stationary, (pair, at), _cold(stationary).iterations + 1)]
+                calls = [(stationary, None, _cold(stationary).iterations + 1)]
             for call, step_map, steps in calls:
-                want, before = _cold(call), len(computed)
+                want, before, stored = _cold(call), len(computed), fh._stored
                 assert_bit_equal(call(), want)
+                if step_map is None:
+                    assert len(computed) - before == steps
+                    assert fh._stored is stored
+                    continue
                 warm += len(computed) - before
                 held = dict(model_store).get(step_map, 0)
                 assert len(computed) - before == max(0, steps - held)
@@ -261,23 +267,24 @@ def test_interleaved_calls_equal_cold_calls(n, gammas, seed, order):
 
 def test_two_maps_in_turn_compute_each_step_once(monkeypatch):
     # synth-sweep's order at one gamma, twice: stationary solve, discounted
-    # sweep, undiscounted recursion; the second round computes nothing
-    calls, riccati_step = [], fh.riccati_step
+    # sweep, undiscounted recursion.  The recursions' second round computes
+    # nothing; each solve computes its own iterations + 1 steps
+    recursion, solve, riccati_step = [], [], fh.riccati_step
 
-    def counted(*args):
-        calls.append(args[-1])
-        return riccati_step(*args)
+    def counted(calls):
+        return lambda *args: calls.append(args[-1]) or riccati_step(*args)
 
-    monkeypatch.setattr(fh, "riccati_step", counted)
-    monkeypatch.setattr(infinite_horizon, "riccati_step", counted)
+    monkeypatch.setattr(fh, "riccati_step", counted(recursion))
+    monkeypatch.setattr(infinite_horizon, "riccati_step", counted(solve))
     model, cost = paper_model()
     comp = assemble_compact(model)
     for _ in range(2):
-        solve_stationary_riccati(comp, cost)
+        iterations = solve_stationary_riccati(comp, cost).iterations
         for n in range(0, 201, 10):
             discounted_backward_riccati(comp, cost, n)
         backward_riccati(comp, cost, 200)
-    assert len(calls) == 2 * 201
+    assert len(recursion) == 2 * 201
+    assert len(solve) == 2 * (iterations + 1)
 
 
 def _with_smallest_eigenvalue(rng, d, norm, smallest):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,8 +71,8 @@ def test_iteration_cap_raises(monkeypatch):
 
 @pytest.mark.parametrize("sweep_to", [0, 5, 200])
 def test_solve_on_a_warm_store_equals_a_cold_solve(sweep_to, monkeypatch):
-    # a sweep shorter than the solve leaves it steps to compute; one to 200
-    # holds every iterate and the final step, so the solve computes none
+    # whatever a sweep stored, the solve computes its own iterations + 1
+    # steps, gives the cold solve's bits and leaves the store as it was
     cases = [paper_model(), *(random_pair(np.random.default_rng(seed), n=n)
                               for seed, n in ((3, 1), (4, 3)))]
     calls, riccati_step = [], infinite_horizon.riccati_step
@@ -83,12 +85,31 @@ def test_solve_on_a_warm_store_equals_a_cold_solve(sweep_to, monkeypatch):
         cold = solve_stationary_riccati(compact, cost)
         monkeypatch.setattr(fh, "_stored", ())
         discounted_backward_riccati(compact, cost, sweep_to)
+        stored = fh._stored
         calls.clear()
         assert_bit_equal(solve_stationary_riccati(compact, cost), cold)
-        assert len(calls) == max(0, cold.iterations + 1 - (sweep_to + 1))
-        # the solve stored its steps: a sweep to its iterations reads them
-        assert np.array_equal(discounted_backward_riccati(compact, cost, cold.iterations - 1)
-                              .p_seq[0], cold.p)
+        assert len(calls) == cold.iterations + 1
+        assert fh._stored is stored
+
+
+def test_solve_memory_does_not_grow_with_iterations():
+    # 1,222 iterations at n = 3: the solve holds one iterate, so its traced
+    # peak stays a few KiB where the iterates alone would take about 0.7 MiB,
+    # and it leaves the store alone
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    model = make_model(a00=eye, a10=zero, a11=eye, b00=0.01 * eye, b10=zero, b11=0.01 * eye)
+    compact = assemble_compact(model)
+    cost = make_cost(q=np.eye(6), r=np.eye(6), gamma=0.99999)
+    stored = fh._stored
+    tracemalloc.start()
+    try:
+        sol = solve_stationary_riccati(compact, cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations == 1222
+    assert peak < 64 * 1024
+    assert fh._stored is stored
 
 
 def _warm_failure(compact, cost, sweeps):

@@ -151,7 +151,7 @@ def test_horizon_sequences_equal_the_reference(kind, n, gamma, horizons, mode, s
     else:
         model, cost = _failing_input(kind, rng, n, gamma)
     compact = assemble_compact(model)
-    fh._stored = None
+    fh._stored = ()
     for horizon in horizons:
         assert_same(model, compact, cost, mode, horizon)
 
