@@ -9,16 +9,16 @@ weight with gamma = 1; the discounted one starts from zero, and its iterates
 are the value-iteration sequence of the stationary problem, which iterates
 the same step but holds only its latest iterate.
 
-The recursion runs the bare step for k = N..0; one stacked test then decides
-whether every step passes check_step (Psi(k) positive definite, P(k) finite,
-symmetric and positive semidefinite).  If one fails, check_step runs step by
-step in recursion order, as if each step had been checked as it was computed.
+The recursion runs the bare step for k = N..0 (N >= 0); check_iterates then
+tests at once whether every step passes check_step (Psi(k) positive definite,
+P(k) finite, symmetric and positive semidefinite).  If one fails, check_step
+runs step by step in recursion order, as if checked as each was computed.
 
 A run keeps only what the decoupled recursion is: the iterates P and the
 gains H.  Psi(k) and L(k) enter only the stationarity identities, and both
-are a function of P(k+1) alone, so the step takes them from psi_and_l and a
-solution rebuilds them from its P through the same function when they are
-read: the same operations on the same operands, the same bits.
+are a function of P(k+1) alone, so the step takes them from psi_and_l, and a
+solution rebuilds their stacks, which identity(k) reads, from its P through
+the same function: the same operations on the same operands, the same bits.
 
 The iterates from a terminal weight do not depend on N: P(k) of horizon N is
 step N + 1 - k from it.  So the module keeps the STORED_RUNS most recently
@@ -67,7 +67,7 @@ class FiniteHorizonSolution:
     lambda_seq (N+1, m1+m2, m1+m2) and l_seq (N+1, m1+m2, 2n) are not kept
     by the run: on first read both are rebuilt from p_seq[1:] by psi_and_l,
     the function the step itself calls, so they have the step's bits; they
-    are read-only.  identity(k) rebuilds step k's pair alone.
+    are read-only.  identity(k) reads step k's pair off them.
     """
 
     p_seq: np.ndarray
@@ -85,16 +85,13 @@ class FiniteHorizonSolution:
     def horizon(self) -> int:
         return len(self.k_seq) - 1
 
-    def _psi_and_l(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return psi_and_l(self.a, self.b, self.r, self.p_seq[k + 1],
-                         1.0 if self.gamma is None else self.gamma)
-
     @cached_property
     def _rebuilt(self) -> tuple[np.ndarray, np.ndarray]:
         steps, (dim, m) = len(self.k_seq), self.b.shape
+        gamma = 1.0 if self.gamma is None else self.gamma
         psi, l_mat = np.empty((steps, m, m)), np.empty((steps, m, dim))
         for k in range(steps):
-            psi[k], l_mat[k] = self._psi_and_l(k)
+            psi[k], l_mat[k] = psi_and_l(self.a, self.b, self.r, self.p_seq[k + 1], gamma)
         psi.flags.writeable = l_mat.flags.writeable = False
         return psi, l_mat
 
@@ -107,9 +104,9 @@ class FiniteHorizonSolution:
         return self._rebuilt[1]
 
     def identity(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Lambda or Psi, L or gamma L) of the stationarity identity at step k."""
-        psi, l_mat = self._psi_and_l(k)
-        return psi, l_mat if self.gamma is None else self.gamma * l_mat
+        """(Lambda or Psi, L or gamma L) of step k's stationarity identity, off the stacks."""
+        l_mat = self.l_seq[k]
+        return self.lambda_seq[k], l_mat if self.gamma is None else self.gamma * l_mat
 
 
 GAIN_BLOCKS = ("k00", "k01", "k10", "k11")
@@ -255,24 +252,19 @@ def certified_at_least(m: np.ndarray, bound: float) -> bool:
         return False
 
 
-def iterates_clean(psi: np.ndarray, p: np.ndarray) -> bool:
+def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> bool:
     """Whether one stacked test passes: every Psi and symmetrized P (hence P)
     finite before either eigenvalue test sees them, skew at most half of
     ASYMMETRY_TOL (stacked norms round differently), every smallest
     eigenvalue clear of PD_TOL or PSD_TOL, by certified_at_least or else by
-    eigvalsh."""
+    eigvalsh.  If not, check_step(steps[i], psi[i], p[i]) runs for each i in
+    order."""
     sym = symmetrize(p)
     skew = np.linalg.norm(p - sym, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(sym, axis=(1, 2)))
-    return bool(np.isfinite(psi).all() and np.isfinite(sym).all()
-                and (skew <= 0.5 * ASYMMETRY_TOL).all()
-                and (certified_at_least(psi, PD_TOL) or (eigmins(psi) >= PD_TOL).all())
-                and (certified_at_least(sym, PSD_TOL) or (eigmins(sym) >= PSD_TOL).all()))
-
-
-def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> bool:
-    """Whether iterates_clean(psi, p); if not, check_step(steps[i], psi[i],
-    p[i]) runs for each i in order."""
-    clean = iterates_clean(psi, p)
+    clean = bool(np.isfinite(psi).all() and np.isfinite(sym).all()
+                 and (skew <= 0.5 * ASYMMETRY_TOL).all()
+                 and (certified_at_least(psi, PD_TOL) or (eigmins(psi) >= PD_TOL).all())
+                 and (certified_at_least(sym, PSD_TOL) or (eigmins(sym) >= PSD_TOL).all()))
     if not clean:
         for k, psi_k, p_k in zip(steps, psi, p):
             check_step(k, psi_k, p_k)
@@ -340,6 +332,8 @@ def _frozen_copy(m: np.ndarray) -> np.ndarray:
 def _recursion(compact: CompactModel, cost: CostSpec, n_horizon: int,
                p_terminal: np.ndarray, gamma: float | None) -> FiniteHorizonSolution:
     global _stored
+    if n_horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {n_horizon}")
     dim, m = cost.q.shape[0], cost.r.shape[0]
     steps = n_horizon + 1
     step_gamma = 1.0 if gamma is None else gamma

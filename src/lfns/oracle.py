@@ -32,9 +32,12 @@ def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon
     step's weight, control map, stage matrix and closed-loop map, and the
     mean and covariance of the state entering it.  The last item is
     (1.0, None, M_T, None, mu, Sigma) at step horizon, with M_T the terminal
-    stage matrix, or None when no terminal term applies.  A discounted
-    recursion without cost.gamma raises ValueError before the first step.
+    stage matrix, or None when no terminal term applies.  A negative horizon,
+    and then a discounted recursion without cost.gamma, raise ValueError
+    before the model is read.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     require_gamma(cost, discounted)
     xbar, sigma_x, sigma_w = stacked_moments(model)
     # x1hat(0) = xbar1 exactly, so its block of the covariance is zero
@@ -184,11 +187,11 @@ def policy_gradient(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec,
     is given for each of the first horizon steps.  j_value is exact_cost's
     value bit for bit.
     """
+    steps = list(_forward(model, policy, cost, horizon, discounted))
+    j0 = _total(steps)
     n, m1 = model.n, model.m1
     m = m1 + model.m2
     b = assemble_compact(model).b  # (x0, x1) rows; b[n:] also drives x1hat
-    steps = list(_forward(model, policy, cost, horizon, discounted))
-    j0 = _total(steps)
 
     # per_step[k] is half the derivative of the cost in step k's control map
     # cu (rows :m) and in the estimator's conditional-mean control map (rows

@@ -1,7 +1,7 @@
 import dataclasses
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lfns.estimator import advance
@@ -111,6 +111,7 @@ def test_estimate_matches_kalman_oracle_random_systems():
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 3), horizon=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2, horizon=21, seed=10222)  # rho = 2.32: the gap reaches 4.64e-9, max|x1hat| 4.38
 def test_simulated_estimate_is_the_kalman_oracles(n, horizon, seed):
     # the engine's estimate, driven by leader data and u1hat, is the
     # conditional mean that a joint Gaussian filter computes from x0 and u0
@@ -122,7 +123,15 @@ def test_simulated_estimate_is_the_kalman_oracles(n, horizon, seed):
     scale = np.max(np.abs(trace.x1hat))
     assume(np.isfinite(scale) and scale < 1e12)  # a divergent trial says nothing
     ref = kalman_oracle(model, trace.x0, trace.u0, follower_gains=(k10, k11))
-    assert np.max(np.abs(trace.x1hat - ref)) <= 1e-9 * max(1.0, scale)
+    bound = 1e-9 * max(1.0, scale)
+    # both read the same x0 and u0, so their gap moves by the follower's error
+    # loop a11 - b11 k11; where its spectral radius rho exceeds 1, each step's
+    # rounding, a few eps of the values the update reads, grows by rho a step
+    rho = np.max(np.abs(np.linalg.eigvals(model.a11 - model.b11 @ k11)))
+    if rho > 1.0:
+        size = max(1.0, scale, np.max(np.abs(trace.x0)), np.max(np.abs(trace.u0)))
+        bound += 8 * np.finfo(float).eps * size * sum(rho ** j for j in range(horizon + 1))
+    assert np.max(np.abs(trace.x1hat - ref)) <= bound
 
 
 def test_error_moments_zero_without_uncertainty():

@@ -321,9 +321,9 @@ def test_certificate_refuses_a_zero_eigenvalue_at_norm_1e8(monkeypatch):
     for p in (np.diag([1e8, 3e7, 1e6, 0.0]), rotated):
         assert not fh.certified_at_least(p[None], PSD_TOL)
         eigen.clear()
-        assert fh.iterates_clean(psi, p[None]) == (eigmins_(p[None]) >= PSD_TOL).all()
+        assert fh.check_iterates([0], psi, p[None]) == (eigmins_(p[None]) >= PSD_TOL).all()
         assert eigen == [1]  # Psi certified, P by eigvalsh
-    assert fh.iterates_clean(psi, np.diag([1e8, 3e7, 1e6, 0.0])[None])
+    assert fh.check_iterates([0], psi, np.diag([1e8, 3e7, 1e6, 0.0])[None])
 
 
 def test_solution_stacks_are_read_only():
@@ -352,6 +352,40 @@ def test_run_keeps_p_and_h_and_rebuilds_lambda_and_l_when_read(monkeypatch):
     calls.clear()
     assert len(sol.lambda_seq) == steps and len(calls) == steps
     assert len(sol.l_seq) == steps and len(calls) == steps  # built together, once
+
+
+def test_identity_reads_the_rebuilt_stacks(monkeypatch):
+    # identity(k) and lambda_seq / l_seq share one rebuild: one psi_and_l call per step
+    calls, psi_and_l = [], fh.psi_and_l
+    monkeypatch.setattr(fh, "psi_and_l", lambda *args: calls.append(args) or psi_and_l(*args))
+    model, cost = paper_model()
+    comp = assemble_compact(model)
+    sol = discounted_backward_riccati(comp, cost, 200)
+    calls.clear()
+    pairs = [sol.identity(k) for k in range(201)]
+    assert len(sol.lambda_seq) == len(sol.l_seq) == 201 and len(calls) == 201
+    for (lam, l_mat), want_lam, want_l in zip(pairs, sol.lambda_seq, sol.l_seq):
+        assert np.array_equal(lam, want_lam) and np.array_equal(l_mat, cost.gamma * want_l)
+    plain = backward_riccati(comp, cost, 30)
+    for k in range(31):
+        lam, l_mat = plain.identity(k)
+        assert np.array_equal(lam, plain.lambda_seq[k]) and np.array_equal(l_mat, plain.l_seq[k])
+
+
+@pytest.mark.parametrize("solve", [backward_riccati, discounted_backward_riccati])
+@pytest.mark.parametrize("horizon", [-1, -5])
+def test_negative_horizon_raises_on_a_cold_and_a_warm_store(solve, horizon, monkeypatch):
+    # a negative horizon would otherwise read a window of whatever run is stored
+    model, cost = paper_model()
+    comp = assemble_compact(model)
+    monkeypatch.setattr(fh, "_stored", ())
+    for warm in (False, True):
+        if warm:
+            solve(comp, cost, 200)
+        stored = fh._stored
+        with pytest.raises(ValueError, match=f"^horizon must be >= 0, got {horizon}$"):
+            solve(comp, cost, horizon)
+        assert fh._stored is stored
 
 
 @pytest.mark.parametrize("solve", [backward_riccati, discounted_backward_riccati])

@@ -22,7 +22,7 @@ from lfns.oracle import (
     policy_gradient,
 )
 from lfns.simulation import simulate, simulate_batch
-from pairs import coupled_noisy_model, decoupled_unit_model, random_pair
+from pairs import coupled_noisy_model, decoupled_unit_model, random_pair, scalar_demo_pair
 
 
 def forward_means(model, policy, cost, horizon, discounted=False):
@@ -251,6 +251,20 @@ def test_discounted_moments_without_gamma_raise_before_any_step(monkeypatch, hor
     for evaluate in (exact_cost, policy_gradient, gain_gradient):
         with pytest.raises(ValueError, match="^discounted aggregation requires cost.gamma$"):
             evaluate(model, policy, cost, horizon, discounted=True)
+
+
+@pytest.mark.parametrize("name", ["exact_cost", "gain_gradient", "policy_gradient",
+                                  "perturbation_sweep"])
+def test_negative_horizon_raises_before_the_model_is_read(monkeypatch, name):
+    # a negative horizon is no window: it would give the horizon-0 cost, an
+    # empty gradient or no perturbation
+    extra = (False, 4, 0.1, 0) if name == "perturbation_sweep" else ()
+    model, cost = scalar_demo_pair()
+    sol = backward_riccati(assemble_compact(model), cost, 8)
+    policy = StructuredPolicy.from_finite_horizon(sol, model)
+    monkeypatch.setattr(oracle, "stacked_moments", _no_moments)
+    with pytest.raises(ValueError, match="^horizon must be >= 0, got -2$"):
+        getattr(oracle, name)(model, policy, cost, -2, *extra)
 
 
 @pytest.fixture(scope="module")
