@@ -265,7 +265,7 @@ def cmd_simulate(args, stage: Path) -> int:
         cols[f"mean_err_leader_{j}"] = summary.mean_state[:, j]
     for j in range(n):
         cols[f"mean_err_follower_{j}"] = summary.mean_state[:, n + j]
-    if name == "auv-paper":
+    if args.model == "auv-paper":
         refs = _auv_reference_columns(horizon)
         cols.update(refs)
         for j, ch in enumerate(("x", "y", "psi")):

@@ -17,8 +17,8 @@ runs step by step in recursion order, as if checked as each was computed.
 A run keeps only what the decoupled recursion is: the iterates P and the
 gains H.  Psi(k) and L(k) enter only the stationarity identities, and both
 are a function of P(k+1) alone, so the step takes them from psi_and_l, and a
-solution rebuilds their stacks, which identity(k) reads, from its P through
-the same function: the same operations on the same operands, the same bits.
+solution rebuilds their stacks, which identity(k) reads, by one call of it on
+its stacked P: the same operations on the same operands, the same bits.
 
 The iterates from a terminal weight do not depend on N: P(k) of horizon N is
 step N + 1 - k from it.  So the module keeps the STORED_RUNS most recently
@@ -65,9 +65,9 @@ class FiniteHorizonSolution:
     the model or cost in place afterwards moves nothing here.
 
     lambda_seq (N+1, m1+m2, m1+m2) and l_seq (N+1, m1+m2, 2n) are not kept
-    by the run: on first read both are rebuilt from p_seq[1:] by psi_and_l,
-    the function the step itself calls, so they have the step's bits; they
-    are read-only.  identity(k) reads step k's pair off them.
+    by the run: on first read both are rebuilt by one psi_and_l call on the
+    stacked p_seq[1:], the function the step itself calls, so they have the
+    step's bits; they are read-only.  identity(k) reads step k's pair off them.
     """
 
     p_seq: np.ndarray
@@ -87,11 +87,8 @@ class FiniteHorizonSolution:
 
     @cached_property
     def _rebuilt(self) -> tuple[np.ndarray, np.ndarray]:
-        steps, (dim, m) = len(self.k_seq), self.b.shape
         gamma = 1.0 if self.gamma is None else self.gamma
-        psi, l_mat = np.empty((steps, m, m)), np.empty((steps, m, dim))
-        for k in range(steps):
-            psi[k], l_mat[k] = psi_and_l(self.a, self.b, self.r, self.p_seq[k + 1], gamma)
+        psi, l_mat = psi_and_l(self.a, self.b, self.r, self.p_seq[1:], gamma)
         psi.flags.writeable = l_mat.flags.writeable = False
         return psi, l_mat
 
@@ -146,29 +143,26 @@ def closed_loop(compact: CompactModel, gains) -> tuple[np.ndarray, np.ndarray]:
     u = cu z, and z moves to F z plus the plant noise.  Rows x0 and x1 of F
     are the plant under the applied controls; the estimator's row x1hat moves
     by the follower's rows of (a, b) under the conditional-mean controls, with
-    x1hat in place of x1.  A block of F is its block of a less its b k terms.
+    x1hat in place of x1.  F starts from a's blocks and subtracts b k terms in READS order.
     """
     n = compact.n
     at = block_slices(n, compact.m1)
     a, b = compact.a, compact.b
-    x0, x1 = at["x0"], at["x1"]
-    moved_by = {"x0": x0, "x1": x1, "x1hat": x1}
-    f = {("x0", "x0"): a[x0, x0], ("x1", "x0"): a[x1, x0], ("x1", "x1"): a[x1, x1],
-         ("x1hat", "x0"): a[x1, x0], ("x1hat", "x1hat"): a[x1, x1]}
-    gain = dict(zip(GAIN_BLOCKS, gains))
+    x0, x1, x1hat = at["x0"], at["x1"], at["x1hat"]
     cu = np.zeros((b.shape[1], 3 * n))
+    f = np.zeros((3 * n, 3 * n))
+    f[x0, x0] = a[x0, x0]
+    f[x1, x0] = f[x1hat, x0] = a[x1, x0]
+    f[x1, x1] = f[x1hat, x1hat] = a[x1, x1]
     for name, (control, applied, mean) in READS.items():
-        k = gain[name]
-        cu[at[control], at[applied]] = -k
-        for row, col in (("x0", applied), ("x1", applied), ("x1hat", mean)):
-            if row == "x0" and control == "u1":
-                continue  # u1 never drives the leader: a structural zero of b
-            term = b[moved_by[row], at[control]]
-            f[row, col] = f[row, col] - term @ k if (row, col) in f else -term @ k
-    out = np.zeros((3 * n, 3 * n))
-    for (row, col), block in f.items():
-        out[at[row], at[col]] = block
-    return cu, out
+        k, u = gains[GAIN_BLOCKS.index(name)], at[control]
+        cu[u, at[applied]] = -k
+        if control == "u0":  # u1 never drives the leader: a structural zero of b
+            f[x0, at[applied]] -= b[x0, u] @ k
+        drive = b[x1, u] @ k
+        f[x1, at[applied]] -= drive
+        f[x1hat, at[mean]] -= drive
+    return cu, f
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +267,8 @@ def check_iterates(steps, psi: np.ndarray, p: np.ndarray) -> bool:
 
 def psi_and_l(a: np.ndarray, b: np.ndarray, r: np.ndarray, p_next: np.ndarray,
               gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi(k), L(k)) from P(k+1): Psi = R + gamma B' P(k+1) B, symmetrized,
-    and L = B' P(k+1) A, both through the one product B' P(k+1)."""
+    """(Psi(k), L(k)) from P(k+1), or their stacks from a stack: Psi = R + gamma B' P(k+1) B,
+    symmetrized, and L = B' P(k+1) A, both through the one product B' P(k+1)."""
     bp = b.T @ p_next
     return symmetrize(r + gamma * (bp @ b)), bp @ a
 

@@ -73,11 +73,15 @@ def _forward(model: LfnsModel, policy: StructuredPolicy, cost: CostSpec, horizon
 
 
 def _total(steps) -> float:
-    """Sum of weight * E[z' M z] = weight * (tr(M Sigma) + mu' M mu) over the steps."""
+    """Sum of weight * E[z' M z] = weight * (tr(M Sigma) + mu' M mu) over the steps;
+    OracleError if it is not finite, which finite moments can still make it."""
     total = 0.0
-    for weight, _, m, _, mu, sigma in steps:
-        if m is not None:
-            total += weight * float(np.trace(m @ sigma) + mu @ m @ mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, _, m, _, mu, sigma in steps:
+            if m is not None:
+                total += weight * float(np.trace(m @ sigma) + mu @ m @ mu)
+    if not np.isfinite(total):
+        raise OracleError(f"exact cost not finite: {total}")
     return total
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lfns import cli, infinite_horizon, simulation
 from lfns.cli import main
 from lfns.model import make_cost, make_model
-from pairs import save_model_spec
+from pairs import save_model_spec, scalar_demo_pair
 
 
 def run(argv):
@@ -360,6 +360,21 @@ def test_simulate_auv_curves_include_references(tmp_path):
         assert col in header
     ref_x = float(rows[1][header.index("ref_leader_x")])
     assert ref_x == pytest.approx(1.2, abs=1e-12)
+
+
+def test_spec_file_named_auv_paper_gets_no_auv_tracks(tmp_path):
+    # the AUV tracks belong to the builtin model, not to a spec file's name:
+    # keyed on the name, this scalar spec indexed past its one state column
+    model, cost = scalar_demo_pair()
+    path = tmp_path / "auv-paper.json"
+    save_model_spec(path, model, cost)
+    out = tmp_path / "out"
+    assert run(["simulate", "--model", str(path), "--trials", "4", "--horizon", "5",
+                "--out", str(out)]) == 0
+    with open(out / "simulate-auv-paper-curves.csv") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert rows[0] == ["k", "mean_err_leader_0", "mean_err_follower_0"]
+    assert len(rows) == 1 + 6
 
 
 def reference_traces(batch, horizon):

@@ -350,12 +350,12 @@ def test_run_keeps_p_and_h_and_rebuilds_lambda_and_l_when_read(monkeypatch):
     assert (p.shape, h.shape) == ((steps + 1, dim, dim), (steps, m, dim))
     assert len(calls) == steps  # one per step, from riccati_step
     calls.clear()
-    assert len(sol.lambda_seq) == steps and len(calls) == steps
-    assert len(sol.l_seq) == steps and len(calls) == steps  # built together, once
+    assert len(sol.lambda_seq) == steps and len(calls) == 1  # one call over the stacked P
+    assert len(sol.l_seq) == steps and len(calls) == 1  # built together, once
 
 
 def test_identity_reads_the_rebuilt_stacks(monkeypatch):
-    # identity(k) and lambda_seq / l_seq share one rebuild: one psi_and_l call per step
+    # identity(k) and lambda_seq / l_seq share one rebuild: one psi_and_l call over the stacked P
     calls, psi_and_l = [], fh.psi_and_l
     monkeypatch.setattr(fh, "psi_and_l", lambda *args: calls.append(args) or psi_and_l(*args))
     model, cost = paper_model()
@@ -363,7 +363,7 @@ def test_identity_reads_the_rebuilt_stacks(monkeypatch):
     sol = discounted_backward_riccati(comp, cost, 200)
     calls.clear()
     pairs = [sol.identity(k) for k in range(201)]
-    assert len(sol.lambda_seq) == len(sol.l_seq) == 201 and len(calls) == 201
+    assert len(sol.lambda_seq) == len(sol.l_seq) == 201 and len(calls) == 1
     for (lam, l_mat), want_lam, want_l in zip(pairs, sol.lambda_seq, sol.l_seq):
         assert np.array_equal(lam, want_lam) and np.array_equal(l_mat, cost.gamma * want_l)
     plain = backward_riccati(comp, cost, 30)

@@ -10,7 +10,7 @@ from lfns import oracle
 from lfns.estimator import advance
 from lfns.finite_horizon import backward_riccati, closed_loop, controls, split_gain
 from lfns.infinite_horizon import solve_stationary_riccati
-from lfns.model import assemble_compact, make_cost, make_model, model_from_dict, step
+from lfns.model import CompactModel, assemble_compact, make_cost, make_model, model_from_dict, step
 from lfns.oracle import (
     OracleError,
     StructuredPolicy,
@@ -22,6 +22,7 @@ from lfns.oracle import (
     policy_gradient,
 )
 from lfns.simulation import simulate, simulate_batch
+from closed_loop_reference import closed_loop as reference_closed_loop
 from pairs import coupled_noisy_model, decoupled_unit_model, random_pair, scalar_demo_pair
 
 
@@ -80,6 +81,26 @@ def test_closed_loop_matches_engine_step(n, seed):
     zero = np.zeros_like(x0)
     assert close(f @ z, np.vstack([*step(model, x0, x1, u0, u1, zero, zero),
                                    advance(model, x1hat, x0, u0, u1hat)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), m1=st.integers(1, 3), m2=st.integers(1, 3),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_loop_is_its_reference_bit_for_bit(n, m1, m2, zeros, seed):
+    # every block of a and b is drawn, the leader's x1 and u1 blocks too,
+    # which both must ignore; exact zeros of either sign in b and the gains
+    # make zero terms of either sign, and zero signs reach the golden bytes
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        out = rng.standard_normal(shape)
+        out[rng.random(shape) < zeros] = 0.0
+        return out * rng.choice([-1.0, 1.0], shape)
+
+    compact = CompactModel(a=draw(2 * n, 2 * n), b=draw(2 * n, m1 + m2), n=n, m1=m1)
+    gains = split_gain(draw(m1 + m2, 2 * n), n, m1)
+    for got, want in zip(closed_loop(compact, gains), reference_closed_loop(compact, gains)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_exact_cost_terminal_only():
@@ -236,6 +257,22 @@ def test_exact_cost_raises_on_divergence():
     # both branches stop at the same step
     assert messages[0] == messages[1]
     assert "at step " in messages[0]
+
+
+def test_cost_that_overflows_finite_moments_raises():
+    # at 552 steps the moments are finite but their cost sum overflows; an
+    # infinite cost read as a vanishing gradient would pass a stationarity check
+    model = make_model(a00=[[2.0]], a10=[[0.0]], a11=[[2.0]], b00=[[1.0]], b10=[[0.0]],
+                       b11=[[1.0]], sigma_w0=[[1.0]], sigma_w1=[[1.0]], xbar0=[1.0],
+                       xbar1=[1.0], sigma_x0=[[1.0]], sigma_x1=[[1.0]])
+    cost = make_cost(q=np.eye(2), r=np.eye(2), p_terminal=np.eye(2))
+    policy = StructuredPolicy.constant([[0.1]], [[0.0]], [[0.0]], [[0.1]])
+    assert np.isfinite(exact_cost(model, policy, cost, 551))
+    assert np.isfinite(forward_means(model, policy, cost, 552)).all()
+    for evaluate, extra in ((exact_cost, ()), (policy_gradient, ()), (gain_gradient, ()),
+                            (perturbation_sweep, (False, 4, 0.1, 0))):
+        with pytest.raises(OracleError, match="^exact cost not finite: inf$"):
+            evaluate(model, policy, cost, 552, *extra)
 
 
 def _no_moments(*args):
